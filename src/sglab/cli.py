@@ -123,7 +123,7 @@ def cmd_lemma4(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    for S in enumerate_semigroups(args.n, up_to_iso=args.up_to_iso, order_bound=max(args.n, 4)):
+    for S in enumerate_semigroups(args.n, up_to_iso=args.up_to_iso):
         print(catalog_line(S))
     return 0
 
@@ -223,7 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n-max-perm", type=int, default=4, dest="n_max_perm")
     q.add_argument("--random-families", type=int, default=20, dest="random_families")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per CPU")
     q.add_argument("--structured", action="store_true",
                    help="emit one record line per check instead of a summary")
     q.set_defaults(fn=cmd_verify)

@@ -13,6 +13,7 @@ Both directions are checked here, stage by stage, on concrete tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import ElementSet, FiniteSemigroup, identity_element, is_commutative, validate
@@ -85,6 +86,10 @@ class Congruence:
 
     def classes(self) -> tuple[ElementSet, ...]:
         """Class contents indexed by class id."""
+        return self._classes
+
+    @cached_property
+    def _classes(self) -> tuple[ElementSet, ...]:
         buckets: list[list[int]] = [[] for _ in range(self.n_classes)]
         for x, c in enumerate(self.class_of):
             buckets[c].append(x)
@@ -117,6 +122,12 @@ class QuotientSemigroup:
     projection: tuple[int, ...]
     source_order: int
 
+    @cached_property
+    def _kind(self) -> QuotientKind:
+        e = identity_element(self.quotient)
+        comm, _ = is_commutative(self.quotient)
+        return QuotientKind(e is not None, comm, e)
+
 
 def _check_family(S: FiniteSemigroup, family: Sequence[ElementSet]) -> None:
     for A in family:
@@ -124,12 +135,18 @@ def _check_family(S: FiniteSemigroup, family: Sequence[ElementSet]) -> None:
             raise AmbientMismatch(S.order, A.ambient)
 
 
+def _context_profile(S: FiniteSemigroup, A: ElementSet) -> tuple[bytes, ...]:
+    # Per element a, the slice {(x, y) : x*a*y in A} as bytes.
+    m = A.mask[S.word_tensor(3)]
+    return tuple(m[:, a, :].tobytes() for a in range(S.order))
+
+
 def _context_partition(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence:
     # Profile route: element a is fingerprinted by the boolean cube
     # slice {(i, x, y) : x*a*y in A_i}; equal fingerprints = one class.
-    w3 = S.word_tensor(3)
-    per_set = [A.mask[w3] for A in family]
-    keys = [b"".join(m[:, a, :].tobytes() for m in per_set) for a in range(S.order)]
+    # Every slice has n*n bytes, so joining them keeps fingerprints apart.
+    per_set = [S._cached(("profile", A.members), _context_profile, A) for A in family]
+    keys = [b"".join(p[a] for p in per_set) for a in range(S.order)]
     ids: dict[bytes, int] = {}
     class_of = []
     for key in keys:
@@ -203,10 +220,17 @@ def is_congruence(
     """Compatibility of a partition with the product, on both sides.
 
     Witness (a, b, c): a and b share a class but c*a vs c*b or a*c vs
-    b*c do not; lexicographically first such triple.
+    b*c do not; lexicographically first such triple.  Memoized per
+    semigroup and partition.
     """
     if part.ambient != S.order:
         raise AmbientMismatch(S.order, part.ambient)
+    return S._cached(("congruence", part.class_of), _compatibility, part)
+
+
+def _compatibility(
+    S: FiniteSemigroup, part: Congruence
+) -> tuple[bool, tuple[int, int, int] | None]:
     cls = part.class_of
     t = S.table
     n = S.order
@@ -225,10 +249,15 @@ def quotient(S: FiniteSemigroup, c: Congruence) -> QuotientSemigroup:
 
     Representatives are the first element of each class; the sweep then
     confirms every other choice agrees, so NotACongruence is raised for
-    any partition that merely pretends to be compatible.
+    any partition that merely pretends to be compatible.  Memoized per
+    semigroup and partition; a raise is not memoized.
     """
     if c.ambient != S.order:
         raise AmbientMismatch(S.order, c.ambient)
+    return S._cached(("quotient", c.class_of), _quotient, c)
+
+
+def _quotient(S: FiniteSemigroup, c: Congruence) -> QuotientSemigroup:
     cls = c.class_of
     k = c.n_classes
     reps = [cls.index(i) for i in range(k)]
@@ -244,9 +273,8 @@ def quotient(S: FiniteSemigroup, c: Congruence) -> QuotientSemigroup:
 
 
 def classify_quotient(Q: QuotientSemigroup) -> QuotientKind:
-    e = identity_element(Q.quotient)
-    comm, _ = is_commutative(Q.quotient)
-    return QuotientKind(e is not None, comm, e)
+    """Monoid and commutativity flags of the quotient, computed once per Q."""
+    return Q._kind
 
 
 def _rgs_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -284,10 +312,10 @@ def enumerate_congruences(S: FiniteSemigroup, order_bound: int = 6) -> list[Cong
 
 
 def _sep_intersection(S: FiniteSemigroup, family: Sequence[ElementSet]) -> ElementSet:
-    A = ElementSet.full(S.order)
+    common = frozenset(range(S.order))
     for X in family:
-        A = A & separator(S, X)
-    return A
+        common &= separator(S, X).members
+    return ElementSet(S.order, common)
 
 
 def _medial_names(w: tuple[int, int, int, int]) -> tuple[tuple[str, int], ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,9 @@ __all__ = [
     "read_sg",
     "format_sg",
 ]
+
+
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,27 @@ class FiniteSemigroup:
     @cached_property
     def np_table(self) -> np.ndarray:
         return np.array(self.table, dtype=np.intp)
+
+    @cached_property
+    def _memo(self) -> dict[tuple, object]:
+        """Answers to pure questions about this table, filled on first ask.
+
+        Keys are (kind, argument): a subset's members, a partition's
+        class_of or an identity's perm, never a whole family, so the
+        memo holds at most 2**n entries per subset kind and Bell(n) per
+        partition kind.  Only returned values are stored; a question
+        that raises is asked afresh every time.  The table is frozen, so
+        an entry never goes stale, and it is freed with the semigroup.
+        """
+        return {}
+
+    def _cached(self, key: tuple, compute: Callable, arg):
+        """``compute(self, arg)``, evaluated only on the first ask for ``key``."""
+        memo = self._memo
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = compute(self, arg)
+        return value
 
     @cached_property
     def _word_tensors(self) -> dict[int, np.ndarray]:

@@ -81,7 +81,14 @@ def satisfies_identity(
     The right-hand side is the product tensor with its axes shuffled by
     the permutation, so no second fold is ever computed.  Witness is the
     lexicographically first tuple (x_1..x_n) where the sides differ.
+    Memoized per semigroup and permutation.
     """
+    return S._cached(("identity", ident.perm), _compare_sides, ident)
+
+
+def _compare_sides(
+    S: FiniteSemigroup, ident: PermutationIdentity
+) -> tuple[bool, tuple[int, ...] | None]:
     w = S.word_tensor(ident.length)
     rhs = w.transpose(tuple(p - 1 for p in ident.perm))
     bad = w != rhs

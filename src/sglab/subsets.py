@@ -51,9 +51,14 @@ def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
 
     Equivalently the x with xA = A restricted correctly on both sides:
     multiplication by x never moves an element across the A boundary.
-    Sep of the empty set and of the full set is all of S.
+    Sep of the empty set and of the full set is all of S.  Memoized
+    per semigroup and subset.
     """
     _check_ambient(S, A)
+    return S._cached(("separator", A.members), _separator, A)
+
+
+def _separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
     return idealizer(S, A) & idealizer(S, A.complement())
 
 
@@ -64,9 +69,15 @@ def is_medial(
 
     Checks x*a*b*y in A iff x*b*a*y in A for all quadruples; on failure
     returns the lexicographically first (x, a, b, y) with x*a*b*y in A
-    but x*b*a*y outside it.
+    but x*b*a*y outside it.  Memoized per semigroup and subset.
     """
     _check_ambient(S, A)
+    return S._cached(("medial", A.members), _medial, A)
+
+
+def _medial(
+    S: FiniteSemigroup, A: ElementSet
+) -> tuple[bool, tuple[int, int, int, int] | None]:
     w4 = S.word_tensor(4)
     inside = A.mask[w4]
     bad = inside & ~inside.swapaxes(1, 2)

@@ -12,6 +12,7 @@ and across worker counts.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -45,7 +46,7 @@ __all__ = [
     "run_sweep",
 ]
 
-FAMILY_MODES = ("default", "singletons-and-all-subsets", "congruence-classes", "explicit")
+FAMILY_MODES = ("default", "singletons-and-all-subsets", "congruence-classes")
 THEOREM_GROUPS = ("all", "1", "2", "cor1", "cor2", "lemmas")
 
 
@@ -63,7 +64,6 @@ class SweepConfig:
     max_order: int = 4
     n_max_permutation: int = 4
     family_mode: str = "default"
-    explicit_families: tuple[tuple[frozenset, ...], ...] = ()
     random_families: int = 20
     seed: int = 0
     parallelism: int = 1
@@ -183,39 +183,32 @@ def _instance_checks(
 ) -> list[tuple[str, CheckReport]]:
     """All (case, report) pairs for one catalog instance, in a fixed order."""
     out: list[tuple[str, CheckReport]] = []
-    subsets = list(all_subsets(order))
+    subsets = [(format_subset(A), A) for A in all_subsets(order)]
 
     if _wants(cfg, "lemmas"):
-        for A in subsets:
-            case = format_subset(A)
+        for case, A in subsets:
             out.append((case, check_lemma1(S, A)))
             out.append((case, check_lemma2(S, A)))
             out.append((case, check_lemma3(S, A)))
 
     if _wants(cfg, "cor1"):
-        for A in subsets:
-            out.append((format_subset(A), verify_corollary1(S, A)))
+        for case, A in subsets:
+            out.append((case, verify_corollary1(S, A)))
 
     congruences = None
     if _wants(cfg, "1") or _wants(cfg, "2"):
-        congruences = enumerate_congruences(S, order_bound=max(order, 6))
+        congruences = [(_family_literal(sigma.classes()), sigma)
+                       for sigma in enumerate_congruences(S)]
 
     if _wants(cfg, "1"):
         if cfg.family_mode in ("default", "singletons-and-all-subsets"):
-            for A in subsets:
-                out.append((format_subset(A), verify_theorem1_forward(S, [A])))
+            for case, A in subsets:
+                out.append((case, verify_theorem1_forward(S, [A])))
         if cfg.family_mode in ("default", "congruence-classes"):
-            for sigma in congruences:
-                fam = sigma.classes()
-                out.append((_family_literal(fam), verify_theorem1_forward(S, fam)))
-        if cfg.family_mode == "explicit":
-            for raw in cfg.explicit_families:
-                if any(max(part, default=-1) >= order for part in raw):
-                    continue
-                fam = tuple(ElementSet(order, part) for part in raw)
-                out.append((_family_literal(fam), verify_theorem1_forward(S, fam)))
-        for sigma in congruences:
-            out.append((_family_literal(sigma.classes()), verify_theorem1_converse(S, sigma)))
+            for case, sigma in congruences:
+                out.append((case, verify_theorem1_forward(S, sigma.classes())))
+        for case, sigma in congruences:
+            out.append((case, verify_theorem1_converse(S, sigma)))
 
     if _wants(cfg, "2") or _wants(cfg, "cor2"):
         witness = find_permutation_identity(S, cfg.n_max_permutation)
@@ -251,26 +244,18 @@ def _instance_checks(
                     )
                 )
             if cfg.family_mode in ("default", "singletons-and-all-subsets"):
-                for A in subsets:
-                    out.append(
-                        (format_subset(A), verify_theorem2_forward(S, [A], witness))
-                    )
+                for case, A in subsets:
+                    out.append((case, verify_theorem2_forward(S, [A], witness)))
             if cfg.family_mode in ("default", "congruence-classes"):
-                for sigma in congruences:
-                    fam = sigma.classes()
-                    out.append((_family_literal(fam), verify_theorem2_forward(S, fam, witness)))
+                for case, sigma in congruences:
+                    out.append((case, verify_theorem2_forward(S, sigma.classes(), witness)))
             for fam in _random_families(cfg, order, idx):
                 out.append((_family_literal(fam), verify_theorem2_forward(S, fam, witness)))
-            for sigma in congruences:
-                out.append(
-                    (
-                        _family_literal(sigma.classes()),
-                        verify_theorem2_converse(S, sigma, witness),
-                    )
-                )
+            for case, sigma in congruences:
+                out.append((case, verify_theorem2_converse(S, sigma, witness)))
         if witness is not None and _wants(cfg, "cor2"):
-            for A in subsets:
-                out.append((format_subset(A), verify_corollary2(S, A, witness)))
+            for case, A in subsets:
+                out.append((case, verify_corollary2(S, A, witness)))
 
     return out
 
@@ -293,13 +278,16 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 
     Work is split per instance; records keep catalog order regardless of
     parallelism, so two sweeps with the same config are byte-identical.
+    Orders above the catalog's default bound raise OrderTooLarge, and
+    no more worker processes start than there are CPUs.
     """
     items = []
     for order in range(cfg.min_order, cfg.max_order + 1):
-        for idx, S in enumerate(enumerate_semigroups(order, order_bound=cfg.max_order)):
+        for idx, S in enumerate(enumerate_semigroups(order)):
             items.append((cfg, order, idx, S.table))
-    if cfg.parallelism > 1:
-        with Pool(cfg.parallelism) as pool:
+    workers = min(cfg.parallelism, os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             per_instance = pool.map(_instance_worker, items, chunksize=8)
     else:
         per_instance = [_instance_worker(item) for item in items]

@@ -102,6 +102,10 @@ class TestQueries:
         code, out, _ = run(capsys, "enumerate", "2", "--up-to-iso")
         assert len(out.splitlines()) == 5
 
+    def test_enumerate_above_catalog_bound_is_refused(self, capsys):
+        code, out, err = run(capsys, "enumerate", "5")
+        assert code == 2 and out == "" and "order 5 exceeds the configured bound 4" in err
+
 
 class TestVerify:
     def test_summary_mode(self, capsys):
@@ -123,6 +127,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-order", "2", "--theorem", "lemmas")
         assert code == 0
         assert out.splitlines()[0] == "instances: 9"
+
+    def test_explicit_family_mode_is_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--order", "2", "--family-mode", "explicit",
+                             "--theorem", "1")
+        assert code == 2 and out == "" and "explicit" in err
+
+    def test_order_above_catalog_bound_is_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "--order", "5")
+        assert code == 2 and out == "" and "order 5 exceeds the configured bound 4" in err
 
 
 class TestUsage:

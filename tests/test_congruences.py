@@ -7,9 +7,11 @@ from sglab import (
     ElementSet,
     NotACongruence,
     OrderTooLarge,
+    SweepConfig,
     all_subsets,
     classify_quotient,
     enumerate_congruences,
+    enumerate_semigroups,
     identity_congruence,
     is_congruence,
     p_congruence,
@@ -21,6 +23,7 @@ from sglab import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
+from sglab.sweep import _instance_checks, _random_families
 
 
 def eset(ambient, *members):
@@ -288,3 +291,73 @@ class TestCorollary1:
     def test_non_medial_unmet(self, lz2mon):
         rep = verify_corollary1(lz2mon, eset(3, 1))
         assert rep.status == "precondition-unmet"
+
+
+class TestMemo:
+    def test_quotient_of_non_congruence_raises_every_time(self, chain3):
+        part = Congruence.from_classes(3, [{0, 2}, {1}])
+        for _ in range(3):
+            with pytest.raises(NotACongruence):
+                quotient(chain3, part)
+        assert ("quotient", part.class_of) not in chain3._memo
+
+    def test_repeated_quotient_and_classification_agree(self, chain3):
+        part = Congruence.from_classes(3, [{0, 1}, {2}])
+        first = quotient(chain3, part)
+        assert quotient(chain3, part) == first
+        assert classify_quotient(first) == classify_quotient(quotient(validate(chain3.table), part))
+
+    def test_instance_checks_keep_the_memo_bounded(self):
+        # The null semigroup of order 4 is permutative, so every check
+        # group runs on it, random multi-set families included.
+        S = next(enumerate_semigroups(4))
+        cfg = SweepConfig(random_families=20)
+        assert any(rep.check == "theorem2-forward" for _, rep in _instance_checks(cfg, 4, 0, S))
+        kinds = {}
+        for kind, arg in S._memo:
+            kinds.setdefault(kind, []).append(arg)
+        bell4 = 15
+        for kind, args in kinds.items():
+            if kind in ("separator", "medial", "profile"):
+                assert all(isinstance(a, frozenset) for a in args), kind
+                assert len(args) <= 2**4, kind
+            elif kind in ("congruence", "quotient"):
+                assert all(len(a) == 4 and all(isinstance(c, int) for c in a) for a in args)
+                assert len(args) <= bell4, kind
+            else:
+                assert kind == "identity", kind
+                assert all(all(isinstance(p, int) for p in a) for a in args)
+        every_kind = {"separator", "medial", "profile", "congruence", "quotient", "identity"}
+        assert set(kinds) == every_kind
+
+
+def _congruence_class_families(catalog):
+    for S in catalog:
+        for sigma in enumerate_congruences(S):
+            yield S, sigma.classes()
+
+
+def _random_multi_set_families(catalog):
+    cfg = SweepConfig(random_families=20, seed=11)
+    for idx, S in enumerate(catalog):
+        for fam in _random_families(cfg, S.order, idx):
+            yield S, fam
+
+
+def _all_two_set_families(catalog):
+    for S in catalog:
+        subsets = list(all_subsets(S.order))
+        for i, A in enumerate(subsets):
+            for B in subsets[i + 1 :]:
+                yield S, (A, B)
+
+
+@pytest.mark.parametrize(
+    "families", [_congruence_class_families, _random_multi_set_families, _all_two_set_families]
+)
+def test_profile_and_pairwise_routes_agree_on_multi_set_families(families, catalog2, catalog3):
+    checked = 0
+    for S, fam in families(catalog2 + catalog3):
+        assert p_congruence(S, fam) == p_congruence_pairwise(S, fam), (S.table, fam)
+        checked += 1
+    assert checked > 0

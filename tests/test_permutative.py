@@ -57,6 +57,8 @@ class TestSatisfiesIdentity:
         from sglab import satisfies_identity
 
         assert satisfies_identity(lz2, pi(1, 3, 2)) == (True, None)
+        # Another identity of the same length on the same table.
+        assert satisfies_identity(lz2, pi(2, 1, 3)) == (False, (0, 1, 0))
 
     def test_left_zero_is_not_commutative(self, lz2):
         from sglab import satisfies_identity

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sglab import (
     AmbientMismatch,
@@ -15,6 +17,7 @@ from sglab import (
     parse_subset,
     separator,
     validate,
+    word_product,
 )
 
 
@@ -165,3 +168,46 @@ class TestSubsetLiterals:
 
         with pytest.raises(IndexOutOfRange):
             parse_subset("{9}", 3)
+
+
+def _idealizer_by_definition(S, A):
+    n = range(S.order)
+    return {x for x in n if all(S.product(x, a) in A and S.product(a, x) in A for a in A)}
+
+
+def _separator_by_definition(S, A):
+    n = range(S.order)
+    return {
+        x for x in n if all((S.product(x, a) in A) == (a in A) == (S.product(a, x) in A) for a in n)
+    }
+
+
+def _medial_by_definition(S, A):
+    # Lexicographically first (x, a, b, y) with xaby in A but xbay outside.
+    n = range(S.order)
+    for x, a, b, y in itertools.product(n, n, n, n):
+        if word_product(S, [x, a, b, y]) in A and word_product(S, [x, b, a, y]) not in A:
+            return False, (x, a, b, y)
+    return True, None
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_memoized_analyses_match_their_definitions(data, catalog2, catalog3):
+    # A fresh table for every example, asked about all its subsets in a
+    # drawn order: each subset's first call is a memo miss on a memo that
+    # already holds other subsets, the repeat is a hit, and the equal but
+    # fresh table misses again.
+    table = data.draw(st.sampled_from([S.table for S in catalog2 + catalog3]))
+    S = validate(table)
+    for mask in data.draw(st.permutations(range(2**S.order))):
+        A = ElementSet.of(S.order, (e for e in range(S.order) if mask >> e & 1))
+        want = (
+            _separator_by_definition(S, A),
+            _idealizer_by_definition(S, A),
+            _medial_by_definition(S, A),
+        )
+        for T in (S, S, validate(S.table)):
+            assert separator(T, A).members == want[0]
+            assert idealizer(T, A).members == want[1]
+            assert is_medial(T, A) == want[2]

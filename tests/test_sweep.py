@@ -8,6 +8,7 @@ from sglab import (
     check_lemma3,
     run_sweep,
 )
+from sglab import sweep
 from sglab.sweep import _random_families
 
 
@@ -143,3 +144,36 @@ class TestRunSweep:
         )
         n_fwd = lambda r: sum(v for (c, _), v in r.counts.items() if c == "theorem1-forward")
         assert n_fwd(full) == n_fwd(singles) + n_fwd(classes)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces multiprocessing.Pool with a recorder of worker counts that
+    maps in this process, so no worker is ever started."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(sweep, "Pool", Recorder)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "cpus,jobs,started", [(3, 64, [3]), (16, 4, [4]), (1, 8, []), (None, 8, [])]
+)
+def test_jobs_capped_at_cpu_count(pool_sizes, monkeypatch, cpus, jobs, started):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    rep = run_sweep(SweepConfig(max_order=2, theorem="lemmas", parallelism=jobs))
+    assert pool_sizes == started
+    assert rep.records == run_sweep(SweepConfig(max_order=2, theorem="lemmas")).records
