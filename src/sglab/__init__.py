@@ -26,6 +26,7 @@ from .congruences import (
     verify_theorem1_forward,
 )
 from .core import (
+    WORK_BUDGET,
     ElementSet,
     FiniteSemigroup,
     PowerChain,
@@ -50,6 +51,7 @@ from .errors import (
     OutOfRangeEntry,
     SgFormatError,
     SglabError,
+    WorkBudgetExceeded,
 )
 from .permutative import (
     Lemma4Result,

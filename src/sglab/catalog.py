@@ -70,12 +70,17 @@ def enumerate_semigroups(
     With up_to_iso, only tables equal to their own canonical form are
     emitted, one per isomorphism class.  Anti-isomorphic twins (left
     vs right versions) are kept apart on purpose: the one-sided
-    predicates distinguish them.
+    predicates distinguish them.  A bad order raises at the call, before
+    the first table is asked for.
     """
     if n < 1:
         raise ValueError("order must be positive")
     if n > order_bound:
         raise OrderTooLarge(n, order_bound)
+    return _backtrack(n, up_to_iso)
+
+
+def _backtrack(n: int, up_to_iso: bool) -> Iterator[FiniteSemigroup]:
     t = [[-1] * n for _ in range(n)]
     cells = [(r, c) for r in range(n) for c in range(n)]
 

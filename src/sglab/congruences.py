@@ -13,10 +13,16 @@ Both directions are checked here, stage by stage, on concrete tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import ElementSet, FiniteSemigroup, identity_element, is_commutative, validate
+from .core import (
+    ElementSet,
+    FiniteSemigroup,
+    cached_attribute,
+    identity_element,
+    is_commutative,
+    validate,
+)
 from .errors import AmbientMismatch, NotACongruence, OrderTooLarge
 from .reports import CheckReport, failed, passed, unmet
 from .subsets import format_subset, is_medial, is_reflexive, is_subsemigroup, is_unitary, separator
@@ -88,12 +94,9 @@ class Congruence:
         """Class contents indexed by class id."""
         return self._classes
 
-    @cached_property
+    @cached_attribute
     def _classes(self) -> tuple[ElementSet, ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.n_classes)]
-        for x, c in enumerate(self.class_of):
-            buckets[c].append(x)
-        return tuple(ElementSet.of(self.ambient, b) for b in buckets)
+        return tuple(ElementSet._from_bits(self.ambient, b) for b in _class_bits(self.class_of))
 
     def __repr__(self):
         body = ";".join(format_subset(c) for c in self.classes())
@@ -122,7 +125,7 @@ class QuotientSemigroup:
     projection: tuple[int, ...]
     source_order: int
 
-    @cached_property
+    @cached_attribute
     def _kind(self) -> QuotientKind:
         e = identity_element(self.quotient)
         comm, _ = is_commutative(self.quotient)
@@ -135,25 +138,48 @@ def _check_family(S: FiniteSemigroup, family: Sequence[ElementSet]) -> None:
             raise AmbientMismatch(S.order, A.ambient)
 
 
-def _context_profile(S: FiniteSemigroup, A: ElementSet) -> tuple[bytes, ...]:
-    # Per element a, the slice {(x, y) : x*a*y in A} as bytes.
+def _class_bits(class_of: tuple[int, ...]) -> list[int]:
+    # Bit mask of each class, indexed by class id.
+    bits = [0] * (max(class_of) + 1)
+    for x, c in enumerate(class_of):
+        bits[c] |= 1 << x
+    return bits
+
+
+def _partition(S: FiniteSemigroup, class_of: tuple[int, ...]) -> Congruence:
+    """The table's one unverified Congruence for a canonical class_of,
+    whose classes() are the table's interned subsets."""
+    return S._cached(("partition", class_of), _intern_partition, class_of)
+
+
+def _intern_partition(S: FiniteSemigroup, class_of: tuple[int, ...]) -> Congruence:
+    part = Congruence(S.order, class_of)
+    part.__dict__["_classes"] = tuple(map(S.subset, _class_bits(class_of)))
+    return part
+
+
+def _context_profile(S: FiniteSemigroup, A: ElementSet) -> tuple[int, ...]:
+    # Canonical class ids of the partition {A} induces: elements a and b
+    # share a class iff their slices {(x, y) : x*a*y in A} are equal.
     m = A.mask[S.word_tensor(3)]
-    return tuple(m[:, a, :].tobytes() for a in range(S.order))
+    ids: dict[bytes, int] = {}
+    return tuple(ids.setdefault(m[:, a, :].tobytes(), len(ids)) for a in range(S.order))
+
+
+def _context_class_of(S: FiniteSemigroup, family: Sequence[ElementSet]) -> tuple[int, ...]:
+    # Profile route: a ~ b iff they share a class of every single-set
+    # partition, so the family's partition is the common refinement of
+    # the cached per-set ones.
+    per_set = [S._cached(("profile", A.bits), _context_profile, A) for A in family]
+    if len(per_set) == 1:
+        return per_set[0]
+    ids: dict[tuple[int, ...], int] = {}
+    keys = zip(*per_set) if per_set else [()] * S.order
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
 
 
 def _context_partition(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence:
-    # Profile route: element a is fingerprinted by the boolean cube
-    # slice {(i, x, y) : x*a*y in A_i}; equal fingerprints = one class.
-    # Every slice has n*n bytes, so joining them keeps fingerprints apart.
-    per_set = [S._cached(("profile", A.members), _context_profile, A) for A in family]
-    keys = [b"".join(p[a] for p in per_set) for a in range(S.order)]
-    ids: dict[bytes, int] = {}
-    class_of = []
-    for key in keys:
-        if key not in ids:
-            ids[key] = len(ids)
-        class_of.append(ids[key])
-    return Congruence(S.order, tuple(class_of))
+    return _partition(S, _context_class_of(S, family))
 
 
 def p_congruence(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence:
@@ -166,7 +192,7 @@ def p_congruence(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence
     before being flagged verified.
     """
     _check_family(S, family)
-    part = _context_partition(S, family)
+    part = Congruence(S.order, _context_class_of(S, family))
     ok, w = is_congruence(S, part)
     if not ok:
         raise NotACongruence(f"induced relation broke compatibility at {w}")
@@ -312,10 +338,10 @@ def enumerate_congruences(S: FiniteSemigroup, order_bound: int = 6) -> list[Cong
 
 
 def _sep_intersection(S: FiniteSemigroup, family: Sequence[ElementSet]) -> ElementSet:
-    common = frozenset(range(S.order))
+    common = (1 << S.order) - 1
     for X in family:
-        common &= separator(S, X).members
-    return ElementSet(S.order, common)
+        common &= separator(S, X).bits
+    return S.subset(common)
 
 
 def _medial_names(w: tuple[int, int, int, int]) -> tuple[tuple[str, int], ...]:
@@ -346,7 +372,7 @@ def verify_theorem1_forward(S: FiniteSemigroup, family: Sequence[ElementSet]) ->
     ok, w = is_congruence(S, P)
     if not ok:
         return failed(check, tuple(zip("abc", w)), "induced relation is not a congruence")
-    Q = quotient(S, Congruence(P.ambient, P.class_of, verified=True))
+    Q = quotient(S, P)
     kind = classify_quotient(Q)
     if not kind.is_monoid:
         return failed(check, None, "quotient has no identity element")
@@ -354,7 +380,7 @@ def verify_theorem1_forward(S: FiniteSemigroup, family: Sequence[ElementSet]) ->
         a, b = is_commutative(Q.quotient)[1]
         return failed(check, (("a", a), ("b", b)), "quotient not commutative (class ids)")
     ident = P.classes()[kind.identity_class]
-    if ident.members != A.members:
+    if ident.bits != A.bits:
         x = min(ident.members ^ A.members)
         return failed(
             check,
@@ -403,7 +429,7 @@ def verify_theorem1_converse(S: FiniteSemigroup, sigma: Congruence) -> CheckRepo
             return failed(check, (("i", i),) + _medial_names(w), f"class {i} not medial")
     A = _sep_intersection(S, classes)
     ident = classes[kind.identity_class]
-    if A.members != ident.members:
+    if A.bits != ident.bits:
         return failed(
             check,
             None,
@@ -445,7 +471,7 @@ def verify_corollary1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     if not ok:
         return failed(check, tuple(zip("ab", w)), "separator not unitary")
     T2 = separator(S, T)
-    if T2.members != T.members:
+    if T2.bits != T.bits:
         x = min(T2.members ^ T.members)
         return failed(
             check,

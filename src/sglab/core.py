@@ -4,12 +4,17 @@ Elements are the indices 0..n-1; ``table[a][b]`` is the product a*b
 (left factor selects the row).  Labels are display-only.  Every
 construction path runs the full associativity check, so all other code
 may assume it.
+
+A subset is an ``ElementSet`` carrying both its members and their bit
+mask (bit e = element e).  ``ElementSet(ambient, members)`` validates
+its members; the library builds the sets it derives from already-valid
+masks through ``FiniteSemigroup.subset``, which skips that check and
+keeps one set per mask and table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -21,6 +26,7 @@ from .errors import (
     NotAssociative,
     OutOfRangeEntry,
     SgFormatError,
+    WorkBudgetExceeded,
 )
 
 __all__ = [
@@ -36,10 +42,38 @@ __all__ = [
     "parse_sg",
     "read_sg",
     "format_sg",
+    "WORK_BUDGET",
 ]
 
 
 _MISSING = object()
+
+# Most cells a word tensor may hold, and most (tuple, permutation) pairs
+# an identity search may compare at one length.  Orders up to 6 with
+# words up to length 4 stay far below it (6**4 * 4! = 31104).
+WORK_BUDGET = 1 << 22
+
+
+class cached_attribute:
+    """A computed attribute stored in the instance dict on first read.
+
+    Like ``functools.cached_property`` but without the lock that class
+    takes on every first read on Python 3.11: the instance dict shadows
+    this non-data descriptor, so later reads are plain attribute reads.
+    """
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -47,7 +81,8 @@ class FiniteSemigroup:
     """An order-n semigroup given by its n x n Cayley table.
 
     Validation is eager: range errors and the lexicographically first
-    associativity violation are raised at construction time.
+    associativity violation are raised at construction time.  ``order``
+    is n, stored at construction.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -84,10 +119,17 @@ class FiniteSemigroup:
                     raise DuplicateLabel(s)
                 seen.add(s)
             object.__setattr__(self, "labels", labels)
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
+        object.__setattr__(self, "order", n)
+        # Answers to pure questions about this table, filled on first ask.
+        # Keys are (kind, argument): a subset's bit mask, a partition's
+        # class_of or an identity's perm, never a whole family, so the
+        # memo holds at most 2**n entries per subset kind and Bell(n) per
+        # partition kind.  Only returned values are stored; a question
+        # that raises is asked afresh every time.  The table is frozen,
+        # so an entry never goes stale, and it is freed with the semigroup.
+        object.__setattr__(self, "_memo", {})
+        # The interned subsets, by bit mask; see subset().
+        object.__setattr__(self, "_subsets", {})
 
     def product(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -95,22 +137,24 @@ class FiniteSemigroup:
     def __repr__(self):
         return f"FiniteSemigroup(order={self.order}, table={self.table!r})"
 
-    @cached_property
+    @cached_attribute
     def np_table(self) -> np.ndarray:
         return np.array(self.table, dtype=np.intp)
 
-    @cached_property
-    def _memo(self) -> dict[tuple, object]:
-        """Answers to pure questions about this table, filled on first ask.
+    def subset(self, bits: int) -> "ElementSet":
+        """This table's one ElementSet with bit mask ``bits`` (bit e = element e).
 
-        Keys are (kind, argument): a subset's members, a partition's
-        class_of or an identity's perm, never a whole family, so the
-        memo holds at most 2**n entries per subset kind and Bell(n) per
-        partition kind.  Only returned values are stored; a question
-        that raises is asked afresh every time.  The table is frozen, so
-        an entry never goes stale, and it is freed with the semigroup.
+        Analyses build every set they return here, so a table holds at
+        most 2**n of them and each one's cached views (indices, mask,
+        literal) are computed once.  The mask is checked against the
+        order; the members it names need no further validation.
         """
-        return {}
+        A = self._subsets.get(bits)
+        if A is None:
+            if not 0 <= bits < 1 << self.order:
+                raise ValueError(f"mask {bits} names elements outside [0, {self.order})")
+            A = self._subsets[bits] = ElementSet._from_bits(self.order, bits)
+        return A
 
     def _cached(self, key: tuple, compute: Callable, arg):
         """``compute(self, arg)``, evaluated only on the first ask for ``key``."""
@@ -120,7 +164,7 @@ class FiniteSemigroup:
             value = memo[key] = compute(self, arg)
         return value
 
-    @cached_property
+    @cached_attribute
     def _word_tensors(self) -> dict[int, np.ndarray]:
         return {1: np.arange(self.order, dtype=np.intp)}
 
@@ -128,10 +172,14 @@ class FiniteSemigroup:
         """k-dimensional array of all left-to-right products of k elements.
 
         ``word_tensor(k)[x1, ..., xk] == x1*x2*...*xk``.  Memory grows as
-        n**k; callers stay at small k (the harness never needs k > 5).
+        n**k, so a tensor over WORK_BUDGET cells raises
+        WorkBudgetExceeded before anything is allocated.
         """
         cache = self._word_tensors
         if k not in cache:
+            cells = self.order**k
+            if cells > WORK_BUDGET:
+                raise WorkBudgetExceeded(f"the length-{k} word tensor", cells, WORK_BUDGET)
             cache[k] = self.np_table[self.word_tensor(k - 1)]
         return cache[k]
 
@@ -169,21 +217,43 @@ def word_product(S: FiniteSemigroup, w: Sequence[int]) -> int:
 class ElementSet:
     """A subset of the elements of an order-``ambient`` semigroup.
 
-    Iteration is always in ascending index order, so every scan that
-    walks a subset is deterministic.
+    ``members`` is the frozenset of element indices and ``bits`` the
+    same subset as an int mask (bit e = element e).  Iteration is always
+    in ascending index order, so every scan that walks a subset is
+    deterministic.
     """
 
     ambient: int
     members: frozenset[int]
+    bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = frozenset(int(x) for x in self.members)
         if self.ambient < 1:
             raise ValueError("ambient order must be positive")
+        bits = 0
         for x in members:
             if not 0 <= x < self.ambient:
                 raise IndexOutOfRange(x, self.ambient)
+            bits |= 1 << x
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def _from_bits(cls, ambient: int, bits: int) -> "ElementSet":
+        """Trusted construction from a mask known to lie in [0, 2**ambient).
+
+        Skips ``__post_init__``.  Only library code that derives the mask
+        from already-valid sets or tables may call it; outside input goes
+        through ``ElementSet(...)`` or ``ElementSet.of``.
+        """
+        A = object.__new__(cls)
+        A.__dict__.update(
+            ambient=ambient,
+            members=frozenset([e for e in range(ambient) if bits >> e & 1]),
+            bits=bits,
+        )
+        return A
 
     @classmethod
     def of(cls, ambient: int, members: Iterable[int]) -> "ElementSet":
@@ -197,18 +267,23 @@ class ElementSet:
     def full(cls, ambient: int) -> "ElementSet":
         return cls(ambient, frozenset(range(ambient)))
 
-    @cached_property
+    @cached_attribute
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
-    @cached_property
+    @cached_attribute
     def mask(self) -> np.ndarray:
         m = np.zeros(self.ambient, dtype=bool)
         m[list(self.members)] = True
         return m
 
+    @cached_attribute
+    def _literal(self) -> str:
+        # format_subset's text, kept on the set.
+        return "{" + ",".join(map(str, self.indices)) + "}"
+
     def complement(self) -> "ElementSet":
-        return ElementSet(self.ambient, frozenset(range(self.ambient)) - self.members)
+        return ElementSet._from_bits(self.ambient, ~self.bits & ((1 << self.ambient) - 1))
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -222,20 +297,21 @@ class ElementSet:
     def __and__(self, other: "ElementSet") -> "ElementSet":
         if self.ambient != other.ambient:
             raise ValueError("ambient orders differ")
-        return ElementSet(self.ambient, self.members & other.members)
+        return ElementSet._from_bits(self.ambient, self.bits & other.bits)
 
     def __le__(self, other: "ElementSet") -> bool:
         return self.members <= other.members
 
     def __repr__(self):
-        body = ",".join(str(i) for i in self.indices)
-        return f"ElementSet({self.ambient}, {{{body}}})"
+        return f"ElementSet({self.ambient}, {self._literal})"
 
 
 def all_subsets(ambient: int) -> Iterator[ElementSet]:
     """All 2**ambient subsets, in ascending bitmask order (bit e = element e)."""
+    if ambient < 1:
+        raise ValueError("ambient order must be positive")
     for mask in range(1 << ambient):
-        yield ElementSet.of(ambient, (e for e in range(ambient) if mask >> e & 1))
+        yield ElementSet._from_bits(ambient, mask)
 
 
 class PowerChain(NamedTuple):

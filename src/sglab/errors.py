@@ -55,6 +55,15 @@ class OrderTooLarge(SglabError):
         self.bound = bound
 
 
+class WorkBudgetExceeded(SglabError):
+    """A request would allocate or compare more cells than the work budget."""
+
+    def __init__(self, what: str, work: int, budget: int):
+        super().__init__(f"{what} needs {work} cells of work, over the budget of {budget}")
+        self.work = work
+        self.budget = budget
+
+
 class NotACongruence(SglabError):
     """Quotient construction hit an ill-defined product cell."""
 

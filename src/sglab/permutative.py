@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -27,8 +28,8 @@ from .congruences import (
     is_congruence,
     quotient,
 )
-from .core import ElementSet, FiniteSemigroup, PowerChain, power_set_chain
-from .errors import AmbientMismatch
+from .core import WORK_BUDGET, ElementSet, FiniteSemigroup, PowerChain, power_set_chain
+from .errors import AmbientMismatch, WorkBudgetExceeded
 from .reports import CheckReport, failed, passed, unmet
 from .subsets import format_subset, is_medial, is_reflexive, is_subsemigroup, is_unitary, separator
 
@@ -101,10 +102,19 @@ def find_permutation_identity(
     S: FiniteSemigroup, n_max: int = 4
 ) -> PermutationIdentity | None:
     """First satisfied identity, n ascending then permutations in lex
-    order; absence only means nothing was found up to n_max."""
+    order; absence only means nothing was found up to n_max.
+
+    Reaching a length whose search compares more than WORK_BUDGET
+    (tuple, permutation) pairs, order**n * n!, raises
+    WorkBudgetExceeded; identities found at shorter lengths are returned
+    as usual.
+    """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     for n in range(2, n_max + 1):
+        work = S.order**n * factorial(n)
+        if work > WORK_BUDGET:
+            raise WorkBudgetExceeded(f"the length-{n} identity search", work, WORK_BUDGET)
         w = S.word_tensor(n)
         for perm in permutations(range(1, n + 1)):
             if perm == tuple(range(1, n + 1)):
@@ -198,7 +208,7 @@ def verify_theorem2_forward(
     ok, w = is_congruence(S, P)
     if not ok:
         return failed(check, tuple(zip("abc", w)), "induced relation is not a congruence")
-    Q = quotient(S, Congruence(P.ambient, P.class_of, verified=True))
+    Q = quotient(S, P)
     kind = classify_quotient(Q)
     if not kind.is_monoid:
         return failed(check, None, "quotient has no identity element")
@@ -209,7 +219,7 @@ def verify_theorem2_forward(
             "quotient monoid not commutative; commutativity asserted beyond the monoid claim",
         )
     ident = P.classes()[kind.identity_class]
-    if ident.members != A.members:
+    if ident.bits != A.bits:
         x = min(ident.members ^ A.members)
         return failed(
             check,
@@ -242,7 +252,7 @@ def verify_theorem2_converse(
     classes = sigma.classes()
     A = _sep_intersection(S, classes)
     ident = classes[kind.identity_class]
-    if A.members != ident.members:
+    if A.bits != ident.bits:
         return failed(
             check,
             None,

@@ -4,6 +4,9 @@ The separator of a subset A collects the elements whose left and right
 translations preserve both A and its complement.  It is the key filter:
 subsets with nonempty separators are the ones that can serve as identity
 classes of quotient congruences.
+
+The kernels read a subset through its bit mask and return the table's
+interned sets (``FiniteSemigroup.subset``).
 """
 
 from __future__ import annotations
@@ -37,13 +40,18 @@ def idealizer(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
     gives the whole semigroup (both conditions hold vacuously).
     """
     _check_ambient(S, A)
-    n = S.order
-    if len(A) == 0:
-        return ElementSet.full(n)
-    m = A.mask[S.np_table]
-    idx = list(A.members)
-    good = m[:, idx].all(axis=1) & m[idx, :].all(axis=0)
-    return ElementSet.of(n, np.flatnonzero(good))
+    bits = A.bits
+    t = S.table
+    inside = A.indices
+    out = 0
+    for x in range(S.order):
+        row = t[x]
+        for a in inside:
+            if not (bits >> row[a] & 1 and bits >> t[a][x] & 1):
+                break
+        else:
+            out |= 1 << x
+    return S.subset(out)
 
 
 def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
@@ -55,11 +63,24 @@ def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
     per semigroup and subset.
     """
     _check_ambient(S, A)
-    return S._cached(("separator", A.members), _separator, A)
+    return S._cached(("separator", A.bits), _separator, A)
 
 
 def _separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
-    return idealizer(S, A) & idealizer(S, A.complement())
+    # x is in Sep(A) iff a -> x*a and a -> a*x keep every a on its side of A.
+    bits = A.bits
+    t = S.table
+    n = S.order
+    out = 0
+    for x in range(n):
+        row = t[x]
+        for a in range(n):
+            side = bits >> a & 1
+            if bits >> row[a] & 1 != side or bits >> t[a][x] & 1 != side:
+                break
+        else:
+            out |= 1 << x
+    return S.subset(out)
 
 
 def is_medial(
@@ -72,7 +93,7 @@ def is_medial(
     but x*b*a*y outside it.  Memoized per semigroup and subset.
     """
     _check_ambient(S, A)
-    return S._cached(("medial", A.members), _medial, A)
+    return S._cached(("medial", A.bits), _medial, A)
 
 
 def _medial(
@@ -90,14 +111,24 @@ def _medial(
 def is_reflexive(
     S: FiniteSemigroup, A: ElementSet
 ) -> tuple[bool, tuple[int, int] | None]:
-    """a*b in A implies b*a in A; witness is the first failing (a, b)."""
+    """a*b in A implies b*a in A; witness is the first failing (a, b).
+
+    Memoized per semigroup and subset.
+    """
     _check_ambient(S, A)
-    t = S.np_table
-    bad = A.mask[t] & ~A.mask[t.T]
-    if not bad.any():
-        return True, None
-    a, b = np.argwhere(bad)[0]
-    return False, (int(a), int(b))
+    return S._cached(("reflexive", A.bits), _reflexive, A)
+
+
+def _reflexive(S: FiniteSemigroup, A: ElementSet) -> tuple[bool, tuple[int, int] | None]:
+    bits = A.bits
+    t = S.table
+    n = S.order
+    for a in range(n):
+        row = t[a]
+        for b in range(n):
+            if bits >> row[b] & 1 and not bits >> t[b][a] & 1:
+                return False, (a, b)
+    return True, None
 
 
 def is_unitary(
@@ -108,38 +139,65 @@ def is_unitary(
     side selects which products are constrained: "left" tests a*b with
     the left factor in U, "right" tests b*a, "both" requires either
     orientation to pull b in.  Witness is the first offending (a, b).
+    Memoized per semigroup and subset, for all three sides at once.
     """
     _check_ambient(S, U)
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be left, right, or both, not {side!r}")
-    t = S.np_table
-    m = U.mask
-    in_u = m[:, None] & ~m[None, :]
-    left_bad = in_u & m[t]
-    right_bad = in_u & m[t.T]
+    left, right = S._cached(("unitary", U.bits), _unitary_witnesses, U)
     if side == "left":
-        bad = left_bad
+        w = left
     elif side == "right":
-        bad = right_bad
+        w = right
     else:
-        bad = left_bad | right_bad
-    if not bad.any():
-        return True, None
-    a, b = np.argwhere(bad)[0]
-    return False, (int(a), int(b))
+        w = min((v for v in (left, right) if v is not None), default=None)
+    return w is None, w
+
+
+def _unitary_witnesses(
+    S: FiniteSemigroup, U: ElementSet
+) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+    # The first (a, b) with a in U, b outside, and a*b (left) or b*a
+    # (right) in U; the first for "both" is the lesser of the two.
+    bits = U.bits
+    t = S.table
+    n = S.order
+    left = right = None
+    for a in U.indices:
+        row = t[a]
+        for b in range(n):
+            if bits >> b & 1:
+                continue
+            if left is None and bits >> row[b] & 1:
+                left = (a, b)
+            if right is None and bits >> t[b][a] & 1:
+                right = (a, b)
+            if left is not None and right is not None:
+                return left, right
+    return left, right
 
 
 def is_subsemigroup(
     S: FiniteSemigroup, A: ElementSet
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Nonempty and closed under the product; witness (a, b) has a*b outside."""
+    """Nonempty and closed under the product; witness (a, b) has a*b outside.
+
+    Memoized per semigroup and subset.
+    """
     _check_ambient(S, A)
-    if len(A) == 0:
+    return S._cached(("subsemigroup", A.bits), _subsemigroup, A)
+
+
+def _subsemigroup(S: FiniteSemigroup, A: ElementSet) -> tuple[bool, tuple[int, int] | None]:
+    bits = A.bits
+    if not bits:
         return False, None
     t = S.table
-    for a in A:
-        for b in A:
-            if t[a][b] not in A:
+    inside = A.indices
+    for a in inside:
+        row = t[a]
+        for b in inside:
+            if not bits >> row[b] & 1:
                 return False, (a, b)
     return True, None
 
@@ -156,4 +214,5 @@ def parse_subset(text: str, ambient: int) -> ElementSet:
 
 
 def format_subset(A: ElementSet) -> str:
-    return "{" + ",".join(str(i) for i in A.indices) + "}"
+    """The literal "{0,2}", computed once per set."""
+    return A._literal

@@ -25,7 +25,7 @@ from .congruences import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
-from .core import ElementSet, FiniteSemigroup, all_subsets, validate
+from .core import ElementSet, FiniteSemigroup, validate
 from .permutative import (
     find_permutation_identity,
     format_permutation,
@@ -140,7 +140,7 @@ def check_lemma3(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
         return unmet("lemma3", "not a subsemigroup")
     T = separator(S, A)
     unitary, w = is_unitary(S, A, "both")
-    fixed = T.members == A.members
+    fixed = T.bits == A.bits
     if unitary and not fixed:
         x = min(T.members ^ A.members)
         return failed("lemma3", (("x", x),), f"unitary but separator is {format_subset(T)}")
@@ -161,21 +161,15 @@ def _wants(cfg: SweepConfig, group: str) -> bool:
     return cfg.theorem in ("all", group)
 
 
-def _random_families(
-    cfg: SweepConfig, order: int, idx: int
-) -> list[tuple[ElementSet, ...]]:
-    # One generator per instance, keyed by seed, order, and catalog
-    # position, so results never depend on worker scheduling.
+def _random_families(cfg: SweepConfig, order: int, idx: int) -> list[tuple[int, ...]]:
+    # Each family as the bit masks of its 2-3 sets.  One generator per
+    # instance, keyed by seed, order, and catalog position, so results
+    # never depend on worker scheduling.
     rng = random.Random(f"{cfg.seed}:{order}:{idx}")
-    out = []
-    for _ in range(cfg.random_families):
-        size = rng.randint(2, 3)
-        fam = tuple(
-            ElementSet.of(order, (e for e in range(order) if mask >> e & 1))
-            for mask in (rng.randrange(1 << order) for _ in range(size))
-        )
-        out.append(fam)
-    return out
+    return [
+        tuple(rng.randrange(1 << order) for _ in range(rng.randint(2, 3)))
+        for _ in range(cfg.random_families)
+    ]
 
 
 def _instance_checks(
@@ -183,7 +177,7 @@ def _instance_checks(
 ) -> list[tuple[str, CheckReport]]:
     """All (case, report) pairs for one catalog instance, in a fixed order."""
     out: list[tuple[str, CheckReport]] = []
-    subsets = [(format_subset(A), A) for A in all_subsets(order)]
+    subsets = [(format_subset(A), A) for A in map(S.subset, range(1 << order))]
 
     if _wants(cfg, "lemmas"):
         for case, A in subsets:
@@ -249,7 +243,8 @@ def _instance_checks(
             if cfg.family_mode in ("default", "congruence-classes"):
                 for case, sigma in congruences:
                     out.append((case, verify_theorem2_forward(S, sigma.classes(), witness)))
-            for fam in _random_families(cfg, order, idx):
+            for masks in _random_families(cfg, order, idx):
+                fam = tuple(map(S.subset, masks))
                 out.append((_family_literal(fam), verify_theorem2_forward(S, fam, witness)))
             for case, sigma in congruences:
                 out.append((case, verify_theorem2_converse(S, sigma, witness)))
@@ -278,13 +273,16 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 
     Work is split per instance; records keep catalog order regardless of
     parallelism, so two sweeps with the same config are byte-identical.
-    Orders above the catalog's default bound raise OrderTooLarge, and
-    no more worker processes start than there are CPUs.
+    Orders above the catalog's default bound raise OrderTooLarge before
+    any order is enumerated, and no more worker processes start than
+    there are CPUs.
     """
-    items = []
-    for order in range(cfg.min_order, cfg.max_order + 1):
-        for idx, S in enumerate(enumerate_semigroups(order)):
-            items.append((cfg, order, idx, S.table))
+    # Each call checks its order against the bound, so every order is
+    # checked before the first table is built.
+    catalogs = [(order, enumerate_semigroups(order))
+                for order in range(cfg.min_order, cfg.max_order + 1)]
+    items = [(cfg, order, idx, S.table)
+             for order, catalog in catalogs for idx, S in enumerate(catalog)]
     workers = min(cfg.parallelism, os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:

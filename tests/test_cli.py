@@ -1,9 +1,11 @@
+import hashlib
 import subprocess
 import sys
+from math import factorial
 
 import pytest
 
-from sglab import format_sg
+from sglab import WORK_BUDGET, FiniteSemigroup, format_sg
 from sglab.cli import run_command
 
 
@@ -88,6 +90,22 @@ class TestQueries:
         code, out, _ = run(capsys, "permid", sg_file("m.sg", lz2mon))
         assert code == 0 and out == "none found up to n=4\n"
 
+    def test_permid_over_work_budget_exits_2(self, capsys, sg_file, lz2mon, monkeypatch):
+        # lz2mon satisfies no permutation identity, so the search climbs
+        # until a length would exceed the budget and stops there, before
+        # that length's word tensor exists.
+        asked = []
+        word_tensor = FiniteSemigroup.word_tensor
+
+        def recording(S, k):
+            asked.append(k)
+            return word_tensor(S, k)
+
+        monkeypatch.setattr(FiniteSemigroup, "word_tensor", recording)
+        code, out, err = run(capsys, "permid", sg_file("m.sg", lz2mon), "--max-n", "40")
+        assert code == 2 and out == "" and "over the budget" in err
+        assert asked and all(3**k * factorial(k) <= WORK_BUDGET for k in asked)
+
     def test_lemma4(self, capsys, sg_file, lz2, lz2mon):
         code, out, _ = run(capsys, "lemma4", sg_file("l.sg", lz2))
         assert code == 0 and out == "k=1\n"
@@ -136,6 +154,23 @@ class TestVerify:
     def test_order_above_catalog_bound_is_refused(self, capsys):
         code, out, err = run(capsys, "verify", "--order", "5")
         assert code == 2 and out == "" and "order 5 exceeds the configured bound 4" in err
+
+    # Frozen stdout of `sglab verify --max-order 3 --structured --seed N`:
+    # (line count, sha256).  Any change to a record's bytes, order or
+    # count breaks it.
+    @pytest.mark.parametrize(
+        "seed,lines,digest",
+        [
+            (0, 10696, "a89ee1a1087357ef1352be8cf848502467c82c2d0e4ec7f434e684148b53267a"),
+            (1, 10696, "3d254d52f7dbcbb1804668c509c7eb631020264eecc8829a89d8094992fa946b"),
+        ],
+    )
+    def test_structured_output_matches_frozen_digest(self, capsys, seed, lines, digest):
+        code, out, _ = run(capsys, "verify", "--max-order", "3", "--structured",
+                           "--seed", str(seed))
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestUsage:

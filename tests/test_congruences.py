@@ -317,18 +317,23 @@ class TestMemo:
         for kind, arg in S._memo:
             kinds.setdefault(kind, []).append(arg)
         bell4 = 15
+        subset_kinds = {"separator", "medial", "profile", "subsemigroup", "unitary", "reflexive"}
+        partition_kinds = {"congruence", "quotient", "partition"}
         for kind, args in kinds.items():
-            if kind in ("separator", "medial", "profile"):
-                assert all(isinstance(a, frozenset) for a in args), kind
+            if kind in subset_kinds:
+                assert all(type(a) is int and 0 <= a < 2**4 for a in args), kind
                 assert len(args) <= 2**4, kind
-            elif kind in ("congruence", "quotient"):
+            elif kind in partition_kinds:
                 assert all(len(a) == 4 and all(isinstance(c, int) for c in a) for a in args)
                 assert len(args) <= bell4, kind
             else:
                 assert kind == "identity", kind
                 assert all(all(isinstance(p, int) for p in a) for a in args)
-        every_kind = {"separator", "medial", "profile", "congruence", "quotient", "identity"}
-        assert set(kinds) == every_kind
+        assert set(kinds) == subset_kinds | partition_kinds | {"identity"}
+        # Interned partitions stay unverified; only is_congruence vouches.
+        assert not any(S._memo["partition", c].verified for c in kinds["partition"])
+        assert len(S._subsets) <= 2**4
+        assert all(A.bits == bits for bits, A in S._subsets.items())
 
 
 def _congruence_class_families(catalog):
@@ -340,8 +345,8 @@ def _congruence_class_families(catalog):
 def _random_multi_set_families(catalog):
     cfg = SweepConfig(random_families=20, seed=11)
     for idx, S in enumerate(catalog):
-        for fam in _random_families(cfg, S.order, idx):
-            yield S, fam
+        for masks in _random_families(cfg, S.order, idx):
+            yield S, tuple(map(S.subset, masks))
 
 
 def _all_two_set_families(catalog):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sglab import (
+    WORK_BUDGET,
     DuplicateLabel,
     ElementSet,
     EmptyWord,
@@ -19,6 +20,7 @@ from sglab import (
     read_sg,
     validate,
     word_product,
+    WorkBudgetExceeded,
 )
 
 
@@ -112,6 +114,12 @@ class TestWordTensor:
 
     def test_cached(self, z2):
         assert z2.word_tensor(4) is z2.word_tensor(4)
+
+    def test_over_budget_raises_before_allocating(self, lz2mon):
+        k = next(k for k in range(1, 64) if 3**k > WORK_BUDGET)
+        with pytest.raises(WorkBudgetExceeded):
+            lz2mon.word_tensor(k)
+        assert set(lz2mon._word_tensors) == {1}
 
 
 class TestPowerSetChain:

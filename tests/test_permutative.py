@@ -1,7 +1,10 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sglab import (
+    WORK_BUDGET,
     ElementSet,
     PermutationIdentity,
     all_subsets,
@@ -20,6 +23,7 @@ from sglab import (
     verify_corollary2,
     verify_theorem2_converse,
     verify_theorem2_forward,
+    WorkBudgetExceeded,
 )
 
 
@@ -97,6 +101,17 @@ class TestFindPermutationIdentity:
     def test_bound_validated(self, z2):
         with pytest.raises(ValueError):
             find_permutation_identity(z2, 1)
+
+    def test_early_identity_ignores_a_large_bound(self, lz2):
+        found = find_permutation_identity(lz2, 40)
+        assert (found.length, found.perm) == (3, (1, 3, 2))
+
+    def test_search_stops_at_the_work_budget(self, lz2mon):
+        with pytest.raises(WorkBudgetExceeded):
+            find_permutation_identity(lz2mon, 40)
+        longest = max(lz2mon._word_tensors)
+        assert 3**longest * factorial(longest) <= WORK_BUDGET
+        assert 3 ** (longest + 1) * factorial(longest + 1) > WORK_BUDGET
 
     def test_found_identity_always_holds(self, catalog3):
         from sglab import satisfies_identity

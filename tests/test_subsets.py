@@ -191,23 +191,94 @@ def _medial_by_definition(S, A):
     return True, None
 
 
-@settings(max_examples=150)
+def _subsemigroup_by_definition(S, A):
+    # First (a, b) of A x A, in ascending order, whose product leaves A.
+    inside = sorted(A.members)
+    if not inside:
+        return False, None
+    for a, b in itertools.product(inside, inside):
+        if S.product(a, b) not in A.members:
+            return False, (a, b)
+    return True, None
+
+
+def _reflexive_by_definition(S, A):
+    n = range(S.order)
+    for a, b in itertools.product(n, n):
+        if S.product(a, b) in A.members and S.product(b, a) not in A.members:
+            return False, (a, b)
+    return True, None
+
+
+def _unitary_by_definition(S, U, side):
+    n = range(S.order)
+    for a, b in itertools.product(n, n):
+        if a not in U.members or b in U.members:
+            continue
+        left = S.product(a, b) in U.members
+        right = S.product(b, a) in U.members
+        if {"left": left, "right": right, "both": left or right}[side]:
+            return False, (a, b)
+    return True, None
+
+
+def _adjoin(S, zero):
+    # S with a new element n adjoined as a zero or as an identity.
+    n = S.order
+    rows = [list(row) + [n if zero else a] for a, row in enumerate(S.table)]
+    rows.append([n if zero else b for b in range(n)] + [n])
+    return validate(rows)
+
+
+def _direct_product(S, T):
+    m = T.order
+    cells = [(a, b) for a in range(S.order) for b in range(m)]
+    return validate([[S.product(a, c) * m + T.product(b, d) for c, d in cells] for a, b in cells])
+
+
+def _larger_tables(catalog2, catalog3):
+    # Orders 5 and 6, so the bit loops run past four bits: order-3
+    # tables with a zero and then an identity adjoined, and direct
+    # products of order-2 and order-3 tables.
+    order5 = [_adjoin(_adjoin(S, True), False) for S in catalog3[::23]]
+    order6 = [_direct_product(S, T) for S in catalog2[1::3] for T in catalog3[5::37]]
+    return [S.table for S in order5 + order6]
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_memoized_analyses_match_their_definitions(data, catalog2, catalog3):
-    # A fresh table for every example, asked about all its subsets in a
-    # drawn order: each subset's first call is a memo miss on a memo that
-    # already holds other subsets, the repeat is a hit, and the equal but
-    # fresh table misses again.
-    table = data.draw(st.sampled_from([S.table for S in catalog2 + catalog3]))
+    # A fresh table for every example, asked about its subsets in a drawn
+    # order (all of them up to order 3, a drawn handful at orders 5 and 6):
+    # each subset's first call is a memo miss on a memo that already holds
+    # other subsets, the repeat is a hit, and the equal but fresh table
+    # misses again.
+    if data.draw(st.booleans(), label="larger"):
+        table = data.draw(st.sampled_from(_larger_tables(catalog2, catalog3)))
+        masks = data.draw(
+            st.lists(st.integers(0, 2 ** len(table) - 1), min_size=1, max_size=6, unique=True)
+        )
+    else:
+        table = data.draw(st.sampled_from([S.table for S in catalog2 + catalog3]))
+        masks = data.draw(st.permutations(range(2 ** len(table))))
     S = validate(table)
-    for mask in data.draw(st.permutations(range(2**S.order))):
+    for mask in masks:
         A = ElementSet.of(S.order, (e for e in range(S.order) if mask >> e & 1))
         want = (
             _separator_by_definition(S, A),
             _idealizer_by_definition(S, A),
             _medial_by_definition(S, A),
+            _subsemigroup_by_definition(S, A),
+            _reflexive_by_definition(S, A),
+            {side: _unitary_by_definition(S, A, side) for side in ("left", "right", "both")},
         )
         for T in (S, S, validate(S.table)):
-            assert separator(T, A).members == want[0]
+            sep = separator(T, A)
+            assert sep.members == want[0]
+            assert sep is T.subset(sep.bits)
             assert idealizer(T, A).members == want[1]
             assert is_medial(T, A) == want[2]
+            assert is_subsemigroup(T, A) == want[3]
+            assert is_reflexive(T, A) == want[4]
+            for side, w in want[5].items():
+                assert is_unitary(T, A, side) == w, side

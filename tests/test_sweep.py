@@ -2,13 +2,15 @@ import pytest
 
 from sglab import (
     ElementSet,
+    OrderTooLarge,
     SweepConfig,
     check_lemma1,
     check_lemma2,
     check_lemma3,
     run_sweep,
+    validate,
 )
-from sglab import sweep
+from sglab import catalog, sweep
 from sglab.sweep import _random_families
 
 
@@ -127,6 +129,19 @@ class TestRunSweep:
             assert fields[3].startswith("check=")
             assert fields[4].startswith("status=")
             assert fields[5].startswith("witness=")
+
+    def test_order_above_catalog_bound_is_refused_before_enumerating(self, monkeypatch):
+        built = []
+
+        def counting_validate(*args, **kwargs):
+            built.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "validate", counting_validate)
+        monkeypatch.setattr(sweep, "validate", counting_validate)
+        with pytest.raises(OrderTooLarge):
+            run_sweep(SweepConfig(max_order=5))
+        assert built == []
 
     def test_summary_lines(self):
         rep = run_sweep(SweepConfig(max_order=2, theorem="lemmas"))
