@@ -26,7 +26,6 @@ from .congruences import (
     verify_theorem1_forward,
 )
 from .core import (
-    WORK_BUDGET,
     ElementSet,
     FiniteSemigroup,
     PowerChain,

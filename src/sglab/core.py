@@ -42,16 +42,16 @@ __all__ = [
     "parse_sg",
     "read_sg",
     "format_sg",
-    "WORK_BUDGET",
 ]
 
 
 _MISSING = object()
 
-# Most cells a word tensor may hold, and most (tuple, permutation) pairs
-# an identity search may compare at one length.  Orders up to 6 with
-# words up to length 4 stay far below it (6**4 * 4! = 31104).
-WORK_BUDGET = 1 << 22
+# Most cells a word tensor may hold: 2**26 intp cells are 512 MiB.  The
+# callers' peaks scale with it: at order 64 (a 128 MiB length-4 tensor)
+# is_medial grew the resident set by 162 MiB and lemma4_minimal_k by
+# 289 MiB, so at the limit they need about 0.65 and 1.2 GiB.
+_WORD_TENSOR_CELLS = 1 << 26
 
 
 class cached_attribute:
@@ -172,14 +172,16 @@ class FiniteSemigroup:
         """k-dimensional array of all left-to-right products of k elements.
 
         ``word_tensor(k)[x1, ..., xk] == x1*x2*...*xk``.  Memory grows as
-        n**k, so a tensor over WORK_BUDGET cells raises
+        n**k, so a tensor of more than 2**26 cells raises
         WorkBudgetExceeded before anything is allocated.
         """
         cache = self._word_tensors
         if k not in cache:
             cells = self.order**k
-            if cells > WORK_BUDGET:
-                raise WorkBudgetExceeded(f"the length-{k} word tensor", cells, WORK_BUDGET)
+            if cells > _WORD_TENSOR_CELLS:
+                raise WorkBudgetExceeded(
+                    f"the length-{k} word tensor", f"{cells} cells", f"{_WORD_TENSOR_CELLS} cells"
+                )
             cache[k] = self.np_table[self.word_tensor(k - 1)]
         return cache[k]
 

@@ -56,12 +56,21 @@ class OrderTooLarge(SglabError):
 
 
 class WorkBudgetExceeded(SglabError):
-    """A request would allocate or compare more cells than the work budget."""
+    """A request would allocate or compute more than its work budget allows.
 
-    def __init__(self, what: str, work: int, budget: int):
-        super().__init__(f"{what} needs {work} cells of work, over the budget of {budget}")
-        self.work = work
+    ``need`` and ``budget`` are display strings with their units.  All
+    three arguments stay in ``args``, so the error pickles and can cross
+    from a worker process to its parent.
+    """
+
+    def __init__(self, what: str, need: str, budget: str):
+        super().__init__(what, need, budget)
+        self.what = what
+        self.need = need
         self.budget = budget
+
+    def __str__(self) -> str:
+        return f"{self.what} needs {self.need}, over the budget of {self.budget}"
 
 
 class NotACongruence(SglabError):

@@ -28,7 +28,7 @@ from .congruences import (
     is_congruence,
     quotient,
 )
-from .core import WORK_BUDGET, ElementSet, FiniteSemigroup, PowerChain, power_set_chain
+from .core import ElementSet, FiniteSemigroup, PowerChain, power_set_chain
 from .errors import AmbientMismatch, WorkBudgetExceeded
 from .reports import CheckReport, failed, passed, unmet
 from .subsets import format_subset, is_medial, is_reflexive, is_subsemigroup, is_unitary, separator
@@ -98,23 +98,40 @@ def _compare_sides(
     return False, tuple(int(v) for v in np.argwhere(bad)[0])
 
 
+# Measured cost of one permutation comparison in the identity search:
+# about 7 us plus 2.2 ns per word-tensor cell (2-vCPU Xeon VM, Python
+# 3.11, numpy 2.4; 7.1 us at 243 cells, 14 us at 2187, 92 us at 46656,
+# 0.83 ms at 390625).  A length whose n! - 1 comparisons are estimated
+# above _SEARCH_SECONDS is refused rather than started.
+_PERMUTATION_SECONDS = 7e-6
+_CELL_SECONDS = 2.2e-9
+_SEARCH_SECONDS = 10.0
+
+
+def _search_seconds(order: int, n: int) -> float:
+    """Estimated time of the length-n identity search at this order."""
+    return (factorial(n) - 1) * (_PERMUTATION_SECONDS + order**n * _CELL_SECONDS)
+
+
 def find_permutation_identity(
     S: FiniteSemigroup, n_max: int = 4
 ) -> PermutationIdentity | None:
     """First satisfied identity, n ascending then permutations in lex
     order; absence only means nothing was found up to n_max.
 
-    Reaching a length whose search compares more than WORK_BUDGET
-    (tuple, permutation) pairs, order**n * n!, raises
+    Reaching a length whose search is estimated to take more than ten
+    seconds, or whose word tensor is over the cell budget, raises
     WorkBudgetExceeded; identities found at shorter lengths are returned
     as usual.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     for n in range(2, n_max + 1):
-        work = S.order**n * factorial(n)
-        if work > WORK_BUDGET:
-            raise WorkBudgetExceeded(f"the length-{n} identity search", work, WORK_BUDGET)
+        est = _search_seconds(S.order, n)
+        if est > _SEARCH_SECONDS:
+            raise WorkBudgetExceeded(
+                f"the length-{n} identity search", f"about {est:.3g} s", f"{_SEARCH_SECONDS:g} s"
+            )
         w = S.word_tensor(n)
         for perm in permutations(range(1, n + 1)):
             if perm == tuple(range(1, n + 1)):

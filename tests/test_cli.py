@@ -1,11 +1,10 @@
 import hashlib
 import subprocess
 import sys
-from math import factorial
 
 import pytest
 
-from sglab import WORK_BUDGET, FiniteSemigroup, format_sg
+from sglab import FiniteSemigroup, format_sg, validate
 from sglab.cli import run_command
 
 
@@ -90,10 +89,13 @@ class TestQueries:
         code, out, _ = run(capsys, "permid", sg_file("m.sg", lz2mon))
         assert code == 0 and out == "none found up to n=4\n"
 
-    def test_permid_over_work_budget_exits_2(self, capsys, sg_file, lz2mon, monkeypatch):
-        # lz2mon satisfies no permutation identity, so the search climbs
-        # until a length would exceed the budget and stops there, before
-        # that length's word tensor exists.
+    def test_permid_over_work_budget_exits_2(self, capsys, sg_file, monkeypatch):
+        # A left-zero band of 35 elements with an identity adjoined
+        # satisfies no permutation identity.  Lengths 2-4 are searched as
+        # usual; length 5 (119 comparisons of 36**5 cells) is refused
+        # before its word tensor exists.
+        n = 36
+        S = validate([list(range(n))] + [[a] * n for a in range(1, n)])
         asked = []
         word_tensor = FiniteSemigroup.word_tensor
 
@@ -102,9 +104,22 @@ class TestQueries:
             return word_tensor(S, k)
 
         monkeypatch.setattr(FiniteSemigroup, "word_tensor", recording)
-        code, out, err = run(capsys, "permid", sg_file("m.sg", lz2mon), "--max-n", "40")
-        assert code == 2 and out == "" and "over the budget" in err
-        assert asked and all(3**k * factorial(k) <= WORK_BUDGET for k in asked)
+        code, out, err = run(capsys, "permid", sg_file("m.sg", S), "--max-n", "40")
+        assert code == 2 and out == ""
+        assert "length-5 identity search" in err and "over the budget" in err
+        assert max(asked) == 4
+
+    def test_permid_within_budget_still_searches_long_lengths(self, capsys, sg_file, lz2mon):
+        code, out, _ = run(capsys, "permid", sg_file("m.sg", lz2mon), "--max-n", "7")
+        assert code == 0 and out == "none found up to n=7\n"
+
+    def test_medial_on_a_large_table(self, capsys, sg_file):
+        # Order 46: the length-4 word tensor has 46**4 (about 4.5M) cells,
+        # well inside the cell budget.
+        n = 46
+        S = validate([list(range(n))] + [[a] * n for a in range(1, n)])
+        code, out, _ = run(capsys, "medial", sg_file("big.sg", S), "{1}")
+        assert code == 0 and out == "false witness x=0 a=1 b=2 y=0\n"
 
     def test_lemma4(self, capsys, sg_file, lz2, lz2mon):
         code, out, _ = run(capsys, "lemma4", sg_file("l.sg", lz2))
@@ -154,6 +169,31 @@ class TestVerify:
     def test_order_above_catalog_bound_is_refused(self, capsys):
         code, out, err = run(capsys, "verify", "--order", "5")
         assert code == 2 and out == "" and "order 5 exceeds the configured bound 4" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_long_identity_search_completes(self, capsys, jobs):
+        # Order-3 tables with no identity are searched through length 7
+        # (5039 comparisons of 2187 cells each) and recorded as unmet.
+        code, out, _ = run(capsys, "verify", "--max-order", "3", "--n-max-perm", "7",
+                           "--structured", "--jobs", jobs)
+        assert code == 0
+        unmet = [line for line in out.splitlines() if "check=permutation-identity" in line
+                 and "status=precondition-unmet" in line]
+        assert unmet and all("no identity found up to length 7" in line for line in unmet)
+
+    def test_identity_search_over_budget_is_unmet(self, capsys, monkeypatch):
+        from sglab import permutative
+
+        # Refuse every length from 5 on: the sweep records those
+        # instances as unmet and still finishes.
+        monkeypatch.setattr(permutative, "_SEARCH_SECONDS", 0.0005)
+        code, out, _ = run(capsys, "verify", "--order", "3", "--n-max-perm", "7",
+                           "--structured", "--theorem", "2")
+        assert code == 0
+        unmet = [line for line in out.splitlines() if "check=permutation-identity" in line
+                 and "status=precondition-unmet" in line]
+        assert unmet and all("search stopped: the length-5 identity search" in line
+                             for line in unmet)
 
     # Frozen stdout of `sglab verify --max-order 3 --structured --seed N`:
     # (line count, sha256).  Any change to a record's bytes, order or

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sglab import (
-    WORK_BUDGET,
     DuplicateLabel,
     ElementSet,
     EmptyWord,
@@ -22,6 +21,7 @@ from sglab import (
     word_product,
     WorkBudgetExceeded,
 )
+from sglab.core import _WORD_TENSOR_CELLS
 
 
 class TestValidate:
@@ -116,7 +116,7 @@ class TestWordTensor:
         assert z2.word_tensor(4) is z2.word_tensor(4)
 
     def test_over_budget_raises_before_allocating(self, lz2mon):
-        k = next(k for k in range(1, 64) if 3**k > WORK_BUDGET)
+        k = next(k for k in range(1, 64) if 3**k > _WORD_TENSOR_CELLS)
         with pytest.raises(WorkBudgetExceeded):
             lz2mon.word_tensor(k)
         assert set(lz2mon._word_tensors) == {1}

@@ -1,10 +1,9 @@
-from math import factorial
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sglab import (
-    WORK_BUDGET,
     ElementSet,
     PermutationIdentity,
     all_subsets,
@@ -25,6 +24,8 @@ from sglab import (
     verify_theorem2_forward,
     WorkBudgetExceeded,
 )
+from sglab import permutative
+from sglab.permutative import _search_seconds
 
 
 def pi(*images):
@@ -107,11 +108,24 @@ class TestFindPermutationIdentity:
         assert (found.length, found.perm) == (3, (1, 3, 2))
 
     def test_search_stops_at_the_work_budget(self, lz2mon):
-        with pytest.raises(WorkBudgetExceeded):
+        # Estimated 0.9 s at length 8 and 18 s at length 9 for order 3.
+        assert _search_seconds(3, 8) <= permutative._SEARCH_SECONDS < _search_seconds(3, 9)
+        with pytest.raises(WorkBudgetExceeded, match="length-9 identity search"):
             find_permutation_identity(lz2mon, 40)
-        longest = max(lz2mon._word_tensors)
-        assert 3**longest * factorial(longest) <= WORK_BUDGET
-        assert 3 ** (longest + 1) * factorial(longest + 1) > WORK_BUDGET
+        assert max(lz2mon._word_tensors) == 8
+
+    def test_budget_leaves_default_searches_alone(self):
+        # The sweep's and the query stream's lengths (up to 4) at orders
+        # up to 6, and length 7 at order 3, cost well under a second.
+        assert all(_search_seconds(order, 4) < 0.01 for order in range(1, 7))
+        assert _search_seconds(3, 7) < 0.1
+
+    def test_budget_error_pickles(self):
+        e = WorkBudgetExceeded("the length-9 identity search", "about 18 s", "10 s")
+        back = pickle.loads(pickle.dumps(e))
+        assert str(back) == str(e) == (
+            "the length-9 identity search needs about 18 s, over the budget of 10 s")
+        assert (back.what, back.need, back.budget) == (e.what, e.need, e.budget)
 
     def test_found_identity_always_holds(self, catalog3):
         from sglab import satisfies_identity
