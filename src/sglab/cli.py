@@ -23,6 +23,9 @@ from .sweep import FAMILY_MODES, THEOREM_GROUPS, SweepConfig, run_sweep
 
 __all__ = ["run_command", "main"]
 
+# Structured verify output goes out this many record lines per write.
+_RECORDS_PER_WRITE = 4096
+
 
 def _parse_family(text: str, ambient: int):
     text = text.strip()
@@ -148,8 +151,12 @@ def cmd_verify(args) -> int:
     )
     report = run_sweep(cfg)
     if args.structured:
-        for line in report.records:
-            print(line)
+        # Bounded chunks: one write per line costs more than the checks
+        # behind it, and one write of every record would double the
+        # resident set.
+        records = report.records
+        for i in range(0, len(records), _RECORDS_PER_WRITE):
+            sys.stdout.write("\n".join(records[i : i + _RECORDS_PER_WRITE]) + "\n")
     else:
         for line in report.summary_lines():
             print(line)

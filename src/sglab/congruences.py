@@ -21,11 +21,19 @@ from .core import (
     cached_attribute,
     identity_element,
     is_commutative,
-    validate,
 )
 from .errors import AmbientMismatch, NotACongruence, OrderTooLarge
 from .reports import CheckReport, failed, passed, unmet
-from .subsets import format_subset, is_medial, is_reflexive, is_subsemigroup, is_unitary, separator
+from .subsets import (
+    _format_mask,
+    _medial,
+    _min_member,
+    _reflexive,
+    _separator,
+    _subsemigroup,
+    _unitary,
+    format_subset,
+)
 
 __all__ = [
     "Congruence",
@@ -146,40 +154,50 @@ def _class_bits(class_of: tuple[int, ...]) -> list[int]:
     return bits
 
 
-def _partition(S: FiniteSemigroup, class_of: tuple[int, ...]) -> Congruence:
-    """The table's one unverified Congruence for a canonical class_of,
-    whose classes() are the table's interned subsets."""
-    return S._cached(("partition", class_of), _intern_partition, class_of)
+# The private accessors below answer from the table's memo (S._memo,
+# one dict per analysis) and compute on a miss.  Subset analyses are
+# keyed by the subset's mask, partition analyses by the canonical
+# class_of.  The verifiers call them after checking the ambient order
+# once at entry.
 
 
-def _intern_partition(S: FiniteSemigroup, class_of: tuple[int, ...]) -> Congruence:
-    part = Congruence(S.order, class_of)
-    part.__dict__["_classes"] = tuple(map(S.subset, _class_bits(class_of)))
-    return part
+def _classes(S: FiniteSemigroup, class_of: tuple[int, ...]) -> tuple[ElementSet, ...]:
+    """The classes of a canonical class_of as the table's interned sets,
+    by class id."""
+    memo = S._memo["partition"]
+    out = memo.get(class_of)
+    if out is None:
+        out = memo[class_of] = tuple(map(S.subset, _class_bits(class_of)))
+    return out
 
 
-def _context_profile(S: FiniteSemigroup, A: ElementSet) -> tuple[int, ...]:
-    # Canonical class ids of the partition {A} induces: elements a and b
-    # share a class iff their slices {(x, y) : x*a*y in A} are equal.
-    m = A.mask[S.word_tensor(3)]
-    ids: dict[bytes, int] = {}
-    return tuple(ids.setdefault(m[:, a, :].tobytes(), len(ids)) for a in range(S.order))
+def _profile(S: FiniteSemigroup, A: ElementSet) -> tuple[int, ...]:
+    """Canonical class ids of the partition A induces: c and d share a
+    class iff their context masks {(x, y) : x*c*y in A} are equal.
+    Memoized by A's mask."""
+    memo = S._memo["profile"]
+    out = memo.get(A.bits)
+    if out is None:
+        # Slice c of the bytes is c's context mask.
+        rows = A.mask[S.word_tensor(3)].transpose(1, 0, 2).tobytes()
+        width = S.order**2
+        ids: dict[bytes, int] = {}
+        out = memo[A.bits] = tuple(
+            ids.setdefault(rows[i : i + width], len(ids)) for i in range(0, len(rows), width)
+        )
+    return out
 
 
 def _context_class_of(S: FiniteSemigroup, family: Sequence[ElementSet]) -> tuple[int, ...]:
     # Profile route: a ~ b iff they share a class of every single-set
     # partition, so the family's partition is the common refinement of
     # the cached per-set ones.
-    per_set = [S._cached(("profile", A.bits), _context_profile, A) for A in family]
-    if len(per_set) == 1:
-        return per_set[0]
+    if len(family) == 1:
+        return _profile(S, family[0])
+    per_set = [_profile(S, A) for A in family]
     ids: dict[tuple[int, ...], int] = {}
     keys = zip(*per_set) if per_set else [()] * S.order
     return tuple(ids.setdefault(key, len(ids)) for key in keys)
-
-
-def _context_partition(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence:
-    return _partition(S, _context_class_of(S, family))
 
 
 def p_congruence(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence:
@@ -192,11 +210,11 @@ def p_congruence(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence
     before being flagged verified.
     """
     _check_family(S, family)
-    part = Congruence(S.order, _context_class_of(S, family))
-    ok, w = is_congruence(S, part)
+    class_of = _context_class_of(S, family)
+    ok, w = _compatible(S, class_of)
     if not ok:
         raise NotACongruence(f"induced relation broke compatibility at {w}")
-    return Congruence(part.ambient, part.class_of, verified=True)
+    return Congruence(S.order, class_of, verified=True)
 
 
 def p_congruence_pairwise(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence:
@@ -251,15 +269,23 @@ def is_congruence(
     """
     if part.ambient != S.order:
         raise AmbientMismatch(S.order, part.ambient)
-    return S._cached(("congruence", part.class_of), _compatibility, part)
+    return _compatible(S, part.class_of)
+
+
+def _compatible(
+    S: FiniteSemigroup, cls: tuple[int, ...]
+) -> tuple[bool, tuple[int, int, int] | None]:
+    memo = S._memo["congruence"]
+    out = memo.get(cls)
+    if out is None:
+        out = memo[cls] = _compatibility(S.table, cls)
+    return out
 
 
 def _compatibility(
-    S: FiniteSemigroup, part: Congruence
+    t: tuple[tuple[int, ...], ...], cls: tuple[int, ...]
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    cls = part.class_of
-    t = S.table
-    n = S.order
+    n = len(t)
     for a in range(n):
         for b in range(n):
             if a == b or cls[a] != cls[b]:
@@ -280,22 +306,29 @@ def quotient(S: FiniteSemigroup, c: Congruence) -> QuotientSemigroup:
     """
     if c.ambient != S.order:
         raise AmbientMismatch(S.order, c.ambient)
-    return S._cached(("quotient", c.class_of), _quotient, c)
+    return _quotient(S, c.class_of)
 
 
-def _quotient(S: FiniteSemigroup, c: Congruence) -> QuotientSemigroup:
-    cls = c.class_of
-    k = c.n_classes
-    reps = [cls.index(i) for i in range(k)]
-    t = S.table
-    qtable = [[cls[t[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    for a in range(S.order):
-        for b in range(S.order):
-            if cls[t[a][b]] != qtable[cls[a]][cls[b]]:
-                raise NotACongruence(
-                    f"product of classes {cls[a]},{cls[b]} depends on representatives"
-                )
-    return QuotientSemigroup(validate(qtable), cls, S.order)
+def _quotient(S: FiniteSemigroup, cls: tuple[int, ...]) -> QuotientSemigroup:
+    memo = S._memo["quotient"]
+    Q = memo.get(cls)
+    if Q is None:
+        k = max(cls) + 1
+        reps = [cls.index(i) for i in range(k)]
+        t = S.table
+        qtable = tuple(tuple(cls[t[r][s]] for s in reps) for r in reps)
+        for a in range(S.order):
+            row = t[a]
+            qrow = qtable[cls[a]]
+            for b in range(S.order):
+                if cls[row[b]] != qrow[cls[b]]:
+                    raise NotACongruence(
+                        f"product of classes {cls[a]},{cls[b]} depends on representatives"
+                    )
+        # Every product of classes is well defined, so the projection is
+        # a homomorphism onto the table, which is therefore associative.
+        Q = memo[cls] = QuotientSemigroup(FiniteSemigroup._from_table(qtable), cls, S.order)
+    return Q
 
 
 def classify_quotient(Q: QuotientSemigroup) -> QuotientKind:
@@ -328,24 +361,39 @@ def enumerate_congruences(S: FiniteSemigroup, order_bound: int = 6) -> list[Cong
     """
     if S.order > order_bound:
         raise OrderTooLarge(S.order, order_bound)
-    out = []
-    for rgs in _rgs_strings(S.order):
-        part = Congruence(S.order, rgs)
-        ok, _ = is_congruence(S, part)
-        if ok:
-            out.append(Congruence(S.order, rgs, verified=True))
-    return out
+    # Restricted growth strings are already canonical class_of tuples.
+    return [
+        Congruence(S.order, rgs, verified=True)
+        for rgs in _rgs_strings(S.order)
+        if _compatible(S, rgs)[0]
+    ]
 
 
-def _sep_intersection(S: FiniteSemigroup, family: Sequence[ElementSet]) -> ElementSet:
+def _sep_common(S: FiniteSemigroup, family: Sequence[ElementSet]) -> int:
+    """Mask of the intersection of the separators of the family's sets."""
     common = (1 << S.order) - 1
     for X in family:
-        common &= separator(S, X).bits
-    return S.subset(common)
+        common &= _separator(S, X.bits)
+    return common
 
 
 def _medial_names(w: tuple[int, int, int, int]) -> tuple[tuple[str, int], ...]:
     return tuple(zip(("x", "a", "b", "y"), w))
+
+
+def _identity_class_stage(
+    check: str, S: FiniteSemigroup, common: int, ident: int
+) -> CheckReport | None:
+    """The fail report when the separator intersection is not the
+    identity class of the quotient."""
+    if ident == common:
+        return None
+    return failed(
+        check,
+        (("x", _min_member(ident ^ common)),),
+        f"separator intersection {_format_mask(S, common)} is not the identity class "
+        f"{_format_mask(S, ident)}",
+    )
 
 
 def verify_theorem1_forward(S: FiniteSemigroup, family: Sequence[ElementSet]) -> CheckReport:
@@ -362,45 +410,49 @@ def verify_theorem1_forward(S: FiniteSemigroup, family: Sequence[ElementSet]) ->
     check = "theorem1-forward"
     _check_family(S, family)
     for i, X in enumerate(family):
-        ok, w = is_medial(S, X)
+        ok, w = _medial(S, X)
         if not ok:
             return unmet(check, f"set {i} not medial", _medial_names(w))
-    A = _sep_intersection(S, family)
-    if len(A) == 0:
+    common = _sep_common(S, family)
+    if not common:
         return unmet(check, "intersection of separators is empty")
-    P = _context_partition(S, family)
-    ok, w = is_congruence(S, P)
+    class_of = _context_class_of(S, family)
+    ok, w = _compatible(S, class_of)
     if not ok:
         return failed(check, tuple(zip("abc", w)), "induced relation is not a congruence")
-    Q = quotient(S, P)
-    kind = classify_quotient(Q)
+    Q = _quotient(S, class_of)
+    kind = Q._kind
     if not kind.is_monoid:
         return failed(check, None, "quotient has no identity element")
     if not kind.is_commutative:
         a, b = is_commutative(Q.quotient)[1]
         return failed(check, (("a", a), ("b", b)), "quotient not commutative (class ids)")
-    ident = P.classes()[kind.identity_class]
-    if ident.bits != A.bits:
-        x = min(ident.members ^ A.members)
-        return failed(
-            check,
-            (("x", x),),
-            f"separator intersection {format_subset(A)} is not the identity class "
-            f"{format_subset(ident)}",
-        )
+    classes = [C.bits for C in _classes(S, class_of)]
+    bad = _identity_class_stage(check, S, common, classes[kind.identity_class])
+    if bad is not None:
+        return bad
     for i, X in enumerate(family):
-        for a in X:
-            for b in range(S.order):
-                if P.class_of[a] == P.class_of[b] and b not in X:
-                    return failed(
-                        check,
-                        (("i", i), ("a", a), ("b", b)),
-                        f"set {i} splits a congruence class",
-                    )
-    detail = f"identity class {format_subset(A)}"
+        bits = X.bits
+        if any(C & bits and C & ~bits for C in classes):
+            a, b = _split_pair(bits, class_of)
+            return failed(
+                check, (("i", i), ("a", a), ("b", b)), f"set {i} splits a congruence class"
+            )
+    detail = f"identity class {_format_mask(S, common)}"
     if not family:
         detail += "; empty family induces the universal relation"
     return passed(check, detail)
+
+
+def _split_pair(bits: int, class_of: tuple[int, ...]) -> tuple[int, int]:
+    # The first a inside the set, then the first b outside it, sharing a class.
+    n = len(class_of)
+    for a in range(n):
+        if bits >> a & 1:
+            for b in range(n):
+                if class_of[b] == class_of[a] and not bits >> b & 1:
+                    return a, b
+    raise ValueError("the set is a union of classes")
 
 
 def verify_theorem1_converse(S: FiniteSemigroup, sigma: Congruence) -> CheckReport:
@@ -413,32 +465,40 @@ def verify_theorem1_converse(S: FiniteSemigroup, sigma: Congruence) -> CheckRepo
     check = "theorem1-converse"
     if sigma.ambient != S.order:
         raise AmbientMismatch(S.order, sigma.ambient)
-    ok, w = is_congruence(S, sigma)
+    class_of = sigma.class_of
+    ok, w = _compatible(S, class_of)
     if not ok:
         return unmet(check, "not a congruence", tuple(zip("abc", w)))
-    Q = quotient(S, sigma)
-    kind = classify_quotient(Q)
+    kind = _quotient(S, class_of)._kind
     if not kind.is_monoid:
         return unmet(check, "quotient is not a monoid")
     if not kind.is_commutative:
         return unmet(check, "quotient is not commutative")
-    classes = sigma.classes()
+    classes = _classes(S, class_of)
     for i, X in enumerate(classes):
-        ok, w = is_medial(S, X)
+        ok, w = _medial(S, X)
         if not ok:
             return failed(check, (("i", i),) + _medial_names(w), f"class {i} not medial")
-    A = _sep_intersection(S, classes)
-    ident = classes[kind.identity_class]
-    if A.bits != ident.bits:
+    return _induces_itself(check, S, class_of, classes, classes[kind.identity_class].bits)
+
+
+def _induces_itself(
+    check: str, S: FiniteSemigroup, class_of: tuple[int, ...], classes: tuple[ElementSet, ...],
+    ident: int,
+) -> CheckReport:
+    """The converse theorems' last stages: the classes' separators meet
+    in the identity class, and the classes induce the partition back."""
+    common = _sep_common(S, classes)
+    if common != ident:
         return failed(
             check,
             None,
-            f"separator intersection {format_subset(A)} differs from identity class "
-            f"{format_subset(ident)}",
+            f"separator intersection {_format_mask(S, common)} differs from identity class "
+            f"{_format_mask(S, ident)}",
         )
-    P = _context_partition(S, classes)
-    if P.class_of != sigma.class_of:
-        a, b = _first_disagreement(P.class_of, sigma.class_of)
+    induced = _context_class_of(S, classes)
+    if induced != class_of:
+        a, b = _first_disagreement(induced, class_of)
         return failed(check, (("a", a), ("b", b)), "induced congruence differs from input")
     return passed(check)
 
@@ -455,27 +515,37 @@ def verify_corollary1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     """The separator of a medial subset is empty or a reflexive unitary
     subsemigroup, and separating twice changes nothing."""
     check = "corollary1"
-    ok, w = is_medial(S, A)
+    if A.ambient != S.order:
+        raise AmbientMismatch(S.order, A.ambient)
+    ok, w = _medial(S, A)
     if not ok:
         return unmet(check, "subset not medial", _medial_names(w))
-    T = separator(S, A)
-    if len(T) == 0:
+    T = _separator(S, A.bits)
+    if not T:
         return passed(check, "separator empty")
-    ok, w = is_subsemigroup(S, T)
-    if not ok:
-        return failed(check, tuple(zip("ab", w)), "separator not closed under product")
-    ok, w = is_reflexive(S, T)
-    if not ok:
-        return failed(check, tuple(zip("ab", w)), "separator not reflexive")
-    ok, w = is_unitary(S, T, "both")
-    if not ok:
-        return failed(check, tuple(zip("ab", w)), "separator not unitary")
-    T2 = separator(S, T)
-    if T2.bits != T.bits:
-        x = min(T2.members ^ T.members)
+    bad = _separator_structure_stages(check, S, T)
+    if bad is not None:
+        return bad
+    T2 = _separator(S, T)
+    if T2 != T:
         return failed(
             check,
-            (("x", x),),
-            f"separator of {format_subset(T)} is {format_subset(T2)}, not itself",
+            (("x", _min_member(T2 ^ T)),),
+            f"separator of {_format_mask(S, T)} is {_format_mask(S, T2)}, not itself",
         )
-    return passed(check, f"separator {format_subset(T)}")
+    return passed(check, f"separator {_format_mask(S, T)}")
+
+
+def _separator_structure_stages(check: str, S: FiniteSemigroup, T: int) -> CheckReport | None:
+    """The fail report when the nonempty separator with mask T is not a
+    reflexive unitary subsemigroup (the corollaries' shared stages)."""
+    ok, w = _subsemigroup(S, T)
+    if not ok:
+        return failed(check, tuple(zip("ab", w)), "separator not closed under product")
+    ok, w = _reflexive(S, T)
+    if not ok:
+        return failed(check, tuple(zip("ab", w)), "separator not reflexive")
+    w = _unitary(S, T)[2]
+    if w is not None:
+        return failed(check, tuple(zip("ab", w)), "separator not unitary")
+    return None

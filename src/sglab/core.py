@@ -1,9 +1,11 @@
 """Finite semigroups as validated Cayley tables, plus element subsets.
 
 Elements are the indices 0..n-1; ``table[a][b]`` is the product a*b
-(left factor selects the row).  Labels are display-only.  Every
-construction path runs the full associativity check, so all other code
-may assume it.
+(left factor selects the row).  Labels are display-only.  Constructing
+a ``FiniteSemigroup`` runs the full associativity check, so all other
+code may assume it; only library code holding a table that is
+associative by construction skips it, through
+``FiniteSemigroup._from_table``.
 
 A subset is an ``ElementSet`` carrying both its members and their bit
 mask (bit e = element e).  ``ElementSet(ambient, members)`` validates
@@ -14,6 +16,7 @@ keeps one set per mask and table.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -45,13 +48,20 @@ __all__ = [
 ]
 
 
-_MISSING = object()
-
 # Most cells a word tensor may hold: 2**26 intp cells are 512 MiB.  The
 # callers' peaks scale with it: at order 64 (a 128 MiB length-4 tensor)
 # is_medial grew the resident set by 162 MiB and lemma4_minimal_k by
 # 289 MiB, so at the limit they need about 0.65 and 1.2 GiB.
 _WORD_TENSOR_CELLS = 1 << 26
+
+# Measured cost of one associativity triple in validation: 40 ns (the
+# fastest of repeated runs at orders 150-250 on a 2-vCPU Xeon VM, Python
+# 3.11; up to 70 ns while the machine is busy).  A table whose n**3
+# triples are estimated above _VALIDATE_SECONDS, the ten seconds the
+# identity search also allows, is refused before the check starts:
+# order 629 passes, 630 is refused.
+_TRIPLE_SECONDS = 40e-9
+_VALIDATE_SECONDS = 10.0
 
 
 class cached_attribute:
@@ -83,6 +93,16 @@ class FiniteSemigroup:
     Validation is eager: range errors and the lexicographically first
     associativity violation are raised at construction time.  ``order``
     is n, stored at construction.
+
+    ``_memo`` holds the answers to pure questions about the table, one
+    dict per analysis kind (``_memo["separator"]``, ``_memo["medial"]``,
+    ...).  Subset analyses are keyed by the subset's bit mask, partition
+    analyses by its canonical ``class_of`` and ``identity`` by the
+    permutation, never by a whole family, so a subset kind holds at most
+    2**n entries and a partition kind at most Bell(n).  Only returned
+    values are stored; a question that raises is asked afresh every
+    time.  The table is frozen, so an entry never goes stale, and the
+    memo is freed with the semigroup.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -96,6 +116,13 @@ class FiniteSemigroup:
         if any(len(row) != n for row in rows):
             raise ValueError("table must be square")
         object.__setattr__(self, "table", rows)
+        est = n**3 * _TRIPLE_SECONDS
+        if est > _VALIDATE_SECONDS:
+            raise WorkBudgetExceeded(
+                f"the associativity check of an order-{n} table",
+                f"about {est:.3g} s",
+                f"{_VALIDATE_SECONDS:g} s",
+            )
         for a in range(n):
             for b in range(n):
                 if not 0 <= rows[a][b] < n:
@@ -120,16 +147,24 @@ class FiniteSemigroup:
                 seen.add(s)
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "order", n)
-        # Answers to pure questions about this table, filled on first ask.
-        # Keys are (kind, argument): a subset's bit mask, a partition's
-        # class_of or an identity's perm, never a whole family, so the
-        # memo holds at most 2**n entries per subset kind and Bell(n) per
-        # partition kind.  Only returned values are stored; a question
-        # that raises is asked afresh every time.  The table is frozen,
-        # so an entry never goes stale, and it is freed with the semigroup.
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", defaultdict(dict))
         # The interned subsets, by bit mask; see subset().
         object.__setattr__(self, "_subsets", {})
+
+    @classmethod
+    def _from_table(cls, table: tuple[tuple[int, ...], ...]) -> "FiniteSemigroup":
+        """Trusted construction from a square tuple of int tuples.
+
+        Skips ``__post_init__``, so nothing is checked.  Only library
+        code whose table is associative by construction may call it: a
+        table the catalog enumerator already validated, or the quotient
+        table of a partition whose well-definedness was just confirmed.
+        Input from outside goes through ``validate`` or ``parse_sg``.
+        """
+        S = object.__new__(cls)
+        S.__dict__.update(table=table, labels=None, order=len(table), _memo=defaultdict(dict),
+                          _subsets={})
+        return S
 
     def product(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -156,14 +191,6 @@ class FiniteSemigroup:
             A = self._subsets[bits] = ElementSet._from_bits(self.order, bits)
         return A
 
-    def _cached(self, key: tuple, compute: Callable, arg):
-        """``compute(self, arg)``, evaluated only on the first ask for ``key``."""
-        memo = self._memo
-        value = memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = memo[key] = compute(self, arg)
-        return value
-
     @cached_attribute
     def _word_tensors(self) -> dict[int, np.ndarray]:
         return {1: np.arange(self.order, dtype=np.intp)}
@@ -184,6 +211,25 @@ class FiniteSemigroup:
                 )
             cache[k] = self.np_table[self.word_tensor(k - 1)]
         return cache[k]
+
+    @cached_attribute
+    def _linked(self) -> tuple[int, ...]:
+        """Per element u, the mask of the v with u = x*a*b*y and v = x*b*a*y
+        for some x, a, b, y (the pairs a medial subset never separates).
+
+        Built from the length-4 word tensor, so it has that tensor's budget.
+        """
+        n = self.order
+        w4 = self.word_tensor(4)
+        linked = np.zeros((n, n), dtype=bool)
+        # Indexing with the tensor and its swapped view allocates no n**4 copy.
+        linked[w4, w4.swapaxes(1, 2)] = True
+        # Row u, packed little-endian, is u's mask.
+        width = (n + 7) // 8
+        rows = np.packbits(linked, axis=1, bitorder="little").tobytes()
+        return tuple(
+            int.from_bytes(rows[i : i + width], "little") for i in range(0, len(rows), width)
+        )
 
 
 def validate(

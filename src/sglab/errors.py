@@ -1,4 +1,9 @@
-"""Structured exceptions raised across the package."""
+"""Structured exceptions raised across the package.
+
+Every error keeps all of its constructor arguments in ``args`` and
+renders its message in ``__str__``, so it pickles and can cross from a
+worker process to its parent.
+"""
 
 
 class SglabError(ValueError):
@@ -9,58 +14,77 @@ class OutOfRangeEntry(SglabError):
     """A Cayley-table cell holds something other than an element index."""
 
     def __init__(self, row: int, col: int, value: object):
-        super().__init__(f"table[{row}][{col}] = {value!r} is not an index in [0, n)")
+        super().__init__(row, col, value)
         self.row = row
         self.col = col
         self.value = value
+
+    def __str__(self) -> str:
+        return f"table[{self.row}][{self.col}] = {self.value!r} is not an index in [0, n)"
 
 
 class NotAssociative(SglabError):
     """The table violates associativity; carries the first bad triple."""
 
     def __init__(self, a: int, b: int, c: int):
-        super().__init__(f"(a*b)*c != a*(b*c) for (a, b, c) = ({a}, {b}, {c})")
+        super().__init__(a, b, c)
         self.triple = (a, b, c)
+
+    def __str__(self) -> str:
+        return "(a*b)*c != a*(b*c) for (a, b, c) = ({}, {}, {})".format(*self.triple)
 
 
 class DuplicateLabel(SglabError):
     def __init__(self, label: str):
-        super().__init__(f"duplicate label {label!r}")
+        super().__init__(label)
         self.label = label
+
+    def __str__(self) -> str:
+        return f"duplicate label {self.label!r}"
 
 
 class EmptyWord(SglabError):
     def __init__(self):
-        super().__init__("cannot multiply an empty word")
+        super().__init__()
+
+    def __str__(self) -> str:
+        return "cannot multiply an empty word"
 
 
 class IndexOutOfRange(SglabError):
     def __init__(self, value: object, ambient: int):
-        super().__init__(f"{value!r} is not an element index in [0, {ambient})")
+        super().__init__(value, ambient)
         self.value = value
         self.ambient = ambient
+
+    def __str__(self) -> str:
+        return f"{self.value!r} is not an element index in [0, {self.ambient})"
 
 
 class AmbientMismatch(SglabError):
     def __init__(self, expected: int, got: int):
-        super().__init__(f"subset lives over {got} elements, semigroup has {expected}")
+        super().__init__(expected, got)
         self.expected = expected
         self.got = got
+
+    def __str__(self) -> str:
+        return f"subset lives over {self.got} elements, semigroup has {self.expected}"
 
 
 class OrderTooLarge(SglabError):
     def __init__(self, order: int, bound: int):
-        super().__init__(f"order {order} exceeds the configured bound {bound}")
+        super().__init__(order, bound)
         self.order = order
         self.bound = bound
+
+    def __str__(self) -> str:
+        return f"order {self.order} exceeds the configured bound {self.bound}"
 
 
 class WorkBudgetExceeded(SglabError):
     """A request would allocate or compute more than its work budget allows.
 
-    ``need`` and ``budget`` are display strings with their units.  All
-    three arguments stay in ``args``, so the error pickles and can cross
-    from a worker process to its parent.
+    ``need`` and ``budget`` are display strings with their units.
     """
 
     def __init__(self, what: str, need: str, budget: str):
@@ -78,12 +102,19 @@ class NotACongruence(SglabError):
 
     def __init__(self, detail: str):
         super().__init__(detail)
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return str(self.detail)
 
 
 class SgFormatError(SglabError):
     """Malformed .sg file; carries the offending line number."""
 
     def __init__(self, lineno: int, detail: str):
-        super().__init__(f"line {lineno}: {detail}")
+        super().__init__(lineno, detail)
         self.lineno = lineno
         self.detail = detail
+
+    def __str__(self) -> str:
+        return f"line {self.lineno}: {self.detail}"

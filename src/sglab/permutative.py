@@ -20,18 +20,20 @@ import numpy as np
 
 from .congruences import (
     Congruence,
-    _context_partition,
-    _first_disagreement,
+    _classes,
+    _compatible,
+    _context_class_of,
+    _identity_class_stage,
+    _induces_itself,
     _medial_names,
-    _sep_intersection,
-    classify_quotient,
-    is_congruence,
-    quotient,
+    _quotient,
+    _sep_common,
+    _separator_structure_stages,
 )
 from .core import ElementSet, FiniteSemigroup, PowerChain, power_set_chain
 from .errors import AmbientMismatch, WorkBudgetExceeded
 from .reports import CheckReport, failed, passed, unmet
-from .subsets import format_subset, is_medial, is_reflexive, is_subsemigroup, is_unitary, separator
+from .subsets import _format_mask, _medial, _separator
 
 __all__ = [
     "PermutationIdentity",
@@ -84,18 +86,16 @@ def satisfies_identity(
     lexicographically first tuple (x_1..x_n) where the sides differ.
     Memoized per semigroup and permutation.
     """
-    return S._cached(("identity", ident.perm), _compare_sides, ident)
-
-
-def _compare_sides(
-    S: FiniteSemigroup, ident: PermutationIdentity
-) -> tuple[bool, tuple[int, ...] | None]:
-    w = S.word_tensor(ident.length)
-    rhs = w.transpose(tuple(p - 1 for p in ident.perm))
-    bad = w != rhs
-    if not bad.any():
-        return True, None
-    return False, tuple(int(v) for v in np.argwhere(bad)[0])
+    memo = S._memo["identity"]
+    out = memo.get(ident.perm)
+    if out is None:
+        w = S.word_tensor(ident.length)
+        bad = w != w.transpose(tuple(p - 1 for p in ident.perm))
+        out = (True, None) if not bad.any() else (
+            False, tuple(int(v) for v in np.argwhere(bad)[0])
+        )
+        memo[ident.perm] = out
+    return out
 
 
 # Measured cost of one permutation comparison in the identity search:
@@ -208,25 +208,24 @@ def verify_theorem2_forward(
     bad = _witness_holds(S, permutation_witness, check)
     if bad is not None:
         return bad
-    A = _sep_intersection(S, family)
-    if len(A) == 0:
+    common = _sep_common(S, family)
+    if not common:
         return unmet(check, "intersection of separators is empty")
     for i, X in enumerate(family):
-        if len(separator(S, X)) == 0:
+        if not _separator(S, X.bits):
             continue
-        ok, w = is_medial(S, X)
+        ok, w = _medial(S, X)
         if not ok:
             return failed(
                 check,
                 (("i", i),) + _medial_names(w),
                 f"set {i} has a nonempty separator but is not medial",
             )
-    P = _context_partition(S, family)
-    ok, w = is_congruence(S, P)
+    class_of = _context_class_of(S, family)
+    ok, w = _compatible(S, class_of)
     if not ok:
         return failed(check, tuple(zip("abc", w)), "induced relation is not a congruence")
-    Q = quotient(S, P)
-    kind = classify_quotient(Q)
+    kind = _quotient(S, class_of)._kind
     if not kind.is_monoid:
         return failed(check, None, "quotient has no identity element")
     if not kind.is_commutative:
@@ -235,16 +234,11 @@ def verify_theorem2_forward(
             None,
             "quotient monoid not commutative; commutativity asserted beyond the monoid claim",
         )
-    ident = P.classes()[kind.identity_class]
-    if ident.bits != A.bits:
-        x = min(ident.members ^ A.members)
-        return failed(
-            check,
-            (("x", x),),
-            f"separator intersection {format_subset(A)} is not the identity class "
-            f"{format_subset(ident)}",
-        )
-    return passed(check, f"identity class {format_subset(A)}")
+    ident = _classes(S, class_of)[kind.identity_class].bits
+    bad = _identity_class_stage(check, S, common, ident)
+    if bad is not None:
+        return bad
+    return passed(check, f"identity class {_format_mask(S, common)}")
 
 
 def verify_theorem2_converse(
@@ -259,28 +253,15 @@ def verify_theorem2_converse(
     bad = _witness_holds(S, permutation_witness, check)
     if bad is not None:
         return bad
-    ok, w = is_congruence(S, sigma)
+    class_of = sigma.class_of
+    ok, w = _compatible(S, class_of)
     if not ok:
         return unmet(check, "not a congruence", tuple(zip("abc", w)))
-    Q = quotient(S, sigma)
-    kind = classify_quotient(Q)
+    kind = _quotient(S, class_of)._kind
     if not kind.is_monoid:
         return unmet(check, "quotient is not a monoid")
-    classes = sigma.classes()
-    A = _sep_intersection(S, classes)
-    ident = classes[kind.identity_class]
-    if A.bits != ident.bits:
-        return failed(
-            check,
-            None,
-            f"separator intersection {format_subset(A)} differs from identity class "
-            f"{format_subset(ident)}",
-        )
-    P = _context_partition(S, classes)
-    if P.class_of != sigma.class_of:
-        a, b = _first_disagreement(P.class_of, sigma.class_of)
-        return failed(check, (("a", a), ("b", b)), "induced congruence differs from input")
-    return passed(check)
+    classes = _classes(S, class_of)
+    return _induces_itself(check, S, class_of, classes, classes[kind.identity_class].bits)
 
 
 def verify_corollary2(
@@ -295,19 +276,13 @@ def verify_corollary2(
     bad = _witness_holds(S, permutation_witness, check)
     if bad is not None:
         return bad
-    T = separator(S, A)
-    if len(T) == 0:
+    T = _separator(S, A.bits)
+    if not T:
         return passed(check, "separator empty")
-    ok, w = is_subsemigroup(S, T)
-    if not ok:
-        return failed(check, tuple(zip("ab", w)), "separator not closed under product")
-    ok, w = is_reflexive(S, T)
-    if not ok:
-        return failed(check, tuple(zip("ab", w)), "separator not reflexive")
-    ok, w = is_unitary(S, T, "both")
-    if not ok:
-        return failed(check, tuple(zip("ab", w)), "separator not unitary")
-    return passed(check, f"separator {format_subset(T)}")
+    bad = _separator_structure_stages(check, S, T)
+    if bad is not None:
+        return bad
+    return passed(check, f"separator {_format_mask(S, T)}")
 
 
 def parse_permutation(text: str) -> PermutationIdentity:

@@ -6,7 +6,9 @@ subsets with nonempty separators are the ones that can serve as identity
 classes of quotient congruences.
 
 The kernels read a subset through its bit mask and return the table's
-interned sets (``FiniteSemigroup.subset``).
+interned sets (``FiniteSemigroup.subset``).  Mediality reads the
+table's linked pairs (``FiniteSemigroup._linked``), so each subset costs
+at most |A| mask tests.
 """
 
 from __future__ import annotations
@@ -63,24 +65,35 @@ def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
     per semigroup and subset.
     """
     _check_ambient(S, A)
-    return S._cached(("separator", A.bits), _separator, A)
+    return S.subset(_separator(S, A.bits))
 
 
-def _separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
-    # x is in Sep(A) iff a -> x*a and a -> a*x keep every a on its side of A.
-    bits = A.bits
-    t = S.table
-    n = S.order
-    out = 0
-    for x in range(n):
-        row = t[x]
-        for a in range(n):
-            side = bits >> a & 1
-            if bits >> row[a] & 1 != side or bits >> t[a][x] & 1 != side:
-                break
-        else:
-            out |= 1 << x
-    return S.subset(out)
+# The private accessors below answer from the table's memo (S._memo,
+# one dict per analysis, keyed by the subset's bit mask) and compute on
+# a miss.  They take the mask, or the set itself where a numpy mask is
+# needed.  The verifiers call them after checking the ambient order
+# once at entry.
+
+
+def _separator(S: FiniteSemigroup, bits: int) -> int:
+    """Mask of Sep of the subset with mask ``bits``."""
+    memo = S._memo["separator"]
+    out = memo.get(bits)
+    if out is None:
+        # x is in Sep(A) iff a -> x*a and a -> a*x keep every a on its side of A.
+        t = S.table
+        n = S.order
+        out = 0
+        for x in range(n):
+            row = t[x]
+            for a in range(n):
+                side = bits >> a & 1
+                if bits >> row[a] & 1 != side or bits >> t[a][x] & 1 != side:
+                    break
+            else:
+                out |= 1 << x
+        memo[bits] = out
+    return out
 
 
 def is_medial(
@@ -93,19 +106,30 @@ def is_medial(
     but x*b*a*y outside it.  Memoized per semigroup and subset.
     """
     _check_ambient(S, A)
-    return S._cached(("medial", A.bits), _medial, A)
+    return _medial(S, A)
 
 
-def _medial(
-    S: FiniteSemigroup, A: ElementSet
-) -> tuple[bool, tuple[int, int, int, int] | None]:
-    w4 = S.word_tensor(4)
-    inside = A.mask[w4]
-    bad = inside & ~inside.swapaxes(1, 2)
-    if not bad.any():
-        return True, None
-    x, a, b, y = np.argwhere(bad)[0]
-    return False, (int(x), int(a), int(b), int(y))
+def _medial(S: FiniteSemigroup, A: ElementSet) -> tuple[bool, tuple[int, int, int, int] | None]:
+    # Memoized by A's mask, like the bit-level accessors; A's own numpy
+    # mask serves the witness search.
+    bits = A.bits
+    memo = S._memo["medial"]
+    out = memo.get(bits)
+    if out is None:
+        # A is medial iff it never separates a linked pair (x*a*b*y,
+        # x*b*a*y); the tensor is searched only for a failure's witness.
+        linked = S._linked
+        outside = ~bits
+        for u in range(S.order):
+            if bits >> u & 1 and linked[u] & outside:
+                inside = A.mask[S.word_tensor(4)]
+                x, a, b, y = np.argwhere(inside & ~inside.swapaxes(1, 2))[0]
+                out = False, (int(x), int(a), int(b), int(y))
+                break
+        else:
+            out = True, None
+        memo[bits] = out
+    return out
 
 
 def is_reflexive(
@@ -116,19 +140,28 @@ def is_reflexive(
     Memoized per semigroup and subset.
     """
     _check_ambient(S, A)
-    return S._cached(("reflexive", A.bits), _reflexive, A)
+    return _reflexive(S, A.bits)
 
 
-def _reflexive(S: FiniteSemigroup, A: ElementSet) -> tuple[bool, tuple[int, int] | None]:
-    bits = A.bits
-    t = S.table
-    n = S.order
+def _reflexive(S: FiniteSemigroup, bits: int) -> tuple[bool, tuple[int, int] | None]:
+    memo = S._memo["reflexive"]
+    out = memo.get(bits)
+    if out is None:
+        out = memo[bits] = _reflexivity(S.table, bits)
+    return out
+
+
+def _reflexivity(t, bits: int) -> tuple[bool, tuple[int, int] | None]:
+    n = len(t)
     for a in range(n):
         row = t[a]
         for b in range(n):
             if bits >> row[b] & 1 and not bits >> t[b][a] & 1:
                 return False, (a, b)
     return True, None
+
+
+_SIDES = {"left": 0, "right": 1, "both": 2}
 
 
 def is_unitary(
@@ -142,28 +175,35 @@ def is_unitary(
     Memoized per semigroup and subset, for all three sides at once.
     """
     _check_ambient(S, U)
-    if side not in ("left", "right", "both"):
+    if side not in _SIDES:
         raise ValueError(f"side must be left, right, or both, not {side!r}")
-    left, right = S._cached(("unitary", U.bits), _unitary_witnesses, U)
-    if side == "left":
-        w = left
-    elif side == "right":
-        w = right
-    else:
-        w = min((v for v in (left, right) if v is not None), default=None)
+    w = _unitary(S, U.bits)[_SIDES[side]]
     return w is None, w
 
 
+def _unitary(
+    S: FiniteSemigroup, bits: int
+) -> tuple[tuple[int, int] | None, tuple[int, int] | None, tuple[int, int] | None]:
+    """The first left, right and "both" witnesses (None where unitary)."""
+    memo = S._memo["unitary"]
+    out = memo.get(bits)
+    if out is None:
+        left, right = _unitary_witnesses(S.table, bits)
+        both = min((v for v in (left, right) if v is not None), default=None)
+        out = memo[bits] = left, right, both
+    return out
+
+
 def _unitary_witnesses(
-    S: FiniteSemigroup, U: ElementSet
+    t, bits: int
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     # The first (a, b) with a in U, b outside, and a*b (left) or b*a
     # (right) in U; the first for "both" is the lesser of the two.
-    bits = U.bits
-    t = S.table
-    n = S.order
+    n = len(t)
     left = right = None
-    for a in U.indices:
+    for a in range(n):
+        if not bits >> a & 1:
+            continue
         row = t[a]
         for b in range(n):
             if bits >> b & 1:
@@ -185,15 +225,21 @@ def is_subsemigroup(
     Memoized per semigroup and subset.
     """
     _check_ambient(S, A)
-    return S._cached(("subsemigroup", A.bits), _subsemigroup, A)
+    return _subsemigroup(S, A.bits)
 
 
-def _subsemigroup(S: FiniteSemigroup, A: ElementSet) -> tuple[bool, tuple[int, int] | None]:
-    bits = A.bits
+def _subsemigroup(S: FiniteSemigroup, bits: int) -> tuple[bool, tuple[int, int] | None]:
+    memo = S._memo["subsemigroup"]
+    out = memo.get(bits)
+    if out is None:
+        out = memo[bits] = _closure(S.table, bits)
+    return out
+
+
+def _closure(t, bits: int) -> tuple[bool, tuple[int, int] | None]:
     if not bits:
         return False, None
-    t = S.table
-    inside = A.indices
+    inside = [e for e in range(len(t)) if bits >> e & 1]
     for a in inside:
         row = t[a]
         for b in inside:
@@ -216,3 +262,13 @@ def parse_subset(text: str, ambient: int) -> ElementSet:
 def format_subset(A: ElementSet) -> str:
     """The literal "{0,2}", computed once per set."""
     return A._literal
+
+
+def _format_mask(S: FiniteSemigroup, bits: int) -> str:
+    """format_subset of the table's interned set with mask ``bits``."""
+    return S.subset(bits)._literal
+
+
+def _min_member(bits: int) -> int:
+    """The least element of a nonempty mask."""
+    return (bits & -bits).bit_length() - 1

@@ -14,18 +14,21 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import Pool
+from operator import itemgetter
 from typing import Sequence
 
 from .catalog import catalog_line, enumerate_semigroups
 from .congruences import (
+    _classes,
     enumerate_congruences,
     verify_corollary1,
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
-from .core import ElementSet, FiniteSemigroup, validate
+from .core import ElementSet, FiniteSemigroup
 from .errors import WorkBudgetExceeded
 from .permutative import (
     find_permutation_identity,
@@ -35,8 +38,16 @@ from .permutative import (
     verify_theorem2_converse,
     verify_theorem2_forward,
 )
-from .reports import CheckReport, failed, passed, unmet
-from .subsets import format_subset, is_subsemigroup, is_unitary, separator
+from .reports import FAIL, CheckReport, failed, passed, unmet
+from .subsets import (
+    _check_ambient,
+    _format_mask,
+    _min_member,
+    _separator,
+    _subsemigroup,
+    _unitary,
+    format_subset,
+)
 
 __all__ = [
     "SweepConfig",
@@ -107,26 +118,29 @@ class SweepReport:
 
 def check_lemma1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     """Separators are empty or closed under the product."""
-    T = separator(S, A)
-    if len(T) == 0:
+    _check_ambient(S, A)
+    T = _separator(S, A.bits)
+    if not T:
         return passed("lemma1", "separator empty")
-    ok, w = is_subsemigroup(S, T)
+    ok, w = _subsemigroup(S, T)
     if not ok:
         return failed("lemma1", tuple(zip("ab", w)), "separator not closed")
-    return passed("lemma1", f"separator {format_subset(T)}")
+    return passed("lemma1", f"separator {_format_mask(S, T)}")
 
 
 def check_lemma2(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     """A nonempty separator sits wholly inside A or wholly outside it."""
-    T = separator(S, A)
-    if len(T) == 0:
+    _check_ambient(S, A)
+    bits = A.bits
+    T = _separator(S, bits)
+    if not T:
         return unmet("lemma2", "separator empty")
-    inside = T.members & A.members
-    outside = T.members - A.members
+    inside = T & bits
+    outside = T & ~bits
     if inside and outside:
         return failed(
             "lemma2",
-            (("a", min(inside)), ("b", min(outside))),
+            (("a", _min_member(inside)), ("b", _min_member(outside))),
             "separator straddles the subset boundary",
         )
     side = "subset" if inside else "complement"
@@ -136,15 +150,20 @@ def check_lemma2(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
 def check_lemma3(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     """A subsemigroup is two-sided unitary exactly when it equals its
     own separator."""
-    ok, _ = is_subsemigroup(S, A)
+    _check_ambient(S, A)
+    bits = A.bits
+    ok, _ = _subsemigroup(S, bits)
     if not ok:
         return unmet("lemma3", "not a subsemigroup")
-    T = separator(S, A)
-    unitary, w = is_unitary(S, A, "both")
-    fixed = T.bits == A.bits
+    T = _separator(S, bits)
+    w = _unitary(S, bits)[2]
+    unitary = w is None
+    fixed = T == bits
     if unitary and not fixed:
-        x = min(T.members ^ A.members)
-        return failed("lemma3", (("x", x),), f"unitary but separator is {format_subset(T)}")
+        return failed(
+            "lemma3", (("x", _min_member(T ^ bits)),),
+            f"unitary but separator is {_format_mask(S, T)}",
+        )
     if fixed and not unitary:
         return failed("lemma3", tuple(zip("ab", w)), "equals its separator but not unitary")
     return passed("lemma3", "unitary and fixed" if unitary else "neither side holds")
@@ -192,17 +211,20 @@ def _instance_checks(
 
     congruences = None
     if _wants(cfg, "1") or _wants(cfg, "2"):
-        congruences = [(_family_literal(sigma.classes()), sigma)
-                       for sigma in enumerate_congruences(S)]
+        # Each congruence with its classes as the table's interned sets.
+        congruences = []
+        for sigma in enumerate_congruences(S):
+            classes = _classes(S, sigma.class_of)
+            congruences.append((_family_literal(classes), sigma, classes))
 
     if _wants(cfg, "1"):
         if cfg.family_mode in ("default", "singletons-and-all-subsets"):
             for case, A in subsets:
                 out.append((case, verify_theorem1_forward(S, [A])))
         if cfg.family_mode in ("default", "congruence-classes"):
-            for case, sigma in congruences:
-                out.append((case, verify_theorem1_forward(S, sigma.classes())))
-        for case, sigma in congruences:
+            for case, _, classes in congruences:
+                out.append((case, verify_theorem1_forward(S, classes)))
+        for case, sigma, _ in congruences:
             out.append((case, verify_theorem1_converse(S, sigma)))
 
     if _wants(cfg, "2") or _wants(cfg, "cor2"):
@@ -240,12 +262,12 @@ def _instance_checks(
                 for case, A in subsets:
                     out.append((case, verify_theorem2_forward(S, [A], witness)))
             if cfg.family_mode in ("default", "congruence-classes"):
-                for case, sigma in congruences:
-                    out.append((case, verify_theorem2_forward(S, sigma.classes(), witness)))
+                for case, _, classes in congruences:
+                    out.append((case, verify_theorem2_forward(S, classes, witness)))
             for masks in _random_families(cfg, order, idx):
                 fam = tuple(map(S.subset, masks))
                 out.append((_family_literal(fam), verify_theorem2_forward(S, fam, witness)))
-            for case, sigma in congruences:
+            for case, sigma, _ in congruences:
                 out.append((case, verify_theorem2_converse(S, sigma, witness)))
         if witness is not None and _wants(cfg, "cor2"):
             for case, A in subsets:
@@ -258,13 +280,13 @@ def _instance_worker(
     item: tuple[SweepConfig, int, int, tuple[tuple[int, ...], ...]]
 ) -> list[tuple[str, str, str]]:
     cfg, order, idx, table = item
-    S = validate(table)
-    h = _table_hash(S)
-    rows = []
-    for case, rep in _instance_checks(cfg, order, idx, S):
-        line = f"order={order} table={h} case={case} {rep.record()}"
-        rows.append((line, rep.check, rep.status))
-    return rows
+    # The table comes from enumerate_semigroups, which validated it.
+    S = FiniteSemigroup._from_table(table)
+    prefix = f"order={order} table={_table_hash(S)} case="
+    return [
+        (f"{prefix}{case} {rep.record()}", rep.check, rep.status)
+        for case, rep in _instance_checks(cfg, order, idx, S)
+    ]
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
@@ -289,12 +311,13 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     else:
         per_instance = [_instance_worker(item) for item in items]
     records: list[str] = []
-    fails: list[str] = []
-    counts: dict[tuple[str, str], int] = {}
+    counts: Counter[tuple[str, str]] = Counter()
     for rows in per_instance:
-        for line, check, status in rows:
-            records.append(line)
-            counts[(check, status)] = counts.get((check, status), 0) + 1
-            if status == "fail":
-                fails.append(line)
-    return SweepReport(len(items), tuple(records), tuple(fails), counts)
+        records.extend(map(_line, rows))
+        counts.update(map(_check_status, rows))
+    fails = tuple(line for rows in per_instance for line, _, status in rows if status == FAIL)
+    return SweepReport(len(items), tuple(records), fails, dict(counts))
+
+
+_line = itemgetter(0)
+_check_status = itemgetter(1, 2)

@@ -1,10 +1,12 @@
+import contextlib
 import hashlib
+import io
 import subprocess
 import sys
 
 import pytest
 
-from sglab import FiniteSemigroup, format_sg, validate
+from sglab import CheckReport, FiniteSemigroup, SweepConfig, cli, format_sg, run_sweep, validate
 from sglab.cli import run_command
 
 
@@ -121,6 +123,16 @@ class TestQueries:
         code, out, _ = run(capsys, "medial", sg_file("big.sg", S), "{1}")
         assert code == 0 and out == "false witness x=0 a=1 b=2 y=0\n"
 
+    def test_table_over_the_validation_budget_exits_2(self, capsys, sg_file, monkeypatch, lz2mon):
+        from sglab import core
+
+        path = sg_file("m.sg", lz2mon)
+        # 27 triples at 40 ns are over a 0.1 us budget.
+        monkeypatch.setattr(core, "_VALIDATE_SECONDS", 1e-7)
+        for argv in (("validate", path), ("sep", path, "{1}")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and "over the budget" in err, argv
+
     def test_lemma4(self, capsys, sg_file, lz2, lz2mon):
         code, out, _ = run(capsys, "lemma4", sg_file("l.sg", lz2))
         assert code == 0 and out == "k=1\n"
@@ -211,6 +223,66 @@ class TestVerify:
         assert code == 0
         assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _RecordingSink(io.TextIOBase):
+    """Stands in for stdout and keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
+
+class TestStructuredOutput:
+    ARGV = ("verify", "--max-order", "2", "--structured")
+
+    def writes(self):
+        sink = _RecordingSink()
+        with contextlib.redirect_stdout(sink):
+            assert run_command(list(self.ARGV)) == 0
+        return sink.writes
+
+    def test_matches_one_print_per_line(self):
+        expected = io.StringIO()
+        for line in run_sweep(SweepConfig(max_order=2)).records:
+            print(line, file=expected)
+        assert "".join(self.writes()) == expected.getvalue()
+
+    def test_no_write_exceeds_the_chunk_bound(self, monkeypatch):
+        # One write of every record would hold the whole output twice
+        # over at once; one write per line costs more than the checks.
+        out = "".join(self.writes())
+        lines = out.count("\n")
+        monkeypatch.setattr(cli, "_RECORDS_PER_WRITE", 64)
+        writes = self.writes()
+        assert "".join(writes) == out
+        assert len(writes) == -(-lines // 64)
+        assert all(w.endswith("\n") and w.count("\n") <= 64 for w in writes)
+
+    def test_record_hook_reaches_the_output(self, monkeypatch):
+        # The benchmark's smoke test corrupts the first record through
+        # this hook and expects the output to change.
+        out = "".join(self.writes())
+        record = CheckReport.record
+        seen = []
+
+        def failing_once(rep):
+            line = record(rep)
+            if not seen:
+                seen.append(line)
+                line = line.replace("status=pass", "status=fail")
+            return line
+
+        monkeypatch.setattr(CheckReport, "record", failing_once)
+        changed = "".join(self.writes())
+        differing = [a for a, b in zip(out.splitlines(), changed.splitlines()) if a != b]
+        assert len(seen) == 1 and len(differing) == 1 and "status=fail" in changed
 
 
 class TestUsage:

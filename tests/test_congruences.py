@@ -171,6 +171,20 @@ class TestQuotient:
                     for b in range(S.order):
                         assert pr[S.product(a, b)] == Q.quotient.product(pr[a], pr[b])
 
+    def test_trusted_quotient_tables_pass_full_validation(self, catalog2, catalog3):
+        # Quotient tables skip validation; every one of the catalog up to
+        # order 3 must pass it anyway and come out as the same table.
+        checked = 0
+        for S in catalog2 + catalog3:
+            for c in enumerate_congruences(S):
+                Q = quotient(S, c).quotient
+                assert type(Q.table) is tuple and all(type(row) is tuple for row in Q.table)
+                assert all(type(v) is int for row in Q.table for v in row)
+                full = validate(Q.table)
+                assert full == Q and full.table == Q.table and full.order == Q.order
+                checked += 1
+        assert checked > 300
+
 
 class TestClassifyQuotient:
     def test_group_quotient(self, z2):
@@ -293,13 +307,22 @@ class TestCorollary1:
         assert rep.status == "precondition-unmet"
 
 
+def test_split_pair_names_the_first_split_class():
+    # theorem1-forward's last stage builds this witness only on failure,
+    # which no catalog table reaches.
+    from sglab.congruences import _split_pair
+
+    assert _split_pair(0b101, (0, 0, 1)) == (0, 1)
+    assert _split_pair(0b0110, (0, 1, 0, 1)) == (1, 3)
+
+
 class TestMemo:
     def test_quotient_of_non_congruence_raises_every_time(self, chain3):
         part = Congruence.from_classes(3, [{0, 2}, {1}])
         for _ in range(3):
             with pytest.raises(NotACongruence):
                 quotient(chain3, part)
-        assert ("quotient", part.class_of) not in chain3._memo
+        assert part.class_of not in chain3._memo.get("quotient", {})
 
     def test_repeated_quotient_and_classification_agree(self, chain3):
         part = Congruence.from_classes(3, [{0, 1}, {2}])
@@ -313,25 +336,39 @@ class TestMemo:
         S = next(enumerate_semigroups(4))
         cfg = SweepConfig(random_families=20)
         assert any(rep.check == "theorem2-forward" for _, rep in _instance_checks(cfg, 4, 0, S))
-        kinds = {}
-        for kind, arg in S._memo:
-            kinds.setdefault(kind, []).append(arg)
         bell4 = 15
         subset_kinds = {"separator", "medial", "profile", "subsemigroup", "unitary", "reflexive"}
         partition_kinds = {"congruence", "quotient", "partition"}
-        for kind, args in kinds.items():
-            if kind in subset_kinds:
-                assert all(type(a) is int and 0 <= a < 2**4 for a in args), kind
-                assert len(args) <= 2**4, kind
-            elif kind in partition_kinds:
-                assert all(len(a) == 4 and all(isinstance(c, int) for c in a) for a in args)
-                assert len(args) <= bell4, kind
-            else:
-                assert kind == "identity", kind
-                assert all(all(isinstance(p, int) for p in a) for a in args)
+        # Every kind the sweep asks is listed here, so a new one cannot go
+        # unchecked.
+        kinds = dict(S._memo)
         assert set(kinds) == subset_kinds | partition_kinds | {"identity"}
-        # Interned partitions stay unverified; only is_congruence vouches.
-        assert not any(S._memo["partition", c].verified for c in kinds["partition"])
+        for kind, entries in kinds.items():
+            assert entries, f"the sweep never asked {kind}"
+            if kind in subset_kinds:
+                # Bare masks, never a (kind, arg) tuple or a family.
+                assert all(type(a) is int and 0 <= a < 2**4 for a in entries), kind
+                assert len(entries) <= 2**4, kind
+            elif kind in partition_kinds:
+                assert all(
+                    type(a) is tuple and len(a) == 4 and all(type(c) is int for c in a)
+                    for a in entries
+                ), kind
+                assert len(entries) <= bell4, kind
+            else:
+                assert all(type(a) is tuple and all(type(p) is int for p in a) for a in entries)
+            for value in entries.values():
+                # Answers only: no stored error, and no memoized partition
+                # marked verified (only is_congruence vouches for one).
+                assert not isinstance(value, BaseException), kind
+                assert not (isinstance(value, Congruence) and value.verified), kind
+        # Interned partitions are the classes of their own class_of, as
+        # the table's interned sets.
+        for class_of, classes in kinds["partition"].items():
+            assert tuple(C.bits for C in classes) == tuple(
+                sum(1 << x for x in range(4) if class_of[x] == c) for c in range(max(class_of) + 1)
+            )
+            assert all(C is S.subset(C.bits) for C in classes)
         assert len(S._subsets) <= 2**4
         assert all(A.bits == bits for bits, A in S._subsets.items())
 

@@ -21,6 +21,7 @@ from sglab import (
     word_product,
     WorkBudgetExceeded,
 )
+from sglab import core
 from sglab.core import _WORD_TENSOR_CELLS
 
 
@@ -61,6 +62,31 @@ class TestValidate:
         a = validate([[0, 0], [0, 1]], labels=["a", "b"])
         b = validate([[0, 0], [0, 1]])
         assert a == b
+
+    def test_associativity_check_over_budget_is_refused_before_it_starts(self, monkeypatch):
+        # 10**3 triples at 40 ns are 40 us, over a 10 us budget.  The table
+        # is not associative, so a check that started would raise
+        # NotAssociative instead.
+        monkeypatch.setattr(core, "_VALIDATE_SECONDS", 1e-5)
+
+        def successor(n):  # x*y = x+1 mod n, which is not associative
+            return [[(a + 1) % n] * n for a in range(n)]
+
+        with pytest.raises(WorkBudgetExceeded, match="associativity check of an order-10 table"):
+            validate(successor(10))
+        text = "10\n" + "".join(" ".join(map(str, row)) + "\n" for row in successor(10))
+        with pytest.raises(WorkBudgetExceeded):
+            parse_sg(text)
+        # Smaller tables are still checked in full.
+        with pytest.raises(NotAssociative):
+            validate(successor(6))
+
+    def test_budget_leaves_every_order_below_630_alone(self):
+        # The catalog (orders <= 4) and the order-5/6 tables of the query
+        # benchmark never come near it; order 630 is the first refused.
+        est = lambda n: n**3 * core._TRIPLE_SECONDS
+        assert est(629) <= core._VALIDATE_SECONDS < est(630)
+        assert validate([[0] * 6 for _ in range(6)]).order == 6
 
 
 class TestWordProduct:

@@ -239,17 +239,51 @@ def _direct_product(S, T):
 def _larger_tables(catalog2, catalog3):
     # Orders 5 and 6, so the bit loops run past four bits: order-3
     # tables with a zero and then an identity adjoined, and direct
-    # products of order-2 and order-3 tables.
+    # products of order-2 tables with order-3 tables and with the left-
+    # and right-zero pairs with an identity adjoined (the products with
+    # those three catalog tables have only medial subsets).
     order5 = [_adjoin(_adjoin(S, True), False) for S in catalog3[::23]]
-    order6 = [_direct_product(S, T) for S in catalog2[1::3] for T in catalog3[5::37]]
+    bands = [_adjoin(B, False) for B in catalog2[3:5]]
+    order6 = [_direct_product(S, T) for S in catalog2[1::3] for T in catalog3[5::37] + bands]
     return [S.table for S in order5 + order6]
+
+
+_MEDIAL_MIX: dict = {}
+
+
+def _medial_mix(table):
+    """Masks of the first medial subset other than the empty and the full
+    set and of the first non-medial subset (None where there is none),
+    found on the whole length-4 tensor rather than on linked pairs."""
+    if table not in _MEDIAL_MIX:
+        n = len(table)
+        w4 = validate(table).word_tensor(4)
+        found = {True: None, False: None}
+        for mask in range(1, 2**n - 1):
+            inside = ((mask >> w4) & 1).astype(bool)
+            medial = not (inside & ~inside.swapaxes(1, 2)).any()
+            if found[medial] is None:
+                found[medial] = mask
+        _MEDIAL_MIX[table] = (found[True], found[False])
+    return _MEDIAL_MIX[table]
+
+
+def test_larger_tables_have_medial_and_non_medial_subsets(catalog2, catalog3):
+    # The hypothesis test below appends both masks of every larger table,
+    # so the linked-pair route answers both ways past four bits.
+    for order in (5, 6):
+        tables = [t for t in _larger_tables(catalog2, catalog3) if len(t) == order]
+        mixes = [_medial_mix(t) for t in tables]
+        assert any(medial is not None for medial, _ in mixes), order
+        assert any(non_medial is not None for _, non_medial in mixes), order
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_memoized_analyses_match_their_definitions(data, catalog2, catalog3):
     # A fresh table for every example, asked about its subsets in a drawn
-    # order (all of them up to order 3, a drawn handful at orders 5 and 6):
+    # order (all of them up to order 3, a drawn handful at orders 5 and 6
+    # plus one medial and one non-medial subset where the table has them):
     # each subset's first call is a memo miss on a memo that already holds
     # other subsets, the repeat is a hit, and the equal but fresh table
     # misses again.
@@ -258,6 +292,7 @@ def test_memoized_analyses_match_their_definitions(data, catalog2, catalog3):
         masks = data.draw(
             st.lists(st.integers(0, 2 ** len(table) - 1), min_size=1, max_size=6, unique=True)
         )
+        masks += [m for m in _medial_mix(table) if m is not None and m not in masks]
     else:
         table = data.draw(st.sampled_from([S.table for S in catalog2 + catalog3]))
         masks = data.draw(st.permutations(range(2 ** len(table))))

@@ -2,6 +2,7 @@ import pytest
 
 from sglab import (
     ElementSet,
+    FiniteSemigroup,
     OrderTooLarge,
     SweepConfig,
     check_lemma1,
@@ -137,8 +138,14 @@ class TestRunSweep:
             built.append(args)
             return validate(*args, **kwargs)
 
+        def counting_trusted(table):
+            built.append(table)
+            return trusted(table)
+
+        # The sweep builds its tables through the trusted path; count those too.
+        trusted = FiniteSemigroup._from_table
         monkeypatch.setattr(catalog, "validate", counting_validate)
-        monkeypatch.setattr(sweep, "validate", counting_validate)
+        monkeypatch.setattr(FiniteSemigroup, "_from_table", staticmethod(counting_trusted))
         with pytest.raises(OrderTooLarge):
             run_sweep(SweepConfig(max_order=5))
         assert built == []
