@@ -7,6 +7,7 @@ per permutative instance; the remaining criteria re-derive their data
 independently of the sweep where the point is cross-checking.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -30,6 +31,9 @@ from sglab import (
 
 MAX_ORDER = 4
 LABELED_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492}
+# The shared sweep's records, each followed by a newline, as frozen when
+# this pin was added: (record count, sha256).
+SWEEP_DIGEST = (770368, "8c2399c962431f7163b59381c32038fdc4d8b6a190cf454c55c0484b93b5c34e")
 
 
 def _verdict(capsys, number, name, ok):
@@ -191,3 +195,11 @@ def test_criterion_8_byte_identical_verification(capsys):
     ok = first == second == parallel and len(first) > 0
     _verdict(capsys, 8, "verify --order 3 output byte-identical across runs and jobs 1 vs 8",
              ok)
+
+
+def test_shared_sweep_records_are_byte_identical(sweep):
+    sha = hashlib.sha256()
+    for line in sweep.records:
+        sha.update(line.encode())
+        sha.update(b"\n")
+    assert (len(sweep.records), sha.hexdigest()) == SWEEP_DIGEST
