@@ -22,9 +22,10 @@ from .core import (
     identity_element,
     is_commutative,
 )
-from .errors import AmbientMismatch, NotACongruence, OrderTooLarge
+from .errors import NotACongruence, OrderTooLarge
 from .reports import CheckReport, failed, passed, unmet
 from .subsets import (
+    _check_ambient,
     _format_mask,
     _medial,
     _min_member,
@@ -50,6 +51,9 @@ __all__ = [
     "verify_theorem1_forward",
     "verify_theorem1_converse",
     "verify_corollary1",
+    "check_lemma1",
+    "check_lemma2",
+    "check_lemma3",
 ]
 
 
@@ -100,10 +104,6 @@ class Congruence:
 
     def classes(self) -> tuple[ElementSet, ...]:
         """Class contents indexed by class id."""
-        return self._classes
-
-    @cached_attribute
-    def _classes(self) -> tuple[ElementSet, ...]:
         return tuple(ElementSet._from_bits(self.ambient, b) for b in _class_bits(self.class_of))
 
     def __repr__(self):
@@ -140,12 +140,6 @@ class QuotientSemigroup:
         return QuotientKind(e is not None, comm, e)
 
 
-def _check_family(S: FiniteSemigroup, family: Sequence[ElementSet]) -> None:
-    for A in family:
-        if A.ambient != S.order:
-            raise AmbientMismatch(S.order, A.ambient)
-
-
 def _class_bits(class_of: tuple[int, ...]) -> list[int]:
     # Bit mask of each class, indexed by class id.
     bits = [0] * (max(class_of) + 1)
@@ -155,46 +149,45 @@ def _class_bits(class_of: tuple[int, ...]) -> list[int]:
 
 
 # The private accessors below answer from the table's memo (S._memo,
-# one dict per analysis) and compute on a miss.  Subset analyses are
-# keyed by the subset's mask, partition analyses by the canonical
-# class_of.  The verifiers call them after checking the ambient order
-# once at entry.
+# one dict per analysis) and compute on a miss.  Subsets are bit masks
+# throughout: subset analyses are keyed by the mask, partition analyses
+# by the canonical class_of.  The verifiers check the ambient order and
+# take their sets' masks once at entry.
 
 
-def _classes(S: FiniteSemigroup, class_of: tuple[int, ...]) -> tuple[ElementSet, ...]:
-    """The classes of a canonical class_of as the table's interned sets,
-    by class id."""
+def _classes(S: FiniteSemigroup, class_of: tuple[int, ...]) -> tuple[int, ...]:
+    """The class masks of a canonical class_of, by class id."""
     memo = S._memo["partition"]
     out = memo.get(class_of)
     if out is None:
-        out = memo[class_of] = tuple(map(S.subset, _class_bits(class_of)))
+        out = memo[class_of] = tuple(_class_bits(class_of))
     return out
 
 
-def _profile(S: FiniteSemigroup, A: ElementSet) -> tuple[int, ...]:
-    """Canonical class ids of the partition A induces: c and d share a
-    class iff their context masks {(x, y) : x*c*y in A} are equal.
-    Memoized by A's mask."""
+def _profile(S: FiniteSemigroup, bits: int) -> tuple[int, ...]:
+    """Canonical class ids of the partition the subset with mask ``bits``
+    induces: c and d share a class iff their context masks
+    {(x, y) : x*c*y in A} are equal."""
     memo = S._memo["profile"]
-    out = memo.get(A.bits)
+    out = memo.get(bits)
     if out is None:
         # Slice c of the bytes is c's context mask.
-        rows = A.mask[S.word_tensor(3)].transpose(1, 0, 2).tobytes()
+        rows = S.subset(bits).mask[S.word_tensor(3)].transpose(1, 0, 2).tobytes()
         width = S.order**2
         ids: dict[bytes, int] = {}
-        out = memo[A.bits] = tuple(
+        out = memo[bits] = tuple(
             ids.setdefault(rows[i : i + width], len(ids)) for i in range(0, len(rows), width)
         )
     return out
 
 
-def _context_class_of(S: FiniteSemigroup, family: Sequence[ElementSet]) -> tuple[int, ...]:
+def _context_class_of(S: FiniteSemigroup, masks: Sequence[int]) -> tuple[int, ...]:
     # Profile route: a ~ b iff they share a class of every single-set
     # partition, so the family's partition is the common refinement of
     # the cached per-set ones.
-    if len(family) == 1:
-        return _profile(S, family[0])
-    per_set = [_profile(S, A) for A in family]
+    if len(masks) == 1:
+        return _profile(S, masks[0])
+    per_set = [_profile(S, bits) for bits in masks]
     ids: dict[tuple[int, ...], int] = {}
     keys = zip(*per_set) if per_set else [()] * S.order
     return tuple(ids.setdefault(key, len(ids)) for key in keys)
@@ -209,8 +202,8 @@ def p_congruence(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence
     universal relation.  The result is re-checked for compatibility
     before being flagged verified.
     """
-    _check_family(S, family)
-    class_of = _context_class_of(S, family)
+    _check_ambient(S, *family)
+    class_of = _context_class_of(S, [A.bits for A in family])
     ok, w = _compatible(S, class_of)
     if not ok:
         raise NotACongruence(f"induced relation broke compatibility at {w}")
@@ -224,7 +217,7 @@ def p_congruence_pairwise(S: FiniteSemigroup, family: Sequence[ElementSet]) -> C
     with plain table folds; exists solely to cross-check the profile
     route, so it deliberately shares no code with it.
     """
-    _check_family(S, family)
+    _check_ambient(S, *family)
     n = S.order
     t = S.table
     members = [A.members for A in family]
@@ -267,8 +260,7 @@ def is_congruence(
     b*c do not; lexicographically first such triple.  Memoized per
     semigroup and partition.
     """
-    if part.ambient != S.order:
-        raise AmbientMismatch(S.order, part.ambient)
+    _check_ambient(S, part)
     return _compatible(S, part.class_of)
 
 
@@ -304,8 +296,7 @@ def quotient(S: FiniteSemigroup, c: Congruence) -> QuotientSemigroup:
     any partition that merely pretends to be compatible.  Memoized per
     semigroup and partition; a raise is not memoized.
     """
-    if c.ambient != S.order:
-        raise AmbientMismatch(S.order, c.ambient)
+    _check_ambient(S, c)
     return _quotient(S, c.class_of)
 
 
@@ -369,31 +360,50 @@ def enumerate_congruences(S: FiniteSemigroup, order_bound: int = 6) -> list[Cong
     ]
 
 
-def _sep_common(S: FiniteSemigroup, family: Sequence[ElementSet]) -> int:
-    """Mask of the intersection of the separators of the family's sets."""
+# The checks below run as chains of stages.  A stage returns the report
+# that ends the check, or None to go on to the next stage.
+
+
+def _sep_common(S: FiniteSemigroup, masks: Iterable[int]) -> int:
+    """Mask of the intersection of the separators of the given subsets."""
     common = (1 << S.order) - 1
-    for X in family:
-        common &= _separator(S, X.bits)
+    for bits in masks:
+        common &= _separator(S, bits)
     return common
 
 
-def _medial_names(w: tuple[int, int, int, int]) -> tuple[tuple[str, int], ...]:
-    return tuple(zip(("x", "a", "b", "y"), w))
-
-
-def _identity_class_stage(
-    check: str, S: FiniteSemigroup, common: int, ident: int
+def _quotient_stages(
+    check: str,
+    S: FiniteSemigroup,
+    class_of: tuple[int, ...],
+    common: int,
+    noncommutative: str,
+    name_pair: bool,
 ) -> CheckReport | None:
-    """The fail report when the separator intersection is not the
-    identity class of the quotient."""
-    if ident == common:
-        return None
-    return failed(
-        check,
-        (("x", _min_member(ident ^ common)),),
-        f"separator intersection {_format_mask(S, common)} is not the identity class "
-        f"{_format_mask(S, ident)}",
-    )
+    """The forward theorems' conclusion: class_of is a congruence whose
+    quotient is a commutative monoid with identity class ``common``.
+    A monoid quotient that does not commute fails with the theorem's own
+    detail ``noncommutative``, naming the first pair of class ids that
+    do not commute when ``name_pair`` is set."""
+    ok, w = _compatible(S, class_of)
+    if not ok:
+        return failed(check, tuple(zip("abc", w)), "induced relation is not a congruence")
+    Q = _quotient(S, class_of)
+    kind = Q._kind
+    if not kind.is_monoid:
+        return failed(check, None, "quotient has no identity element")
+    if not kind.is_commutative:
+        pair = tuple(zip("ab", is_commutative(Q.quotient)[1])) if name_pair else None
+        return failed(check, pair, noncommutative)
+    ident = _classes(S, class_of)[kind.identity_class]
+    if ident != common:
+        return failed(
+            check,
+            (("x", _min_member(ident ^ common)),),
+            f"separator intersection {_format_mask(S, common)} is not the identity class "
+            f"{_format_mask(S, ident)}",
+        )
+    return None
 
 
 def verify_theorem1_forward(S: FiniteSemigroup, family: Sequence[ElementSet]) -> CheckReport:
@@ -408,31 +418,23 @@ def verify_theorem1_forward(S: FiniteSemigroup, family: Sequence[ElementSet]) ->
     identity class, (vi) every set in the family is a union of classes.
     """
     check = "theorem1-forward"
-    _check_family(S, family)
-    for i, X in enumerate(family):
-        ok, w = _medial(S, X)
+    _check_ambient(S, *family)
+    masks = [X.bits for X in family]
+    for i, bits in enumerate(masks):
+        ok, w = _medial(S, bits)
         if not ok:
-            return unmet(check, f"set {i} not medial", _medial_names(w))
-    common = _sep_common(S, family)
+            return unmet(check, f"set {i} not medial", tuple(zip("xaby", w)))
+    common = _sep_common(S, masks)
     if not common:
         return unmet(check, "intersection of separators is empty")
-    class_of = _context_class_of(S, family)
-    ok, w = _compatible(S, class_of)
-    if not ok:
-        return failed(check, tuple(zip("abc", w)), "induced relation is not a congruence")
-    Q = _quotient(S, class_of)
-    kind = Q._kind
-    if not kind.is_monoid:
-        return failed(check, None, "quotient has no identity element")
-    if not kind.is_commutative:
-        a, b = is_commutative(Q.quotient)[1]
-        return failed(check, (("a", a), ("b", b)), "quotient not commutative (class ids)")
-    classes = [C.bits for C in _classes(S, class_of)]
-    bad = _identity_class_stage(check, S, common, classes[kind.identity_class])
+    class_of = _context_class_of(S, masks)
+    bad = _quotient_stages(
+        check, S, class_of, common, "quotient not commutative (class ids)", name_pair=True
+    )
     if bad is not None:
         return bad
-    for i, X in enumerate(family):
-        bits = X.bits
+    classes = _classes(S, class_of)
+    for i, bits in enumerate(masks):
         if any(C & bits and C & ~bits for C in classes):
             a, b = _split_pair(bits, class_of)
             return failed(
@@ -455,6 +457,19 @@ def _split_pair(bits: int, class_of: tuple[int, ...]) -> tuple[int, int]:
     raise ValueError("the set is a union of classes")
 
 
+def _monoid_congruence(
+    check: str, S: FiniteSemigroup, class_of: tuple[int, ...]
+) -> CheckReport | None:
+    """The converses' hypothesis: class_of is a congruence whose quotient
+    is a monoid; precondition-unmet otherwise."""
+    ok, w = _compatible(S, class_of)
+    if not ok:
+        return unmet(check, "not a congruence", tuple(zip("abc", w)))
+    if not _quotient(S, class_of)._kind.is_monoid:
+        return unmet(check, "quotient is not a monoid")
+    return None
+
+
 def verify_theorem1_converse(S: FiniteSemigroup, sigma: Congruence) -> CheckReport:
     """Every commutative monoid congruence arises from its own classes.
 
@@ -463,31 +478,26 @@ def verify_theorem1_converse(S: FiniteSemigroup, sigma: Congruence) -> CheckRepo
     identity class, and induce itself back via p_congruence.
     """
     check = "theorem1-converse"
-    if sigma.ambient != S.order:
-        raise AmbientMismatch(S.order, sigma.ambient)
+    _check_ambient(S, sigma)
     class_of = sigma.class_of
-    ok, w = _compatible(S, class_of)
-    if not ok:
-        return unmet(check, "not a congruence", tuple(zip("abc", w)))
-    kind = _quotient(S, class_of)._kind
-    if not kind.is_monoid:
-        return unmet(check, "quotient is not a monoid")
-    if not kind.is_commutative:
+    bad = _monoid_congruence(check, S, class_of)
+    if bad is not None:
+        return bad
+    if not _quotient(S, class_of)._kind.is_commutative:
         return unmet(check, "quotient is not commutative")
-    classes = _classes(S, class_of)
-    for i, X in enumerate(classes):
-        ok, w = _medial(S, X)
+    for i, bits in enumerate(_classes(S, class_of)):
+        ok, w = _medial(S, bits)
         if not ok:
-            return failed(check, (("i", i),) + _medial_names(w), f"class {i} not medial")
-    return _induces_itself(check, S, class_of, classes, classes[kind.identity_class].bits)
+            return failed(check, (("i", i),) + tuple(zip("xaby", w)), f"class {i} not medial")
+    return _induces_itself(check, S, class_of)
 
 
-def _induces_itself(
-    check: str, S: FiniteSemigroup, class_of: tuple[int, ...], classes: tuple[ElementSet, ...],
-    ident: int,
-) -> CheckReport:
-    """The converse theorems' last stages: the classes' separators meet
-    in the identity class, and the classes induce the partition back."""
+def _induces_itself(check: str, S: FiniteSemigroup, class_of: tuple[int, ...]) -> CheckReport:
+    """The converses' last stages, on a monoid congruence: the classes'
+    separators meet in the identity class, and the classes induce the
+    partition back."""
+    classes = _classes(S, class_of)
+    ident = classes[_quotient(S, class_of)._kind.identity_class]
     common = _sep_common(S, classes)
     if common != ident:
         return failed(
@@ -511,19 +521,34 @@ def _first_disagreement(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, in
     raise ValueError("partitions are equal")
 
 
+def _separator_structure(check: str, S: FiniteSemigroup, T: int) -> CheckReport | None:
+    """The corollaries' shared stages on the separator with mask T: the
+    pass report when it is empty, a fail report when it is not a
+    reflexive unitary subsemigroup."""
+    if not T:
+        return passed(check, "separator empty")
+    ok, w = _subsemigroup(S, T)
+    if not ok:
+        return failed(check, tuple(zip("ab", w)), "separator not closed under product")
+    ok, w = _reflexive(S, T)
+    if not ok:
+        return failed(check, tuple(zip("ab", w)), "separator not reflexive")
+    w = _unitary(S, T)[2]
+    if w is not None:
+        return failed(check, tuple(zip("ab", w)), "separator not unitary")
+    return None
+
+
 def verify_corollary1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     """The separator of a medial subset is empty or a reflexive unitary
     subsemigroup, and separating twice changes nothing."""
     check = "corollary1"
-    if A.ambient != S.order:
-        raise AmbientMismatch(S.order, A.ambient)
-    ok, w = _medial(S, A)
+    _check_ambient(S, A)
+    ok, w = _medial(S, A.bits)
     if not ok:
-        return unmet(check, "subset not medial", _medial_names(w))
+        return unmet(check, "subset not medial", tuple(zip("xaby", w)))
     T = _separator(S, A.bits)
-    if not T:
-        return passed(check, "separator empty")
-    bad = _separator_structure_stages(check, S, T)
+    bad = _separator_structure(check, S, T)
     if bad is not None:
         return bad
     T2 = _separator(S, T)
@@ -536,16 +561,54 @@ def verify_corollary1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     return passed(check, f"separator {_format_mask(S, T)}")
 
 
-def _separator_structure_stages(check: str, S: FiniteSemigroup, T: int) -> CheckReport | None:
-    """The fail report when the nonempty separator with mask T is not a
-    reflexive unitary subsemigroup (the corollaries' shared stages)."""
+def check_lemma1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
+    """Separators are empty or closed under the product."""
+    _check_ambient(S, A)
+    T = _separator(S, A.bits)
+    if not T:
+        return passed("lemma1", "separator empty")
     ok, w = _subsemigroup(S, T)
     if not ok:
-        return failed(check, tuple(zip("ab", w)), "separator not closed under product")
-    ok, w = _reflexive(S, T)
+        return failed("lemma1", tuple(zip("ab", w)), "separator not closed")
+    return passed("lemma1", f"separator {_format_mask(S, T)}")
+
+
+def check_lemma2(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
+    """A nonempty separator sits wholly inside A or wholly outside it."""
+    _check_ambient(S, A)
+    bits = A.bits
+    T = _separator(S, bits)
+    if not T:
+        return unmet("lemma2", "separator empty")
+    inside = T & bits
+    outside = T & ~bits
+    if inside and outside:
+        return failed(
+            "lemma2",
+            (("a", _min_member(inside)), ("b", _min_member(outside))),
+            "separator straddles the subset boundary",
+        )
+    side = "subset" if inside else "complement"
+    return passed("lemma2", f"separator within {side}")
+
+
+def check_lemma3(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
+    """A subsemigroup is two-sided unitary exactly when it equals its
+    own separator."""
+    _check_ambient(S, A)
+    bits = A.bits
+    ok, _ = _subsemigroup(S, bits)
     if not ok:
-        return failed(check, tuple(zip("ab", w)), "separator not reflexive")
-    w = _unitary(S, T)[2]
-    if w is not None:
-        return failed(check, tuple(zip("ab", w)), "separator not unitary")
-    return None
+        return unmet("lemma3", "not a subsemigroup")
+    T = _separator(S, bits)
+    w = _unitary(S, bits)[2]
+    unitary = w is None
+    fixed = T == bits
+    if unitary and not fixed:
+        return failed(
+            "lemma3", (("x", _min_member(T ^ bits)),),
+            f"unitary but separator is {_format_mask(S, T)}",
+        )
+    if fixed and not unitary:
+        return failed("lemma3", tuple(zip("ab", w)), "equals its separator but not unitary")
+    return passed("lemma3", "unitary and fixed" if unitary else "neither side holds")

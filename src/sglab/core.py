@@ -63,6 +63,10 @@ _WORD_TENSOR_CELLS = 1 << 26
 _TRIPLE_SECONDS = 40e-9
 _VALIDATE_SECONDS = 10.0
 
+# The types an element index may have: a float, string or other number
+# is refused, never truncated.
+_INDEX_TYPES = (int, np.integer)
+
 
 class cached_attribute:
     """A computed attribute stored in the instance dict on first read.
@@ -109,13 +113,12 @@ class FiniteSemigroup:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.table)
+        rows = tuple(tuple(row) for row in self.table)
         n = len(rows)
         if n < 1:
             raise ValueError("a semigroup needs at least one element")
         if any(len(row) != n for row in rows):
             raise ValueError("table must be square")
-        object.__setattr__(self, "table", rows)
         est = n**3 * _TRIPLE_SECONDS
         if est > _VALIDATE_SECONDS:
             raise WorkBudgetExceeded(
@@ -123,10 +126,12 @@ class FiniteSemigroup:
                 f"about {est:.3g} s",
                 f"{_VALIDATE_SECONDS:g} s",
             )
-        for a in range(n):
-            for b in range(n):
-                if not 0 <= rows[a][b] < n:
-                    raise OutOfRangeEntry(a, b, rows[a][b])
+        for a, row in enumerate(rows):
+            for b, v in enumerate(row):
+                if not isinstance(v, _INDEX_TYPES) or not 0 <= v < n:
+                    raise OutOfRangeEntry(a, b, v)
+        rows = tuple(tuple(map(int, row)) for row in rows)
+        object.__setattr__(self, "table", rows)
         for a in range(n):
             ra = rows[a]
             for b in range(n):
@@ -237,7 +242,8 @@ def validate(
 ) -> FiniteSemigroup:
     """Construct a semigroup, raising on the first axiom violation.
 
-    Errors carry witnesses: OutOfRangeEntry the first bad cell,
+    Errors carry witnesses: OutOfRangeEntry the first cell, in row-major
+    order, that is not an integer in [0, n);
     NotAssociative the lexicographically first bad triple (a, b, c).
     """
     return FiniteSemigroup(
@@ -252,7 +258,7 @@ def word_product(S: FiniteSemigroup, w: Sequence[int]) -> int:
         raise EmptyWord()
     n = S.order
     for x in w:
-        if not isinstance(x, (int, np.integer)) or not 0 <= x < n:
+        if not isinstance(x, _INDEX_TYPES) or not 0 <= x < n:
             raise IndexOutOfRange(x, n)
     t = S.table
     acc = w[0]
@@ -276,15 +282,15 @@ class ElementSet:
     bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members = frozenset(int(x) for x in self.members)
         if self.ambient < 1:
             raise ValueError("ambient order must be positive")
+        members = frozenset(self.members)
         bits = 0
         for x in members:
-            if not 0 <= x < self.ambient:
+            if not isinstance(x, _INDEX_TYPES) or not 0 <= x < self.ambient:
                 raise IndexOutOfRange(x, self.ambient)
-            bits |= 1 << x
-        object.__setattr__(self, "members", members)
+            bits |= 1 << int(x)
+        object.__setattr__(self, "members", frozenset(map(int, members)))
         object.__setattr__(self, "bits", bits)
 
     @classmethod

@@ -20,20 +20,17 @@ import numpy as np
 
 from .congruences import (
     Congruence,
-    _classes,
-    _compatible,
     _context_class_of,
-    _identity_class_stage,
     _induces_itself,
-    _medial_names,
-    _quotient,
+    _monoid_congruence,
+    _quotient_stages,
     _sep_common,
-    _separator_structure_stages,
+    _separator_structure,
 )
-from .core import ElementSet, FiniteSemigroup, PowerChain, power_set_chain
-from .errors import AmbientMismatch, WorkBudgetExceeded
+from .core import _INDEX_TYPES, ElementSet, FiniteSemigroup, PowerChain, power_set_chain
+from .errors import WorkBudgetExceeded
 from .reports import CheckReport, failed, passed, unmet
-from .subsets import _format_mask, _medial, _separator
+from .subsets import _check_ambient, _format_mask, _medial, _separator
 
 __all__ = [
     "PermutationIdentity",
@@ -61,7 +58,10 @@ class PermutationIdentity:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))
+        perm = tuple(self.perm)
+        if not all(isinstance(p, _INDEX_TYPES) for p in perm):
+            raise ValueError(f"{perm} has an image that is not an integer")
+        object.__setattr__(self, "perm", tuple(map(int, perm)))
         if self.length < 2:
             raise ValueError("identities need length at least 2")
         if len(self.perm) != self.length:
@@ -178,7 +178,7 @@ def lemma4_minimal_k(S: FiniteSemigroup) -> Lemma4Result:
 
 
 def _witness_holds(
-    S: FiniteSemigroup, ident: PermutationIdentity, check: str
+    check: str, S: FiniteSemigroup, ident: PermutationIdentity
 ) -> CheckReport | None:
     ok, w = satisfies_identity(S, ident)
     if ok:
@@ -202,43 +202,29 @@ def verify_theorem2_forward(
     by a different route than the monoid structure itself.
     """
     check = "theorem2-forward"
-    for X in family:
-        if X.ambient != S.order:
-            raise AmbientMismatch(S.order, X.ambient)
-    bad = _witness_holds(S, permutation_witness, check)
+    _check_ambient(S, *family)
+    masks = [X.bits for X in family]
+    bad = _witness_holds(check, S, permutation_witness)
     if bad is not None:
         return bad
-    common = _sep_common(S, family)
+    common = _sep_common(S, masks)
     if not common:
         return unmet(check, "intersection of separators is empty")
-    for i, X in enumerate(family):
-        if not _separator(S, X.bits):
-            continue
-        ok, w = _medial(S, X)
+    # Every set is separated: each separator contains the intersection.
+    for i, bits in enumerate(masks):
+        ok, w = _medial(S, bits)
         if not ok:
             return failed(
                 check,
-                (("i", i),) + _medial_names(w),
+                (("i", i),) + tuple(zip("xaby", w)),
                 f"set {i} has a nonempty separator but is not medial",
             )
-    class_of = _context_class_of(S, family)
-    ok, w = _compatible(S, class_of)
-    if not ok:
-        return failed(check, tuple(zip("abc", w)), "induced relation is not a congruence")
-    kind = _quotient(S, class_of)._kind
-    if not kind.is_monoid:
-        return failed(check, None, "quotient has no identity element")
-    if not kind.is_commutative:
-        return failed(
-            check,
-            None,
-            "quotient monoid not commutative; commutativity asserted beyond the monoid claim",
-        )
-    ident = _classes(S, class_of)[kind.identity_class].bits
-    bad = _identity_class_stage(check, S, common, ident)
-    if bad is not None:
-        return bad
-    return passed(check, f"identity class {_format_mask(S, common)}")
+    bad = _quotient_stages(
+        check, S, _context_class_of(S, masks), common,
+        "quotient monoid not commutative; commutativity asserted beyond the monoid claim",
+        name_pair=False,
+    )
+    return bad or passed(check, f"identity class {_format_mask(S, common)}")
 
 
 def verify_theorem2_converse(
@@ -248,20 +234,12 @@ def verify_theorem2_converse(
     own classes: separators intersect in the identity class and the
     induced congruence is the original."""
     check = "theorem2-converse"
-    if sigma.ambient != S.order:
-        raise AmbientMismatch(S.order, sigma.ambient)
-    bad = _witness_holds(S, permutation_witness, check)
-    if bad is not None:
-        return bad
-    class_of = sigma.class_of
-    ok, w = _compatible(S, class_of)
-    if not ok:
-        return unmet(check, "not a congruence", tuple(zip("abc", w)))
-    kind = _quotient(S, class_of)._kind
-    if not kind.is_monoid:
-        return unmet(check, "quotient is not a monoid")
-    classes = _classes(S, class_of)
-    return _induces_itself(check, S, class_of, classes, classes[kind.identity_class].bits)
+    _check_ambient(S, sigma)
+    return (
+        _witness_holds(check, S, permutation_witness)
+        or _monoid_congruence(check, S, sigma.class_of)
+        or _induces_itself(check, S, sigma.class_of)
+    )
 
 
 def verify_corollary2(
@@ -271,18 +249,12 @@ def verify_corollary2(
     subset (no mediality needed) is empty or a reflexive unitary
     subsemigroup."""
     check = "corollary2"
-    if A.ambient != S.order:
-        raise AmbientMismatch(S.order, A.ambient)
-    bad = _witness_holds(S, permutation_witness, check)
+    _check_ambient(S, A)
+    bad = _witness_holds(check, S, permutation_witness)
     if bad is not None:
         return bad
     T = _separator(S, A.bits)
-    if not T:
-        return passed(check, "separator empty")
-    bad = _separator_structure_stages(check, S, T)
-    if bad is not None:
-        return bad
-    return passed(check, f"separator {_format_mask(S, T)}")
+    return _separator_structure(check, S, T) or passed(check, f"separator {_format_mask(S, T)}")
 
 
 def parse_permutation(text: str) -> PermutationIdentity:

@@ -30,9 +30,11 @@ __all__ = [
 ]
 
 
-def _check_ambient(S: FiniteSemigroup, A: ElementSet) -> None:
-    if A.ambient != S.order:
-        raise AmbientMismatch(S.order, A.ambient)
+def _check_ambient(S: FiniteSemigroup, *items) -> None:
+    """Raise AmbientMismatch for the first set or congruence not over S's elements."""
+    for X in items:
+        if X.ambient != S.order:
+            raise AmbientMismatch(S.order, X.ambient)
 
 
 def idealizer(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
@@ -70,9 +72,9 @@ def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
 
 # The private accessors below answer from the table's memo (S._memo,
 # one dict per analysis, keyed by the subset's bit mask) and compute on
-# a miss.  They take the mask, or the set itself where a numpy mask is
-# needed.  The verifiers call them after checking the ambient order
-# once at entry.
+# a miss.  They take the mask; a numpy view, where one is needed, is the
+# interned set's (S.subset(bits).mask).  The verifiers call them after
+# checking the ambient order once at entry.
 
 
 def _separator(S: FiniteSemigroup, bits: int) -> int:
@@ -106,13 +108,10 @@ def is_medial(
     but x*b*a*y outside it.  Memoized per semigroup and subset.
     """
     _check_ambient(S, A)
-    return _medial(S, A)
+    return _medial(S, A.bits)
 
 
-def _medial(S: FiniteSemigroup, A: ElementSet) -> tuple[bool, tuple[int, int, int, int] | None]:
-    # Memoized by A's mask, like the bit-level accessors; A's own numpy
-    # mask serves the witness search.
-    bits = A.bits
+def _medial(S: FiniteSemigroup, bits: int) -> tuple[bool, tuple[int, int, int, int] | None]:
     memo = S._memo["medial"]
     out = memo.get(bits)
     if out is None:
@@ -122,7 +121,7 @@ def _medial(S: FiniteSemigroup, A: ElementSet) -> tuple[bool, tuple[int, int, in
         outside = ~bits
         for u in range(S.order):
             if bits >> u & 1 and linked[u] & outside:
-                inside = A.mask[S.word_tensor(4)]
+                inside = S.subset(bits).mask[S.word_tensor(4)]
                 x, a, b, y = np.argwhere(inside & ~inside.swapaxes(1, 2))[0]
                 out = False, (int(x), int(a), int(b), int(y))
                 break

@@ -23,6 +23,9 @@ from typing import Sequence
 from .catalog import catalog_line, enumerate_semigroups
 from .congruences import (
     _classes,
+    check_lemma1,
+    check_lemma2,
+    check_lemma3,
     enumerate_congruences,
     verify_corollary1,
     verify_theorem1_converse,
@@ -39,15 +42,7 @@ from .permutative import (
     verify_theorem2_forward,
 )
 from .reports import FAIL, CheckReport, failed, passed, unmet
-from .subsets import (
-    _check_ambient,
-    _format_mask,
-    _min_member,
-    _separator,
-    _subsemigroup,
-    _unitary,
-    format_subset,
-)
+from .subsets import format_subset
 
 __all__ = [
     "SweepConfig",
@@ -116,59 +111,6 @@ class SweepReport:
         return lines
 
 
-def check_lemma1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
-    """Separators are empty or closed under the product."""
-    _check_ambient(S, A)
-    T = _separator(S, A.bits)
-    if not T:
-        return passed("lemma1", "separator empty")
-    ok, w = _subsemigroup(S, T)
-    if not ok:
-        return failed("lemma1", tuple(zip("ab", w)), "separator not closed")
-    return passed("lemma1", f"separator {_format_mask(S, T)}")
-
-
-def check_lemma2(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
-    """A nonempty separator sits wholly inside A or wholly outside it."""
-    _check_ambient(S, A)
-    bits = A.bits
-    T = _separator(S, bits)
-    if not T:
-        return unmet("lemma2", "separator empty")
-    inside = T & bits
-    outside = T & ~bits
-    if inside and outside:
-        return failed(
-            "lemma2",
-            (("a", _min_member(inside)), ("b", _min_member(outside))),
-            "separator straddles the subset boundary",
-        )
-    side = "subset" if inside else "complement"
-    return passed("lemma2", f"separator within {side}")
-
-
-def check_lemma3(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
-    """A subsemigroup is two-sided unitary exactly when it equals its
-    own separator."""
-    _check_ambient(S, A)
-    bits = A.bits
-    ok, _ = _subsemigroup(S, bits)
-    if not ok:
-        return unmet("lemma3", "not a subsemigroup")
-    T = _separator(S, bits)
-    w = _unitary(S, bits)[2]
-    unitary = w is None
-    fixed = T == bits
-    if unitary and not fixed:
-        return failed(
-            "lemma3", (("x", _min_member(T ^ bits)),),
-            f"unitary but separator is {_format_mask(S, T)}",
-        )
-    if fixed and not unitary:
-        return failed("lemma3", tuple(zip("ab", w)), "equals its separator but not unitary")
-    return passed("lemma3", "unitary and fixed" if unitary else "neither side holds")
-
-
 def _table_hash(S: FiniteSemigroup) -> str:
     return hashlib.sha256(catalog_line(S).encode()).hexdigest()[:12]
 
@@ -209,21 +151,22 @@ def _instance_checks(
         for case, A in subsets:
             out.append((case, verify_corollary1(S, A)))
 
-    congruences = None
     if _wants(cfg, "1") or _wants(cfg, "2"):
-        # Each congruence with its classes as the table's interned sets.
+        # Each congruence with its classes as the table's interned sets,
+        # and the theorem families: singletons, then class families.
         congruences = []
         for sigma in enumerate_congruences(S):
-            classes = _classes(S, sigma.class_of)
+            classes = tuple(map(S.subset, _classes(S, sigma.class_of)))
             congruences.append((_family_literal(classes), sigma, classes))
+        families = []
+        if cfg.family_mode != "congruence-classes":
+            families += [(case, [A]) for case, A in subsets]
+        if cfg.family_mode != "singletons-and-all-subsets":
+            families += [(case, classes) for case, _, classes in congruences]
 
     if _wants(cfg, "1"):
-        if cfg.family_mode in ("default", "singletons-and-all-subsets"):
-            for case, A in subsets:
-                out.append((case, verify_theorem1_forward(S, [A])))
-        if cfg.family_mode in ("default", "congruence-classes"):
-            for case, _, classes in congruences:
-                out.append((case, verify_theorem1_forward(S, classes)))
+        for case, fam in families:
+            out.append((case, verify_theorem1_forward(S, fam)))
         for case, sigma, _ in congruences:
             out.append((case, verify_theorem1_converse(S, sigma)))
 
@@ -238,35 +181,19 @@ def _instance_checks(
         if witness is None:
             out.append(("-", unmet("permutation-identity", why)))
         else:
-            out.append(
-                ("-", passed("permutation-identity", f"n={witness.length} "
-                             f"{format_permutation(witness)}"))
-            )
+            detail = f"n={witness.length} {format_permutation(witness)}"
+            out.append(("-", passed("permutation-identity", detail)))
         if witness is not None and _wants(cfg, "2"):
             res = lemma4_minimal_k(S)
             if res.k is not None:
                 out.append(("-", passed("lemma4", f"k={res.k}")))
             else:
-                k, (u, x, y, v) = res.counterexamples[0]
-                out.append(
-                    (
-                        "-",
-                        failed(
-                            "lemma4",
-                            (("k", k), ("u", u), ("x", x), ("y", y), ("v", v)),
-                            "no exponent works along the whole power chain",
-                        ),
-                    )
-                )
-            if cfg.family_mode in ("default", "singletons-and-all-subsets"):
-                for case, A in subsets:
-                    out.append((case, verify_theorem2_forward(S, [A], witness)))
-            if cfg.family_mode in ("default", "congruence-classes"):
-                for case, _, classes in congruences:
-                    out.append((case, verify_theorem2_forward(S, classes, witness)))
-            for masks in _random_families(cfg, order, idx):
-                fam = tuple(map(S.subset, masks))
-                out.append((_family_literal(fam), verify_theorem2_forward(S, fam, witness)))
+                k, w = res.counterexamples[0]
+                out.append(("-", failed("lemma4", tuple(zip("kuxyv", (k, *w))),
+                                        "no exponent works along the whole power chain")))
+            randoms = [tuple(map(S.subset, masks)) for masks in _random_families(cfg, order, idx)]
+            for case, fam in families + [(_family_literal(fam), fam) for fam in randoms]:
+                out.append((case, verify_theorem2_forward(S, fam, witness)))
             for case, sigma, _ in congruences:
                 out.append((case, verify_theorem2_converse(S, sigma, witness)))
         if witness is not None and _wants(cfg, "cor2"):

@@ -362,13 +362,14 @@ class TestMemo:
                 # marked verified (only is_congruence vouches for one).
                 assert not isinstance(value, BaseException), kind
                 assert not (isinstance(value, Congruence) and value.verified), kind
-        # Interned partitions are the classes of their own class_of, as
-        # the table's interned sets.
+        # Each memoized partition holds the class masks of its own
+        # class_of, by class id, and the sweep interned every class.
         for class_of, classes in kinds["partition"].items():
-            assert tuple(C.bits for C in classes) == tuple(
+            assert all(type(C) is int for C in classes)
+            assert classes == tuple(
                 sum(1 << x for x in range(4) if class_of[x] == c) for c in range(max(class_of) + 1)
             )
-            assert all(C is S.subset(C.bits) for C in classes)
+            assert all(S._subsets[C].bits == C for C in classes)
         assert len(S._subsets) <= 2**4
         assert all(A.bits == bits for bits, A in S._subsets.items())
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +42,25 @@ class TestValidate:
     def test_out_of_range_entry(self):
         with pytest.raises(OutOfRangeEntry):
             validate([[0, 2], [0, 1]])
+
+    @pytest.mark.parametrize(
+        "table,cell",
+        [
+            ([[0.9, 0], [0, 1.7]], (0, 0, 0.9)),
+            ([["1", 0], [0, 1]], (0, 0, "1")),
+            ([[0, 0], [0, 1.0]], (1, 1, 1.0)),
+            ([[0, 0], [2, 0.5]], (1, 0, 2)),
+        ],
+    )
+    def test_non_integer_entry_is_refused_not_truncated(self, table, cell):
+        with pytest.raises(OutOfRangeEntry) as e:
+            validate(table)
+        assert (e.value.row, e.value.col, e.value.value) == cell
+
+    def test_numpy_integer_entries_become_ints(self):
+        S = validate(np.array([[0, 1], [1, 0]]))
+        assert S.table == ((0, 1), (1, 0))
+        assert all(type(v) is int for row in S.table for v in row)
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -215,6 +235,16 @@ class TestElementSet:
     def test_out_of_range_member(self):
         with pytest.raises(IndexOutOfRange):
             ElementSet.of(2, [5])
+
+    @pytest.mark.parametrize("members", [{0.5, 2.9}, {2.0}, {"1"}])
+    def test_non_integer_member_is_refused_not_truncated(self, members):
+        with pytest.raises(IndexOutOfRange):
+            ElementSet(3, members)
+
+    def test_numpy_integer_members_become_ints(self):
+        A = ElementSet.of(3, [np.int64(2), 0])
+        assert A.indices == (0, 2) and A.bits == 0b101
+        assert all(type(x) is int for x in A.members)
 
     def test_intersection_requires_same_ambient(self):
         with pytest.raises(ValueError):

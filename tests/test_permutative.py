@@ -1,5 +1,6 @@
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +46,15 @@ class TestPermutationIdentityType:
     def test_invalid(self, images):
         with pytest.raises(ValueError):
             PermutationIdentity.of(images)
+
+    @pytest.mark.parametrize("images", [(2.0, 1.0), (1, 3.5, 2), ("2", "1")])
+    def test_non_integer_images_are_refused_not_truncated(self, images):
+        with pytest.raises(ValueError):
+            PermutationIdentity.of(images)
+
+    def test_numpy_integer_images_become_ints(self):
+        p = PermutationIdentity.of(np.array([2, 1]))
+        assert p.perm == (2, 1) and all(type(i) is int for i in p.perm)
 
     def test_literal_round_trip(self):
         p = parse_permutation("perm 2 1 3")
