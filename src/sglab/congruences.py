@@ -548,9 +548,9 @@ def verify_corollary1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     if not ok:
         return unmet(check, "subset not medial", tuple(zip("xaby", w)))
     T = _separator(S, A.bits)
-    bad = _separator_structure(check, S, T)
-    if bad is not None:
-        return bad
+    rep = _separator_structure(check, S, T)
+    if rep is not None:
+        return rep
     T2 = _separator(S, T)
     if T2 != T:
         return failed(
