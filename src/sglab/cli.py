@@ -9,8 +9,10 @@ any failing check under verify), 2 for usage, parse, and I/O problems.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+from itertools import islice
 from typing import Sequence
 
 from .catalog import catalog_line, enumerate_semigroups
@@ -19,7 +21,7 @@ from .core import format_sg, read_sg
 from .errors import DuplicateLabel, NotACongruence, NotAssociative, SgFormatError, SglabError
 from .permutative import find_permutation_identity, format_permutation, lemma4_minimal_k
 from .subsets import format_subset, idealizer, is_medial, parse_subset, separator
-from .sweep import FAMILY_MODES, THEOREM_GROUPS, SweepConfig, run_sweep
+from .sweep import FAMILY_MODES, THEOREM_GROUPS, SweepConfig, SweepTally, iter_sweep
 
 __all__ = ["run_command", "main"]
 
@@ -149,20 +151,26 @@ def cmd_verify(args) -> int:
         parallelism=args.jobs,
         theorem=args.theorem,
     )
-    report = run_sweep(cfg)
-    if args.structured:
-        # Bounded chunks: one write per line costs more than the checks
-        # behind it, and one write of every record would double the
-        # resident set.
-        records = report.records
-        for i in range(0, len(records), _RECORDS_PER_WRITE):
-            sys.stdout.write("\n".join(records[i : i + _RECORDS_PER_WRITE]) + "\n")
-    else:
-        for line in report.summary_lines():
-            print(line)
-        for line in report.fails:
-            print(f"FAIL {line}")
-    return 1 if report.fails else 0
+    tally = SweepTally()
+    # Closing the sweep on the way out, also when the reader hangs up,
+    # stops its workers there and then.
+    with contextlib.closing(iter_sweep(cfg)) as instances:
+        if args.structured:
+            # Records go out as instances finish, in writes of a fixed
+            # number of lines: one write per line costs more than the
+            # checks behind it, and holding every record until the end
+            # would make the whole output resident.
+            lines = tally.lines(instances)
+            while chunk := list(islice(lines, _RECORDS_PER_WRITE)):
+                sys.stdout.write("\n".join(chunk) + "\n")
+        else:
+            for rows in instances:
+                tally.add(rows)
+            for line in tally.report().summary_lines():
+                print(line)
+            for line in tally.fails:
+                print(f"FAIL {line}")
+    return 1 if tally.fails else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

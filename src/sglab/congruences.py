@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
+    _INDEX_TYPES,
     ElementSet,
     FiniteSemigroup,
     cached_attribute,
     identity_element,
     is_commutative,
 )
-from .errors import NotACongruence, OrderTooLarge
+from .errors import IndexOutOfRange, NotACongruence, OrderTooLarge
 from .reports import CheckReport, failed, passed, unmet
 from .subsets import (
     _check_ambient,
@@ -89,18 +90,14 @@ class Congruence:
         assign = [-1] * ambient
         for pid, part in enumerate(parts):
             for x in part:
-                if not 0 <= x < ambient:
-                    raise ValueError(f"element {x} outside [0, {ambient})")
+                if not isinstance(x, _INDEX_TYPES) or not 0 <= x < ambient:
+                    raise IndexOutOfRange(x, ambient)
                 if assign[x] != -1:
                     raise ValueError(f"element {x} appears in two classes")
                 assign[x] = pid
         if -1 in assign:
             raise ValueError(f"element {assign.index(-1)} missing from the partition")
         return cls(ambient, tuple(assign))
-
-    @property
-    def n_classes(self) -> int:
-        return max(self.class_of) + 1
 
     def classes(self) -> tuple[ElementSet, ...]:
         """Class contents indexed by class id."""
@@ -131,7 +128,6 @@ class QuotientSemigroup:
 
     quotient: FiniteSemigroup
     projection: tuple[int, ...]
-    source_order: int
 
     @cached_attribute
     def _kind(self) -> QuotientKind:
@@ -318,7 +314,7 @@ def _quotient(S: FiniteSemigroup, cls: tuple[int, ...]) -> QuotientSemigroup:
                     )
         # Every product of classes is well defined, so the projection is
         # a homomorphism onto the table, which is therefore associative.
-        Q = memo[cls] = QuotientSemigroup(FiniteSemigroup._from_table(qtable), cls, S.order)
+        Q = memo[cls] = QuotientSemigroup(FiniteSemigroup._from_table(qtable), cls)
     return Q
 
 

@@ -62,13 +62,17 @@ class IndexOutOfRange(SglabError):
 
 
 class AmbientMismatch(SglabError):
-    def __init__(self, expected: int, got: int):
-        super().__init__(expected, got)
+    """A subset or congruence lives over another number of elements than
+    the semigroup it is asked about; ``kind`` names which it is."""
+
+    def __init__(self, expected: int, got: int, kind: str = "subset"):
+        super().__init__(expected, got, kind)
         self.expected = expected
         self.got = got
+        self.kind = kind
 
     def __str__(self) -> str:
-        return f"subset lives over {self.got} elements, semigroup has {self.expected}"
+        return f"{self.kind} lives over {self.got} elements, semigroup has {self.expected}"
 
 
 class OrderTooLarge(SglabError):

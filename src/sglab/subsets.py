@@ -34,7 +34,8 @@ def _check_ambient(S: FiniteSemigroup, *items) -> None:
     """Raise AmbientMismatch for the first set or congruence not over S's elements."""
     for X in items:
         if X.ambient != S.order:
-            raise AmbientMismatch(S.order, X.ambient)
+            kind = "subset" if isinstance(X, ElementSet) else "congruence"
+            raise AmbientMismatch(S.order, X.ambient, kind)
 
 
 def idealizer(S: FiniteSemigroup, A: ElementSet) -> ElementSet:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import Pool
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .catalog import catalog_line, enumerate_semigroups
 from .congruences import (
@@ -47,14 +47,19 @@ from .subsets import format_subset
 __all__ = [
     "SweepConfig",
     "SweepReport",
+    "SweepTally",
     "check_lemma1",
     "check_lemma2",
     "check_lemma3",
+    "iter_sweep",
     "run_sweep",
 ]
 
 FAMILY_MODES = ("default", "singletons-and-all-subsets", "congruence-classes")
 THEOREM_GROUPS = ("all", "1", "2", "cor1", "cor2", "lemmas")
+
+# One check's output: its record line, check name and status.
+Row = tuple[str, str, str]
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,7 @@ def _instance_checks(
 
 def _instance_worker(
     item: tuple[SweepConfig, int, int, tuple[tuple[int, ...], ...]]
-) -> list[tuple[str, str, str]]:
+) -> list[Row]:
     cfg, order, idx, table = item
     # The table comes from enumerate_semigroups, which validated it.
     S = FiniteSemigroup._from_table(table)
@@ -216,14 +221,15 @@ def _instance_worker(
     ]
 
 
-def run_sweep(cfg: SweepConfig) -> SweepReport:
-    """Run every configured check over the catalog and aggregate.
+def iter_sweep(cfg: SweepConfig) -> Iterator[list[Row]]:
+    """Each catalog instance's (record line, check, status) rows, in catalog order.
 
-    Work is split per instance; records keep catalog order regardless of
-    parallelism, so two sweeps with the same config are byte-identical.
-    Orders above the catalog's default bound raise OrderTooLarge before
-    any order is enumerated, and no more worker processes start than
-    there are CPUs.
+    Rows come as the instances are done, so a consumer that writes and
+    drops them holds one instance's records at a time.  The order is
+    the same for every parallelism.  Orders above the catalog's default
+    bound raise OrderTooLarge from this call, before any table is built;
+    no more worker processes start than there are CPUs.  Close the
+    iterator to stop a parallel sweep early.
     """
     # Each call checks its order against the bound, so every order is
     # checked before the first table is built.
@@ -231,19 +237,52 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                 for order in range(cfg.min_order, cfg.max_order + 1)]
     items = [(cfg, order, idx, S.table)
              for order, catalog in catalogs for idx, S in enumerate(catalog)]
-    workers = min(cfg.parallelism, os.cpu_count() or 1)
+    return _instance_rows(items, min(cfg.parallelism, os.cpu_count() or 1))
+
+
+def _instance_rows(items, workers: int) -> Iterator[list[Row]]:
     if workers > 1:
+        # imap hands results back in submission order; leaving the block,
+        # also on close, terminates the workers.
         with Pool(workers) as pool:
-            per_instance = pool.map(_instance_worker, items, chunksize=8)
+            yield from pool.imap(_instance_worker, items, chunksize=8)
     else:
-        per_instance = [_instance_worker(item) for item in items]
-    records: list[str] = []
-    counts: Counter[tuple[str, str]] = Counter()
-    for rows in per_instance:
-        records.extend(map(_line, rows))
-        counts.update(map(_check_status, rows))
-    fails = tuple(line for rows in per_instance for line, _, status in rows if status == FAIL)
-    return SweepReport(len(items), tuple(records), fails, dict(counts))
+        yield from map(_instance_worker, items)
+
+
+class SweepTally:
+    """Per-(check, status) counts and fail lines of the rows seen so far."""
+
+    def __init__(self):
+        self.instances = 0
+        self.counts: Counter[tuple[str, str]] = Counter()
+        self.fails: list[str] = []
+
+    def add(self, rows: list[Row]) -> None:
+        """Count one instance's rows."""
+        self.instances += 1
+        self.counts.update(map(_check_status, rows))
+        self.fails += [line for line, _, status in rows if status == FAIL]
+
+    def lines(self, instances: Iterable[list[Row]]) -> Iterator[str]:
+        """The record lines of ``instances``, counting each instance as it passes."""
+        for rows in instances:
+            self.add(rows)
+            yield from map(_line, rows)
+
+    def report(self, records: Sequence[str] = ()) -> SweepReport:
+        return SweepReport(self.instances, tuple(records), tuple(self.fails), dict(self.counts))
+
+
+def run_sweep(cfg: SweepConfig) -> SweepReport:
+    """Run every configured check over the catalog and keep every record.
+
+    Records keep catalog order regardless of parallelism, so two sweeps
+    with the same config are byte-identical.
+    """
+    tally = SweepTally()
+    records = tuple(tally.lines(iter_sweep(cfg)))
+    return tally.report(records)
 
 
 _line = itemgetter(0)

@@ -49,7 +49,7 @@ def s(n, *members):
 
 def quotient_by(table, class_of):
     # A memoized quotient whose table is `table`, whatever S really gives.
-    return QuotientSemigroup(validate(table), class_of, len(class_of))
+    return QuotientSemigroup(validate(table), class_of)
 
 
 def seed(kind, key, value):

@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
-from sglab import CheckReport, FiniteSemigroup, SweepConfig, cli, format_sg, run_sweep, validate
+from sglab import (
+    CheckReport,
+    FiniteSemigroup,
+    SweepConfig,
+    cli,
+    format_sg,
+    run_sweep,
+    sweep,
+    validate,
+)
 from sglab.cli import run_command
 
 
@@ -265,6 +274,30 @@ class TestStructuredOutput:
         assert len(writes) == -(-lines // 64)
         assert all(w.endswith("\n") and w.count("\n") <= 64 for w in writes)
 
+    def test_records_go_out_before_the_sweep_ends(self, monkeypatch):
+        # The first write must not wait for the last instance: holding
+        # every record until the end makes the whole output resident.
+        calls = []
+        worker = sweep._instance_worker
+
+        def counting_worker(item):
+            calls.append(item)
+            return worker(item)
+
+        monkeypatch.setattr(sweep, "_instance_worker", counting_worker)
+        monkeypatch.setattr(cli, "_RECORDS_PER_WRITE", 64)
+        done_at_write = []
+
+        class Sink(_RecordingSink):
+            def write(self, s):
+                done_at_write.append(len(calls))
+                return super().write(s)
+
+        with contextlib.redirect_stdout(Sink()):
+            assert run_command(["verify", "--max-order", "3", "--structured"]) == 0
+        assert len(calls) == 1 + 8 + 113
+        assert done_at_write[0] < len(calls)
+
     def test_record_hook_reaches_the_output(self, monkeypatch):
         # The benchmark's smoke test corrupts the first record through
         # this hook and expects the output to change.
@@ -294,6 +327,26 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+def test_reader_hanging_up_stops_a_parallel_sweep():
+    # The reader takes one line and closes the pipe: the next write
+    # fails, the workers are torn down and the command still exits 0.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sglab.cli", "verify", "--max-order", "4", "--structured",
+         "--jobs", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"order=1 ")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert b"Traceback" not in proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_console_script_end_to_end(tmp_path):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +49,12 @@ class TestCongruenceForm:
             Congruence.from_classes(2, [{0}, {0, 1}])
         with pytest.raises(ValueError):
             Congruence.from_classes(3, [{0}, {2}])
+
+    def test_from_classes_names_a_non_index_element(self):
+        with pytest.raises(ValueError, match="0.0 is not an element index"):
+            Congruence.from_classes(3, [{0.0, 1}, {2}])
+        c = Congruence.from_classes(3, [[np.int64(2)], [np.int8(0), np.uint16(1)]])
+        assert c.class_of == (0, 0, 1)
 
     def test_length_must_match(self):
         with pytest.raises(ValueError):
@@ -142,6 +149,14 @@ class TestIsCongruence:
         with pytest.raises(AmbientMismatch):
             is_congruence(z2, identity_congruence(3))
 
+    def test_ambient_mismatch_names_the_congruence(self, z2, min2):
+        with pytest.raises(AmbientMismatch) as e:
+            verify_theorem1_converse(z2, identity_congruence(3))
+        assert str(e.value) == "congruence lives over 3 elements, semigroup has 2"
+        with pytest.raises(AmbientMismatch) as e:
+            verify_corollary1(min2, eset(3, 0))
+        assert str(e.value) == "subset lives over 3 elements, semigroup has 2"
+
 
 class TestQuotient:
     def test_identity_partition_gives_copy(self, z2):
@@ -156,7 +171,6 @@ class TestQuotient:
     def test_chain_collapse(self, chain3, min2):
         Q = quotient(chain3, Congruence.from_classes(3, [{0, 1}, {2}]))
         assert Q.quotient == min2
-        assert Q.source_order == 3
 
     def test_rejects_incompatible_partition(self, chain3):
         with pytest.raises(NotACongruence):

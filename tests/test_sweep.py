@@ -150,6 +150,12 @@ class TestRunSweep:
             run_sweep(SweepConfig(max_order=5))
         assert built == []
 
+    def test_stream_refuses_a_large_order_before_its_first_row(self):
+        # The refusal comes from the call itself, so a consumer has
+        # written nothing when it sees it.
+        with pytest.raises(OrderTooLarge):
+            sweep.iter_sweep(SweepConfig(max_order=5))
+
     def test_summary_lines(self):
         rep = run_sweep(SweepConfig(max_order=2, theorem="lemmas"))
         lines = rep.summary_lines()
@@ -184,8 +190,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return [fn(item) for item in items]
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
 
     monkeypatch.setattr(sweep, "Pool", Recorder)
     return sizes
