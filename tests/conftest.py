@@ -52,3 +52,9 @@ def catalog2():
 def catalog3():
     """All 113 labeled semigroups of order 3."""
     return list(enumerate_semigroups(3))
+
+
+@pytest.fixture(scope="session")
+def catalog4():
+    """All 3492 labeled semigroups of order 4."""
+    return list(enumerate_semigroups(4))

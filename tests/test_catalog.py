@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations, product
 
 import pytest
@@ -31,6 +32,35 @@ def naive_enumeration(n):
     return out
 
 
+def catalog_digest(tables):
+    """sha256 of the tables' catalog lines, one per line."""
+    text = "".join(catalog_line(S) + "\n" for S in tables)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def adjoin(t, zero):
+    """The table t with a new element adjoined as a zero or as an identity."""
+    n = len(t)
+    rows = [list(row) + [n if zero else a] for a, row in enumerate(t)]
+    rows.append([n if zero else b for b in range(n)] + [n])
+    return validate(rows)
+
+
+def direct_product(t, u):
+    m = len(u)
+    cells = [(a, b) for a in range(len(t)) for b in range(m)]
+    return validate([[t[a][c] * m + u[b][d] for c, d in cells] for a, b in cells])
+
+
+# Isomorphism classes per order (OEIS A001423) and the digest of the
+# class representatives' catalog lines, in stream order.
+ISO_CLASSES = {
+    2: (5, "020fb215c67cc1810c93436aea3b74f9da671bf97365184c134fcc8b0b94659c"),
+    3: (24, "8468cccbf21c09fd53dd14f56592382aef98baafa30dde27bd40d80369a20fe5"),
+    4: (188, "a626b07fbc98259886c83055e6c9ca02055b36a895ffc72d7ab15717fc1b944b"),
+}
+
+
 class TestEnumeration:
     def test_counts_match_naive_oracle(self):
         for n, count in ((1, 1), (2, 8), (3, 113)):
@@ -42,11 +72,30 @@ class TestEnumeration:
         for S in catalog3:
             validate(S.table)
 
-    def test_iso_reduction_at_order_two(self):
-        reps = list(enumerate_semigroups(2, up_to_iso=True))
-        assert len(reps) == 5
+    def test_labeled_catalog_at_order_four_is_pinned(self, catalog4):
+        # Catalog positions key the sweep's instances and random families,
+        # so the order of the stream is pinned along with its content.
+        assert len(catalog4) == 3492
+        assert catalog_digest(catalog4) == (
+            "610c3f31299915eddfd70ca50c48e238dac054221edc622938e1f50b4fabc30c"
+        )
+
+    @pytest.mark.parametrize("n", sorted(ISO_CLASSES))
+    def test_iso_reduction(self, n):
+        classes, digest = ISO_CLASSES[n]
+        reps = list(enumerate_semigroups(n, up_to_iso=True))
+        assert len(reps) == classes
+        assert catalog_digest(reps) == digest
+        # The orbits of the representatives partition the labeled
+        # catalog, and each representative is the least of its orbit.
+        seen = set()
         for S in reps:
             assert canonical_form(S) == S.table
+            orbit = {relabel(S, p).table for p in permutations(range(n))}
+            assert min(orbit) == S.table
+            assert not orbit & seen
+            seen |= orbit
+        assert seen == {S.table for S in enumerate_semigroups(n)}
 
     def test_left_and_right_zero_both_survive_iso_reduction(self):
         reps = {S.table for S in enumerate_semigroups(2, up_to_iso=True)}
@@ -87,9 +136,11 @@ class TestCanonicalForm:
             for p in permutations(range(S.order)):
                 assert canonical_form(relabel(S, p)) == want
 
-    def test_canonical_is_minimal_relabeling(self, catalog3):
-        for S in catalog3[::23]:
-            forms = {relabel(S, p).table for p in permutations(range(3))}
+    def test_canonical_is_minimal_relabeling(self, catalog2, catalog3, catalog4):
+        order5 = [adjoin(S.table, zero) for S in catalog4[::700] for zero in (False, True)]
+        order6 = [direct_product(t.table, u.table) for t in catalog2[2::3] for u in catalog3[::60]]
+        for S in catalog3[::23] + order5 + order6:
+            forms = {relabel(S, p).table for p in permutations(range(S.order))}
             assert canonical_form(S) == min(forms)
 
 

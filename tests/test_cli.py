@@ -155,6 +155,8 @@ class TestQueries:
         assert code == 0 and len(out.splitlines()) == 8
         code, out, _ = run(capsys, "enumerate", "2", "--up-to-iso")
         assert len(out.splitlines()) == 5
+        code, out, _ = run(capsys, "enumerate", "4", "--up-to-iso")
+        assert code == 0 and len(out.splitlines()) == 188
 
     def test_enumerate_above_catalog_bound_is_refused(self, capsys):
         code, out, err = run(capsys, "enumerate", "5")
