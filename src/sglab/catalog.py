@@ -1,10 +1,11 @@
 """Exhaustive enumeration of small semigroups by table backtracking.
 
 Fills the Cayley table cell by cell in row-major order, pruning as soon
-as any associativity triple has all four of its lookups decided.  The
-stream is the instance source for every verification sweep, so labeled
-tables are the primary product; canonical forms exist only to shrink
-reports, never to feed them.
+as any associativity triple has all four of its lookups decided, and as
+soon as some relabeling of the decided cells is already smaller.  So the
+search yields one table per isomorphism class, the least of its class.
+The labeled catalog, the instance source for every verification sweep,
+is the set of their relabelings in lexicographic order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from typing import Iterator, Sequence
 
 from .core import FiniteSemigroup, validate
 from .errors import OrderTooLarge, SgFormatError
+
+Table = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "enumerate_semigroups",
@@ -77,56 +80,107 @@ def enumerate_semigroups(
         raise ValueError("order must be positive")
     if n > order_bound:
         raise OrderTooLarge(n, order_bound)
-    return _backtrack(n, up_to_iso)
+    return map(validate, _backtrack(n) if up_to_iso else _labeled(n))
 
 
-def _backtrack(n: int, up_to_iso: bool) -> Iterator[FiniteSemigroup]:
+def _labeled(n: int) -> Iterator[Table]:
+    # Every labeled table is a relabeling of exactly one class
+    # representative; sorting the orbits restores the catalog order.
+    # Each table is dropped once handed out, so the catalog is not held
+    # twice, here and by the caller.
+    perms = [(p, _inverse(p)) for p in permutations(range(n))]
+    tables = sorted({_relabeled(t, p, q) for t in _backtrack(n) for p, q in perms}, reverse=True)
+    while tables:
+        yield tables.pop()
+
+
+def _backtrack(n: int) -> Iterator[Table]:
+    # Lex-leader symmetry breaking (Distler et al., "The semigroups of
+    # order 10", CP 2012): a node is dropped as soon as some relabeling of
+    # its decided cells is already smaller in row-major order, so only
+    # tables equal to their canonical form are emitted.  A relabeling
+    # found larger stays larger below that node, so each node tests only
+    # the relabelings still tied with the table itself.
     t = [[-1] * n for _ in range(n)]
     cells = [(r, c) for r in range(n) for c in range(n)]
+    identity = tuple(range(n))
+    perms = [(p, _inverse(p)) for p in permutations(range(n)) if p != identity]
 
-    def fill(pos: int) -> Iterator[FiniteSemigroup]:
+    def fill(pos: int, tied: list) -> Iterator[Table]:
         if pos == len(cells):
-            S = validate([row[:] for row in t])
-            if not up_to_iso or canonical_form(S) == S.table:
-                yield S
+            yield tuple(map(tuple, t))
             return
         r, c = cells[pos]
         for v in range(n):
             t[r][c] = v
-            if _consistent_after(t, r, c, n):
-                yield from fill(pos + 1)
+            if not _consistent_after(t, r, c, n):
+                continue
+            still = []
+            for p, q in tied:
+                sign = _relabeled_cmp(t, p, q, t)
+                if sign < 0:
+                    break
+                if sign == 0:
+                    still.append((p, q))
+            else:
+                yield from fill(pos + 1, still)
         t[r][c] = -1
 
-    yield from fill(0)
+    yield from fill(0, perms)
+
+
+def _inverse(p: Sequence[int]) -> list[int]:
+    q = [0] * len(p)
+    for a, img in enumerate(p):
+        q[img] = a
+    return q
+
+
+def _relabeled(t: Table, p: Sequence[int], q: Sequence[int]) -> Table:
+    # The table of t with element a renamed p[a]; q is p's inverse.
+    n = len(t)
+    return tuple(tuple(p[t[q[i]][q[j]]] for j in range(n)) for i in range(n))
+
+
+def _relabeled_cmp(
+    t: Sequence[Sequence[int]], p: Sequence[int], q: Sequence[int], ref: Sequence[Sequence[int]]
+) -> int:
+    # The sign of t relabeled by p against ref in row-major order, from
+    # the first cell where they differ; 0 if they agree up to the first
+    # cell whose source in t is still undecided (-1).  Sources are a
+    # bijection on cells, so when ref is a row-major prefix of t itself,
+    # no undecided cell of ref is reached before an undecided source.
+    n = len(ref)
+    for i in range(n):
+        row = t[q[i]]
+        ref_row = ref[i]
+        for j in range(n):
+            v = row[q[j]]
+            if v < 0:
+                return 0
+            if p[v] != ref_row[j]:
+                return p[v] - ref_row[j]
+    return 0
 
 
 def relabel(S: FiniteSemigroup, p: Sequence[int]) -> FiniteSemigroup:
     """Rename element a to p[a]; an isomorphic copy of S."""
-    n = S.order
-    q = [0] * n
-    for a, img in enumerate(p):
-        q[img] = a
-    t = S.table
-    return validate([[p[t[q[i]][q[j]]] for j in range(n)] for i in range(n)])
+    return validate(_relabeled(S.table, p, _inverse(p)))
 
 
-def canonical_form(S: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
+def canonical_form(S: FiniteSemigroup) -> Table:
     """Lexicographically least table over all relabelings.
 
     Two semigroups are isomorphic exactly when their canonical forms
-    coincide; brute force over n! permutations, fine for the orders the
-    catalog covers.
+    coincide.  Each of the n! relabelings is compared with the least
+    table so far cell by cell and dropped at the first larger cell; only
+    a smaller one is built.
     """
-    n = S.order
-    t = S.table
-    best: tuple[tuple[int, ...], ...] | None = None
-    for p in permutations(range(n)):
-        q = [0] * n
-        for a, img in enumerate(p):
-            q[img] = a
-        cand = tuple(tuple(p[t[q[i]][q[j]]] for j in range(n)) for i in range(n))
-        if best is None or cand < best:
-            best = cand
+    t = best = S.table
+    for p in permutations(range(S.order)):
+        q = _inverse(p)
+        if _relabeled_cmp(t, p, q, best) < 0:
+            best = _relabeled(t, p, q)
     return best
 
 

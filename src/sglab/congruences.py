@@ -13,7 +13,8 @@ Both directions are checked here, stage by stage, on concrete tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     _INDEX_TYPES,
@@ -30,6 +31,7 @@ from .subsets import (
     _format_mask,
     _medial,
     _min_member,
+    _np_mask,
     _reflexive,
     _separator,
     _subsemigroup,
@@ -168,7 +170,7 @@ def _profile(S: FiniteSemigroup, bits: int) -> tuple[int, ...]:
     out = memo.get(bits)
     if out is None:
         # Slice c of the bytes is c's context mask.
-        rows = S.subset(bits).mask[S.word_tensor(3)].transpose(1, 0, 2).tobytes()
+        rows = _np_mask(S, bits)[S.word_tensor(3)].transpose(1, 0, 2).tobytes()
         width = S.order**2
         ids: dict[bytes, int] = {}
         out = memo[bits] = tuple(
@@ -323,20 +325,24 @@ def classify_quotient(Q: QuotientSemigroup) -> QuotientKind:
     return Q._kind
 
 
-def _rgs_strings(n: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _rgs_strings(n: int) -> tuple[tuple[int, ...], ...]:
     # Restricted growth strings in lexicographic order: a[0]=0 and
-    # a[i] <= max(a[:i]) + 1.  One string per set partition of [0, n).
+    # a[i] <= max(a[:i]) + 1.  One string per set partition of [0, n),
+    # built once per order: Bell(6) = 203 strings at the default bound.
     cur = [0] * n
+    out = []
 
-    def rec(pos: int, mx: int) -> Iterator[tuple[int, ...]]:
+    def rec(pos: int, mx: int) -> None:
         if pos == n:
-            yield tuple(cur)
+            out.append(tuple(cur))
             return
         for v in range(mx + 2):
             cur[pos] = v
-            yield from rec(pos + 1, max(mx, v))
+            rec(pos + 1, max(mx, v))
 
-    yield from rec(1, 0)
+    rec(1, 0)
+    return tuple(out)
 
 
 def enumerate_congruences(S: FiniteSemigroup, order_bound: int = 6) -> list[Congruence]:

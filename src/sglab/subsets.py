@@ -73,9 +73,22 @@ def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
 
 # The private accessors below answer from the table's memo (S._memo,
 # one dict per analysis, keyed by the subset's bit mask) and compute on
-# a miss.  They take the mask; a numpy view, where one is needed, is the
-# interned set's (S.subset(bits).mask).  The verifiers call them after
-# checking the ambient order once at entry.
+# a miss.  They take the mask; a numpy view, where one is needed, comes
+# from _np_mask.  The verifiers call them after checking the ambient
+# order once at entry.
+
+
+def _np_mask(S: FiniteSemigroup, bits: int) -> np.ndarray:
+    """Boolean array of the subset with mask ``bits``.
+
+    The interned set's cached array when the table holds that set (every
+    set of a sweep), else a throwaway one, so a one-off query interns
+    nothing.
+    """
+    A = S._subsets.get(bits)
+    if A is not None:
+        return A.mask
+    return np.array([bits >> e & 1 for e in range(S.order)], dtype=bool)
 
 
 def _separator(S: FiniteSemigroup, bits: int) -> int:
@@ -122,7 +135,7 @@ def _medial(S: FiniteSemigroup, bits: int) -> tuple[bool, tuple[int, int, int, i
         outside = ~bits
         for u in range(S.order):
             if bits >> u & 1 and linked[u] & outside:
-                inside = S.subset(bits).mask[S.word_tensor(4)]
+                inside = _np_mask(S, bits)[S.word_tensor(4)]
                 x, a, b, y = np.argwhere(inside & ~inside.swapaxes(1, 2))[0]
                 out = False, (int(x), int(a), int(b), int(y))
                 break

@@ -15,6 +15,7 @@ from sglab import (
     relabel,
     validate,
 )
+from sglab.catalog import _backtrack
 
 
 def naive_enumeration(n):
@@ -112,6 +113,27 @@ class TestEnumeration:
     def test_lexicographic_stream_order(self, catalog3):
         flat = [tuple(v for row in S.table for v in row) for S in catalog3]
         assert flat == sorted(flat)
+
+
+def automorphisms(t):
+    n = len(t)
+    return [
+        p
+        for p in permutations(range(n))
+        if all(p[t[a][b]] == t[p[a]][p[b]] for a in range(n) for b in range(n))
+    ]
+
+
+def test_order_five_classes_add_up_to_the_labeled_count():
+    # An independent count gate above the public bound: the class
+    # generator gives the 1915 classes of order 5 (OEIS A001423), and
+    # their orbit sizes 5!/|Aut| add up to the 183,732 labeled tables
+    # (OEIS A023814), which are never enumerated.
+    reps = list(_backtrack(5))
+    assert len(reps) == 1915
+    for t in reps:
+        assert canonical_form(validate(t)) == t
+    assert sum(120 // len(automorphisms(t)) for t in reps) == 183732
 
 
 class TestCanonicalForm:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from sglab import (
     enumerate_semigroups,
     identity_congruence,
     is_congruence,
+    is_medial,
     p_congruence,
     p_congruence_pairwise,
     quotient,
@@ -24,6 +27,7 @@ from sglab import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
+from sglab.subsets import _np_mask
 from sglab.sweep import _instance_checks, _random_families
 
 
@@ -231,6 +235,20 @@ class TestEnumerateCongruences:
             enumerate_congruences(S)
         assert enumerate_congruences(S, order_bound=7)
 
+    def test_null_semigroups_list_every_partition_in_lex_order(self):
+        # Every partition of a null semigroup is a congruence, so each
+        # call lists all restricted growth strings, Bell(n) of them.
+        for n, bell in zip(range(1, 7), (1, 2, 5, 15, 52, 203)):
+            S = validate([[0] * n for _ in range(n)])
+            rgs = [
+                a
+                for a in product(range(n), repeat=n)
+                if all(a[i] <= max(a[:i], default=-1) + 1 for i in range(n))
+            ]
+            assert len(rgs) == bell
+            for _ in range(2):
+                assert [c.class_of for c in enumerate_congruences(S)] == rgs
+
     def test_all_partitions_filtered(self, catalog3):
         # 5 partitions of a 3-set; each congruence must verify, each
         # non-listed partition must not.
@@ -343,6 +361,21 @@ class TestMemo:
         first = quotient(chain3, part)
         assert quotient(chain3, part) == first
         assert classify_quotient(first) == classify_quotient(quotient(validate(chain3.table), part))
+
+    def test_one_off_queries_intern_no_set(self, lz2mon):
+        # pcong and medial (with its witness search) read a throwaway
+        # numpy mask for a set the table does not hold, and the interned
+        # set's own mask for one it does.
+        A, B = eset(3, 1), eset(3, 0, 2)
+        fresh = validate(lz2mon.table)
+        sigma, medial = p_congruence(fresh, [A, B]), is_medial(fresh, A)
+        assert medial[0] is False
+        assert fresh._subsets == {}
+        held = validate(lz2mon.table)
+        for bits in range(8):
+            held.subset(bits)
+        assert (p_congruence(held, [A, B]), is_medial(held, A)) == (sigma, medial)
+        assert _np_mask(held, A.bits) is held.subset(A.bits).mask
 
     def test_instance_checks_keep_the_memo_bounded(self):
         # The null semigroup of order 4 is permutative, so every check
