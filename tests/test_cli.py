@@ -235,6 +235,24 @@ class TestVerify:
         assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # The same for `--family-mode MODE`, which builds the theorem families
+    # from only the single subsets or only the congruence classes.
+    @pytest.mark.parametrize(
+        "mode,lines,digest",
+        [
+            ("singletons-and-all-subsets", 9862,
+             "4a72fed51e87e30b3c8a3145f9ae9571d3def425500fc84c83652f906a43ddff"),
+            ("congruence-classes", 8868,
+             "a0f23b743304eade55e48237b5e6ac2e178146e566e64d99904fc81d81fec3b0"),
+        ],
+    )
+    def test_family_mode_output_matches_frozen_digest(self, capsys, mode, lines, digest):
+        code, out, _ = run(capsys, "verify", "--max-order", "3", "--structured",
+                           "--family-mode", mode)
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class _RecordingSink(io.TextIOBase):
     """Stands in for stdout and keeps every write."""
