@@ -80,16 +80,21 @@ def enumerate_semigroups(
         raise ValueError("order must be positive")
     if n > order_bound:
         raise OrderTooLarge(n, order_bound)
-    return map(validate, _backtrack(n) if up_to_iso else _labeled(n))
+    if up_to_iso:
+        return map(validate, _backtrack(n))
+    return map(FiniteSemigroup._from_table, _labeled(n))
 
 
 def _labeled(n: int) -> Iterator[Table]:
     # Every labeled table is a relabeling of exactly one class
     # representative; sorting the orbits restores the catalog order.
-    # Each table is dropped once handed out, so the catalog is not held
-    # twice, here and by the caller.
+    # Only the representatives are validated: a relabeling of an
+    # associative table is associative.  Each table is dropped once
+    # handed out, so the catalog is not held twice, here and by the
+    # caller.
     perms = [(p, _inverse(p)) for p in permutations(range(n))]
-    tables = sorted({_relabeled(t, p, q) for t in _backtrack(n) for p, q in perms}, reverse=True)
+    reps = [validate(t).table for t in _backtrack(n)]
+    tables = sorted({_relabeled(t, p, q) for t in reps for p, q in perms}, reverse=True)
     while tables:
         yield tables.pop()
 

@@ -20,6 +20,7 @@ from .core import (
     _INDEX_TYPES,
     ElementSet,
     FiniteSemigroup,
+    _format_mask,
     cached_attribute,
     identity_element,
     is_commutative,
@@ -28,7 +29,6 @@ from .errors import IndexOutOfRange, NotACongruence, OrderTooLarge
 from .reports import CheckReport, failed, passed, unmet
 from .subsets import (
     _check_ambient,
-    _format_mask,
     _medial,
     _min_member,
     _np_mask,
@@ -402,8 +402,8 @@ def _quotient_stages(
         return failed(
             check,
             (("x", _min_member(ident ^ common)),),
-            f"separator intersection {_format_mask(S, common)} is not the identity class "
-            f"{_format_mask(S, ident)}",
+            f"separator intersection {_format_mask(common)} is not the identity class "
+            f"{_format_mask(ident)}",
         )
     return None
 
@@ -442,7 +442,7 @@ def verify_theorem1_forward(S: FiniteSemigroup, family: Sequence[ElementSet]) ->
             return failed(
                 check, (("i", i), ("a", a), ("b", b)), f"set {i} splits a congruence class"
             )
-    detail = f"identity class {_format_mask(S, common)}"
+    detail = f"identity class {_format_mask(common)}"
     if not family:
         detail += "; empty family induces the universal relation"
     return passed(check, detail)
@@ -505,8 +505,8 @@ def _induces_itself(check: str, S: FiniteSemigroup, class_of: tuple[int, ...]) -
         return failed(
             check,
             None,
-            f"separator intersection {_format_mask(S, common)} differs from identity class "
-            f"{_format_mask(S, ident)}",
+            f"separator intersection {_format_mask(common)} differs from identity class "
+            f"{_format_mask(ident)}",
         )
     induced = _context_class_of(S, classes)
     if induced != class_of:
@@ -558,9 +558,9 @@ def verify_corollary1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
         return failed(
             check,
             (("x", _min_member(T2 ^ T)),),
-            f"separator of {_format_mask(S, T)} is {_format_mask(S, T2)}, not itself",
+            f"separator of {_format_mask(T)} is {_format_mask(T2)}, not itself",
         )
-    return passed(check, f"separator {_format_mask(S, T)}")
+    return passed(check, f"separator {_format_mask(T)}")
 
 
 def check_lemma1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
@@ -572,7 +572,7 @@ def check_lemma1(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     ok, w = _subsemigroup(S, T)
     if not ok:
         return failed("lemma1", tuple(zip("ab", w)), "separator not closed")
-    return passed("lemma1", f"separator {_format_mask(S, T)}")
+    return passed("lemma1", f"separator {_format_mask(T)}")
 
 
 def check_lemma2(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
@@ -609,7 +609,7 @@ def check_lemma3(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     if unitary and not fixed:
         return failed(
             "lemma3", (("x", _min_member(T ^ bits)),),
-            f"unitary but separator is {_format_mask(S, T)}",
+            f"unitary but separator is {_format_mask(T)}",
         )
     if fixed and not unitary:
         return failed("lemma3", tuple(zip("ab", w)), "equals its separator but not unitary")

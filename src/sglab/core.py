@@ -7,17 +7,17 @@ code may assume it; only library code holding a table that is
 associative by construction skips it, through
 ``FiniteSemigroup._from_table``.
 
-A subset is an ``ElementSet`` carrying both its members and their bit
-mask (bit e = element e).  ``ElementSet(ambient, members)`` validates
-its members; the library builds the sets it derives from already-valid
-masks through ``FiniteSemigroup.subset``, which skips that check and
-keeps one set per mask and table.
+A subset is an ``ElementSet``: its ambient order and one int mask (bit
+e = element e).  ``ElementSet(ambient, members)`` validates its members;
+the library builds the sets it derives from already-valid masks through
+``ElementSet._from_bits``, which skips that check.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -153,8 +153,6 @@ class FiniteSemigroup:
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "_memo", defaultdict(dict))
-        # The interned subsets, by bit mask; see subset().
-        object.__setattr__(self, "_subsets", {})
 
     @classmethod
     def _from_table(cls, table: tuple[tuple[int, ...], ...]) -> "FiniteSemigroup":
@@ -167,8 +165,7 @@ class FiniteSemigroup:
         Input from outside goes through ``validate`` or ``parse_sg``.
         """
         S = object.__new__(cls)
-        S.__dict__.update(table=table, labels=None, order=len(table), _memo=defaultdict(dict),
-                          _subsets={})
+        S.__dict__.update(table=table, labels=None, order=len(table), _memo=defaultdict(dict))
         return S
 
     def product(self, a: int, b: int) -> int:
@@ -180,21 +177,6 @@ class FiniteSemigroup:
     @cached_attribute
     def np_table(self) -> np.ndarray:
         return np.array(self.table, dtype=np.intp)
-
-    def subset(self, bits: int) -> "ElementSet":
-        """This table's one ElementSet with bit mask ``bits`` (bit e = element e).
-
-        Analyses build every set they return here, so a table holds at
-        most 2**n of them and each one's cached views (indices, mask,
-        literal) are computed once.  The mask is checked against the
-        order; the members it names need no further validation.
-        """
-        A = self._subsets.get(bits)
-        if A is None:
-            if not 0 <= bits < 1 << self.order:
-                raise ValueError(f"mask {bits} names elements outside [0, {self.order})")
-            A = self._subsets[bits] = ElementSet._from_bits(self.order, bits)
-        return A
 
     @cached_attribute
     def _word_tensors(self) -> dict[int, np.ndarray]:
@@ -267,30 +249,32 @@ def word_product(S: FiniteSemigroup, w: Sequence[int]) -> int:
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ElementSet:
     """A subset of the elements of an order-``ambient`` semigroup.
 
-    ``members`` is the frozenset of element indices and ``bits`` the
-    same subset as an int mask (bit e = element e).  Iteration is always
-    in ascending index order, so every scan that walks a subset is
-    deterministic.
+    The set is its int mask ``bits`` (bit e = element e) and nothing
+    else: ``members``, iteration, ``len``, ``in`` and the set operations
+    all read the mask.  Iteration is always in ascending index order, so
+    every scan that walks a subset is deterministic.
     """
 
     ambient: int
-    members: frozenset[int]
-    bits: int = field(init=False, repr=False, compare=False)
+    bits: int
 
-    def __post_init__(self):
-        if self.ambient < 1:
-            raise ValueError("ambient order must be positive")
-        members = frozenset(self.members)
+    def __init__(self, ambient: int, members: Iterable[int]):
+        self.__post_init__(ambient, members)
+
+    def __post_init__(self, ambient: int, members: Iterable[int]):
+        # Every validating construction runs here; _from_bits skips it.
+        if not isinstance(ambient, _INDEX_TYPES) or ambient < 1:
+            raise ValueError(f"ambient order must be a positive integer, not {ambient!r}")
         bits = 0
-        for x in members:
-            if not isinstance(x, _INDEX_TYPES) or not 0 <= x < self.ambient:
-                raise IndexOutOfRange(x, self.ambient)
+        for x in frozenset(members):
+            if not isinstance(x, _INDEX_TYPES) or not 0 <= x < ambient:
+                raise IndexOutOfRange(x, ambient)
             bits |= 1 << int(x)
-        object.__setattr__(self, "members", frozenset(map(int, members)))
+        object.__setattr__(self, "ambient", int(ambient))
         object.__setattr__(self, "bits", bits)
 
     @classmethod
@@ -302,51 +286,39 @@ class ElementSet:
         through ``ElementSet(...)`` or ``ElementSet.of``.
         """
         A = object.__new__(cls)
-        A.__dict__.update(
-            ambient=ambient,
-            members=frozenset([e for e in range(ambient) if bits >> e & 1]),
-            bits=bits,
-        )
+        A.__dict__.update(ambient=ambient, bits=bits)
         return A
 
     @classmethod
     def of(cls, ambient: int, members: Iterable[int]) -> "ElementSet":
-        return cls(ambient, frozenset(members))
+        return cls(ambient, members)
 
     @classmethod
     def empty(cls, ambient: int) -> "ElementSet":
-        return cls(ambient, frozenset())
+        return cls(ambient, ())
 
     @classmethod
     def full(cls, ambient: int) -> "ElementSet":
-        return cls(ambient, frozenset(range(ambient)))
+        return cls.empty(ambient).complement()
 
-    @cached_attribute
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    @cached_attribute
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.ambient, dtype=bool)
-        m[list(self.members)] = True
-        return m
-
-    @cached_attribute
-    def _literal(self) -> str:
-        # format_subset's text, kept on the set.
-        return "{" + ",".join(map(str, self.indices)) + "}"
+    @property
+    def members(self) -> frozenset[int]:
+        """The elements as a frozenset, built from the mask on each read."""
+        return frozenset(_elements(self.bits))
 
     def complement(self) -> "ElementSet":
         return ElementSet._from_bits(self.ambient, ~self.bits & ((1 << self.ambient) - 1))
 
     def __contains__(self, x: int) -> bool:
-        return x in self.members
+        if not isinstance(x, _INDEX_TYPES) or not 0 <= x < self.ambient:
+            return False
+        return self.bits >> int(x) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
+        return _elements(self.bits)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.bits.bit_count()
 
     def __and__(self, other: "ElementSet") -> "ElementSet":
         if self.ambient != other.ambient:
@@ -354,10 +326,26 @@ class ElementSet:
         return ElementSet._from_bits(self.ambient, self.bits & other.bits)
 
     def __le__(self, other: "ElementSet") -> bool:
-        return self.members <= other.members
+        if self.ambient != other.ambient:
+            raise ValueError("ambient orders differ")
+        return not self.bits & ~other.bits
 
     def __repr__(self):
-        return f"ElementSet({self.ambient}, {self._literal})"
+        return f"ElementSet({self.ambient}, {_format_mask(self.bits)})"
+
+
+def _elements(bits: int) -> Iterator[int]:
+    """The elements of a mask, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+@lru_cache(maxsize=1 << 12)
+def _format_mask(bits: int) -> str:
+    """The literal "{0,2}" of the set with mask ``bits``, built once per mask."""
+    return "{" + ",".join(map(str, _elements(bits))) + "}"
 
 
 def all_subsets(ambient: int) -> Iterator[ElementSet]:
@@ -382,19 +370,21 @@ class PowerChain(NamedTuple):
 def power_set_chain(S: FiniteSemigroup) -> PowerChain:
     """Compute S^k = S . S^(k-1) until the subset sequence repeats."""
     n = S.order
-    t = S.table
-    cur = frozenset(range(n))
+    cur = (1 << n) - 1
     chain = [cur]
     seen = {cur: 0}
     while True:
-        nxt = frozenset(t[s][w] for s in range(n) for w in cur)
+        nxt = 0
+        for row in S.table:
+            for w in _elements(cur):
+                nxt |= 1 << row[w]
         if nxt in seen:
             cycle_start = seen[nxt]
             break
         seen[nxt] = len(chain)
         chain.append(nxt)
         cur = nxt
-    return PowerChain(tuple(ElementSet(n, c) for c in chain), cycle_start)
+    return PowerChain(tuple(ElementSet._from_bits(n, c) for c in chain), cycle_start)
 
 
 def is_commutative(S: FiniteSemigroup) -> tuple[bool, tuple[int, int] | None]:

@@ -27,10 +27,17 @@ from .congruences import (
     _sep_common,
     _separator_structure,
 )
-from .core import _INDEX_TYPES, ElementSet, FiniteSemigroup, PowerChain, power_set_chain
+from .core import (
+    _INDEX_TYPES,
+    ElementSet,
+    FiniteSemigroup,
+    PowerChain,
+    _format_mask,
+    power_set_chain,
+)
 from .errors import WorkBudgetExceeded
 from .reports import CheckReport, failed, passed, unmet
-from .subsets import _check_ambient, _format_mask, _medial, _separator
+from .subsets import _check_ambient, _medial, _separator
 
 __all__ = [
     "PermutationIdentity",
@@ -167,7 +174,7 @@ def lemma4_minimal_k(S: FiniteSemigroup) -> Lemma4Result:
     all_idx = np.arange(S.order)
     counterexamples = []
     for k, sk in enumerate(chain.sets, start=1):
-        idx = np.array(sk.indices, dtype=np.intp)
+        idx = np.fromiter(sk, dtype=np.intp)
         sub = w4[np.ix_(idx, all_idx, all_idx, idx)]
         bad = sub != sub.swapaxes(1, 2)
         if not bad.any():
@@ -224,7 +231,7 @@ def verify_theorem2_forward(
         "quotient monoid not commutative; commutativity asserted beyond the monoid claim",
         name_pair=False,
     )
-    return bad or passed(check, f"identity class {_format_mask(S, common)}")
+    return bad or passed(check, f"identity class {_format_mask(common)}")
 
 
 def verify_theorem2_converse(
@@ -254,7 +261,7 @@ def verify_corollary2(
     if bad is not None:
         return bad
     T = _separator(S, A.bits)
-    return _separator_structure(check, S, T) or passed(check, f"separator {_format_mask(S, T)}")
+    return _separator_structure(check, S, T) or passed(check, f"separator {_format_mask(T)}")
 
 
 def parse_permutation(text: str) -> PermutationIdentity:

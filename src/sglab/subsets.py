@@ -5,17 +5,17 @@ translations preserve both A and its complement.  It is the key filter:
 subsets with nonempty separators are the ones that can serve as identity
 classes of quotient congruences.
 
-The kernels read a subset through its bit mask and return the table's
-interned sets (``FiniteSemigroup.subset``).  Mediality reads the
-table's linked pairs (``FiniteSemigroup._linked``), so each subset costs
-at most |A| mask tests.
+The kernels read a subset through its bit mask and return sets built
+from the masks they compute.  Mediality reads the table's linked pairs
+(``FiniteSemigroup._linked``), so each subset costs at most |A| mask
+tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ElementSet, FiniteSemigroup
+from .core import ElementSet, FiniteSemigroup, _format_mask
 from .errors import AmbientMismatch
 
 __all__ = [
@@ -47,7 +47,7 @@ def idealizer(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
     _check_ambient(S, A)
     bits = A.bits
     t = S.table
-    inside = A.indices
+    inside = list(A)
     out = 0
     for x in range(S.order):
         row = t[x]
@@ -56,7 +56,7 @@ def idealizer(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
                 break
         else:
             out |= 1 << x
-    return S.subset(out)
+    return ElementSet._from_bits(S.order, out)
 
 
 def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
@@ -68,7 +68,7 @@ def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
     per semigroup and subset.
     """
     _check_ambient(S, A)
-    return S.subset(_separator(S, A.bits))
+    return ElementSet._from_bits(S.order, _separator(S, A.bits))
 
 
 # The private accessors below answer from the table's memo (S._memo,
@@ -79,15 +79,7 @@ def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
 
 
 def _np_mask(S: FiniteSemigroup, bits: int) -> np.ndarray:
-    """Boolean array of the subset with mask ``bits``.
-
-    The interned set's cached array when the table holds that set (every
-    set of a sweep), else a throwaway one, so a one-off query interns
-    nothing.
-    """
-    A = S._subsets.get(bits)
-    if A is not None:
-        return A.mask
+    """Boolean array of the subset with mask ``bits``."""
     return np.array([bits >> e & 1 for e in range(S.order)], dtype=bool)
 
 
@@ -273,13 +265,8 @@ def parse_subset(text: str, ambient: int) -> ElementSet:
 
 
 def format_subset(A: ElementSet) -> str:
-    """The literal "{0,2}", computed once per set."""
-    return A._literal
-
-
-def _format_mask(S: FiniteSemigroup, bits: int) -> str:
-    """format_subset of the table's interned set with mask ``bits``."""
-    return S.subset(bits)._literal
+    """The literal "{0,2}", computed once per mask."""
+    return _format_mask(A.bits)
 
 
 def _min_member(bits: int) -> int:

@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .catalog import catalog_line, enumerate_semigroups
 from .congruences import (
-    _classes,
     check_lemma1,
     check_lemma2,
     check_lemma3,
@@ -31,7 +30,7 @@ from .congruences import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
-from .core import ElementSet, FiniteSemigroup
+from .core import ElementSet, FiniteSemigroup, all_subsets
 from .errors import WorkBudgetExceeded
 from .permutative import (
     find_permutation_identity,
@@ -144,7 +143,7 @@ def _instance_checks(
 ) -> list[tuple[str, CheckReport]]:
     """All (case, report) pairs for one catalog instance, in a fixed order."""
     out: list[tuple[str, CheckReport]] = []
-    subsets = [(format_subset(A), A) for A in map(S.subset, range(1 << order))]
+    subsets = [(format_subset(A), A) for A in all_subsets(order)]
 
     if _wants(cfg, "lemmas"):
         for case, A in subsets:
@@ -157,11 +156,11 @@ def _instance_checks(
             out.append((case, verify_corollary1(S, A)))
 
     if _wants(cfg, "1") or _wants(cfg, "2"):
-        # Each congruence with its classes as the table's interned sets,
-        # and the theorem families: singletons, then class families.
+        # Each congruence with its classes, and the theorem families:
+        # singletons, then class families.
         congruences = []
         for sigma in enumerate_congruences(S):
-            classes = tuple(map(S.subset, _classes(S, sigma.class_of)))
+            classes = sigma.classes()
             congruences.append((_family_literal(classes), sigma, classes))
         families = []
         if cfg.family_mode != "congruence-classes":
@@ -196,7 +195,8 @@ def _instance_checks(
                 k, w = res.counterexamples[0]
                 out.append(("-", failed("lemma4", tuple(zip("kuxyv", (k, *w))),
                                         "no exponent works along the whole power chain")))
-            randoms = [tuple(map(S.subset, masks)) for masks in _random_families(cfg, order, idx)]
+            randoms = [tuple(ElementSet._from_bits(order, bits) for bits in masks)
+                       for masks in _random_families(cfg, order, idx)]
             for case, fam in families + [(_family_literal(fam), fam) for fam in randoms]:
                 out.append((case, verify_theorem2_forward(S, fam, witness)))
             for case, sigma, _ in congruences:

@@ -154,7 +154,7 @@ def test_criterion_6_oracle_equivalence(catalog, capsys):
                 checked += 1
                 if p_congruence(S, [A]) != p_congruence_pairwise(S, [A]):
                     ok = False
-                    print(f"disagreement: table={S.table} subset={A.indices}")
+                    print(f"disagreement: table={S.table} subset={tuple(A)}")
     print(f"oracle equivalence: {checked} (instance, subset) pairs, "
           f"{time.perf_counter() - t0:.1f}s")
     _verdict(capsys, 6, "profile and pairwise congruence routes agree everywhere", ok)

@@ -73,6 +73,16 @@ class TestEnumeration:
         for S in catalog3:
             validate(S.table)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trusted_labeled_tables_equal_their_validated_copies(self, n):
+        # Only the class representatives are validated; each relabeling is
+        # built on the trusted path, so it must match what validate builds.
+        for S in enumerate_semigroups(n):
+            checked = validate(S.table)
+            assert S == checked and S.order == checked.order == n
+            assert S.labels is None
+            assert all(type(v) is int for row in S.table for v in row)
+
     def test_labeled_catalog_at_order_four_is_pinned(self, catalog4):
         # Catalog positions key the sweep's instances and random families,
         # so the order of the stream is pinned along with its content.

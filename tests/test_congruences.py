@@ -21,6 +21,7 @@ from sglab import (
     p_congruence,
     p_congruence_pairwise,
     quotient,
+    separator,
     universal_congruence,
     validate,
     verify_corollary1,
@@ -46,7 +47,7 @@ class TestCongruenceForm:
     def test_from_classes(self):
         c = Congruence.from_classes(3, [{2}, {0, 1}])
         assert c.class_of == (0, 0, 1)
-        assert [x.indices for x in c.classes()] == [(0, 1), (2,)]
+        assert [tuple(x) for x in c.classes()] == [(0, 1), (2,)]
 
     def test_from_classes_rejects_overlap_and_gaps(self):
         with pytest.raises(ValueError):
@@ -364,18 +365,17 @@ class TestMemo:
 
     def test_one_off_queries_intern_no_set(self, lz2mon):
         # pcong and medial (with its witness search) read a throwaway
-        # numpy mask for a set the table does not hold, and the interned
-        # set's own mask for one it does.
+        # numpy mask and keep only answers on the table, never a set.
         A, B = eset(3, 1), eset(3, 0, 2)
         fresh = validate(lz2mon.table)
         sigma, medial = p_congruence(fresh, [A, B]), is_medial(fresh, A)
         assert medial[0] is False
-        assert fresh._subsets == {}
+        assert not any(isinstance(v, ElementSet) for m in fresh._memo.values() for v in m.values())
         held = validate(lz2mon.table)
-        for bits in range(8):
-            held.subset(bits)
+        for X in all_subsets(3):
+            separator(held, X)
         assert (p_congruence(held, [A, B]), is_medial(held, A)) == (sigma, medial)
-        assert _np_mask(held, A.bits) is held.subset(A.bits).mask
+        assert _np_mask(held, A.bits).tolist() == [x in A for x in range(3)]
 
     def test_instance_checks_keep_the_memo_bounded(self):
         # The null semigroup of order 4 is permutative, so every check
@@ -410,15 +410,12 @@ class TestMemo:
                 assert not isinstance(value, BaseException), kind
                 assert not (isinstance(value, Congruence) and value.verified), kind
         # Each memoized partition holds the class masks of its own
-        # class_of, by class id, and the sweep interned every class.
+        # class_of, by class id.
         for class_of, classes in kinds["partition"].items():
             assert all(type(C) is int for C in classes)
             assert classes == tuple(
                 sum(1 << x for x in range(4) if class_of[x] == c) for c in range(max(class_of) + 1)
             )
-            assert all(S._subsets[C].bits == C for C in classes)
-        assert len(S._subsets) <= 2**4
-        assert all(A.bits == bits for bits, A in S._subsets.items())
 
 
 def _congruence_class_families(catalog):
@@ -431,7 +428,7 @@ def _random_multi_set_families(catalog):
     cfg = SweepConfig(random_families=20, seed=11)
     for idx, S in enumerate(catalog):
         for masks in _random_families(cfg, S.order, idx):
-            yield S, tuple(map(S.subset, masks))
+            yield S, tuple(ElementSet._from_bits(S.order, bits) for bits in masks)
 
 
 def _all_two_set_families(catalog):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sglab import (
     DuplicateLabel,
@@ -13,6 +13,7 @@ from sglab import (
     SgFormatError,
     all_subsets,
     format_sg,
+    format_subset,
     identity_element,
     is_commutative,
     parse_sg,
@@ -171,17 +172,17 @@ class TestWordTensor:
 class TestPowerSetChain:
     def test_left_zero_stabilizes_immediately(self, lz2):
         chain = power_set_chain(lz2)
-        assert [s.indices for s in chain.sets] == [(0, 1)]
+        assert [tuple(s) for s in chain.sets] == [(0, 1)]
         assert chain.cycle_start == 0
 
     def test_group(self, z2):
         chain = power_set_chain(z2)
-        assert [s.indices for s in chain.sets] == [(0, 1)]
+        assert [tuple(s) for s in chain.sets] == [(0, 1)]
         assert chain.cycle_start == 0
 
     def test_null_semigroup_collapses(self, n3):
         chain = power_set_chain(n3)
-        assert [s.indices for s in chain.sets] == [(0, 1, 2), (0,)]
+        assert [tuple(s) for s in chain.sets] == [(0, 1, 2), (0,)]
         assert chain.cycle_start == 1
 
     def test_successive_sets_are_products(self, catalog3):
@@ -221,7 +222,7 @@ class TestElementSet:
     def test_ascending_iteration(self):
         A = ElementSet.of(5, [4, 0, 2])
         assert list(A) == [0, 2, 4]
-        assert A.indices == (0, 2, 4)
+        assert tuple(A) == (0, 2, 4)
 
     def test_complement_involution(self):
         A = ElementSet.of(4, [1, 3])
@@ -230,7 +231,7 @@ class TestElementSet:
     def test_membership_and_mask(self):
         A = ElementSet.of(3, [2])
         assert 2 in A and 0 not in A
-        assert list(A.mask) == [False, False, True]
+        assert A.bits == 0b100
 
     def test_out_of_range_member(self):
         with pytest.raises(IndexOutOfRange):
@@ -243,17 +244,60 @@ class TestElementSet:
 
     def test_numpy_integer_members_become_ints(self):
         A = ElementSet.of(3, [np.int64(2), 0])
-        assert A.indices == (0, 2) and A.bits == 0b101
+        assert tuple(A) == (0, 2) and A.bits == 0b101
         assert all(type(x) is int for x in A.members)
 
     def test_intersection_requires_same_ambient(self):
         with pytest.raises(ValueError):
             ElementSet.of(2, [0]) & ElementSet.of(3, [0])
 
+    def test_inclusion_requires_same_ambient(self):
+        with pytest.raises(ValueError, match="ambient orders differ"):
+            ElementSet.of(2, [0]) <= ElementSet.of(3, [0, 1])
+
+    @pytest.mark.parametrize("ambient", [2.5, 3.0, "3", None, 0, -1])
+    def test_ambient_must_be_a_positive_integer(self, ambient):
+        with pytest.raises(ValueError, match="ambient order"):
+            ElementSet(ambient, {0})
+
+    def test_numpy_integer_ambient_becomes_int(self):
+        A = ElementSet(np.int64(3), {2})
+        assert type(A.ambient) is int and A.complement() == ElementSet.of(3, [0, 1])
+
     def test_all_subsets_bitmask_order(self):
-        subs = [A.indices for A in all_subsets(2)]
+        subs = [tuple(A) for A in all_subsets(2)]
         assert subs == [(), (0,), (1,), (0, 1)]
         assert sum(1 for _ in all_subsets(4)) == 16
+
+
+def _bits_of(members):
+    return sum(1 << e for e in members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_element_set_reads_everything_from_its_mask(data):
+    # Every view of a set, whichever way it was built, agrees with the
+    # frozenset of its members.
+    n = data.draw(st.integers(1, 8), label="ambient")
+    members = frozenset(data.draw(st.sets(st.integers(0, n - 1)), label="members"))
+    others = frozenset(data.draw(st.sets(st.integers(0, n - 1)), label="others"))
+    A = ElementSet(n, members)
+    B = ElementSet._from_bits(n, _bits_of(members))
+    O = ElementSet._from_bits(n, _bits_of(others))
+    assert A == B and hash(A) == hash(B)
+    assert vars(A) == vars(B) == {"ambient": n, "bits": _bits_of(members)}
+    assert A.members == B.members == members and type(B.members) is frozenset
+    assert list(A) == list(B) == sorted(members)
+    assert len(B) == len(members)
+    for x in range(-1, n + 2):
+        assert (x in B) == (x in members)
+    assert (B <= O) == (members <= others)
+    assert (B & O).members == members & others
+    assert B.complement().members == frozenset(range(n)) - members
+    literal = "{" + ",".join(map(str, sorted(members))) + "}"
+    assert format_subset(B) == literal
+    assert repr(B) == f"ElementSet({n}, {literal})"
 
 
 SG_TEXT = """\

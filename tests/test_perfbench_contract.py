@@ -4,7 +4,8 @@
 and counts ``ElementSet.__post_init__`` calls.  A refactor that renames or
 moves one of them would make ``--trace 1`` fail or miss calls, so these
 tests read ``LAYERS`` from the file (without importing it) and resolve
-every name the way the tracer does.
+every name the way the tracer does.  The query checks read ``members``
+off the sets the library returns, so that surface is pinned here too.
 """
 
 import ast
@@ -42,3 +43,21 @@ def test_every_traced_name_resolves_on_the_library():
 
 def test_element_set_keeps_its_own_post_init():
     assert callable(sglab.core.ElementSet.__dict__["__post_init__"])
+
+
+def test_sets_perfbench_reads_have_frozenset_members():
+    # queries.check builds ElementSet(n, members) for the reference route;
+    # queries.plain and run.tracing compare .members with frozensets.
+    S = sglab.validate([[0, 0, 0], [0, 1, 1], [0, 1, 2]])
+    A = sglab.ElementSet(3, frozenset({1, 2}))
+    sets = [
+        A,
+        sglab.subsets.parse_subset("{1,2}", 3),
+        sglab.subsets.separator(S, A),
+        sglab.subsets.idealizer(S, A),
+        *sglab.core.power_set_chain(S).sets,
+    ]
+    for X in sets:
+        assert type(X.members) is frozenset, X
+        assert X.members == frozenset(x for x in range(3) if x in X), X
+    assert sets[0].members == sets[1].members == frozenset({1, 2})

@@ -191,7 +191,7 @@ class TestLemma4:
         # k = 1 works even though the chain keeps shrinking to {0}.
         res = lemma4_minimal_k(n3)
         assert res.k == 1
-        assert [s.indices for s in res.chain.sets] == [(0, 1, 2), (0,)]
+        assert [tuple(s) for s in res.chain.sets] == [(0, 1, 2), (0,)]
 
 
 class TestTheorem2Forward:

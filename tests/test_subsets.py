@@ -27,11 +27,11 @@ def eset(ambient, *members):
 
 class TestIdealizer:
     def test_min2_singletons(self, min2):
-        assert idealizer(min2, eset(2, 1)).indices == (1,)
-        assert idealizer(min2, eset(2, 0)).indices == (0, 1)
+        assert tuple(idealizer(min2, eset(2, 1))) == (1,)
+        assert tuple(idealizer(min2, eset(2, 0))) == (0, 1)
 
     def test_empty_subset_is_vacuous(self, lz2mon):
-        assert idealizer(lz2mon, ElementSet.empty(3)).indices == (0, 1, 2)
+        assert tuple(idealizer(lz2mon, ElementSet.empty(3))) == (0, 1, 2)
 
     def test_matches_definition_by_brute_force(self, catalog3):
         for S in catalog3[::7]:
@@ -51,13 +51,13 @@ class TestIdealizer:
 
 class TestSeparator:
     def test_examples(self, min2, z2, lz2):
-        assert separator(min2, eset(2, 0)).indices == (1,)
-        assert separator(z2, eset(2, 0)).indices == (0,)
-        assert separator(lz2, eset(2, 0)).indices == ()
+        assert tuple(separator(min2, eset(2, 0))) == (1,)
+        assert tuple(separator(z2, eset(2, 0))) == (0,)
+        assert tuple(separator(lz2, eset(2, 0))) == ()
 
     def test_empty_and_full_get_everything(self, lz2mon):
-        assert separator(lz2mon, ElementSet.empty(3)).indices == (0, 1, 2)
-        assert separator(lz2mon, ElementSet.full(3)).indices == (0, 1, 2)
+        assert tuple(separator(lz2mon, ElementSet.empty(3))) == (0, 1, 2)
+        assert tuple(separator(lz2mon, ElementSet.full(3))) == (0, 1, 2)
 
     def test_complement_duality(self, catalog3):
         for S in catalog3[::5]:
@@ -152,7 +152,7 @@ class TestSubsetLiterals:
     @pytest.mark.parametrize("text,members", [("{0,2}", (0, 2)), ("{}", ()), ("1", (1,)), ("{ 0 }", (0,))])
     def test_parse(self, text, members):
         A = parse_subset(text, 3)
-        assert A.indices == members
+        assert tuple(A) == members
 
     def test_format_round_trip(self):
         A = eset(4, 3, 1)
@@ -310,7 +310,6 @@ def test_memoized_analyses_match_their_definitions(data, catalog2, catalog3):
         for T in (S, S, validate(S.table)):
             sep = separator(T, A)
             assert sep.members == want[0]
-            assert sep is T.subset(sep.bits)
             assert idealizer(T, A).members == want[1]
             assert is_medial(T, A) == want[2]
             assert is_subsemigroup(T, A) == want[3]
