@@ -20,7 +20,6 @@ from .core import (
     _INDEX_TYPES,
     ElementSet,
     FiniteSemigroup,
-    _format_mask,
     cached_attribute,
     identity_element,
     is_commutative,
@@ -29,6 +28,7 @@ from .errors import IndexOutOfRange, NotACongruence, OrderTooLarge
 from .reports import CheckReport, failed, passed, unmet
 from .subsets import (
     _check_ambient,
+    _format_mask,
     _medial,
     _min_member,
     _np_mask,

@@ -27,17 +27,10 @@ from .congruences import (
     _sep_common,
     _separator_structure,
 )
-from .core import (
-    _INDEX_TYPES,
-    ElementSet,
-    FiniteSemigroup,
-    PowerChain,
-    _format_mask,
-    power_set_chain,
-)
+from .core import _INDEX_TYPES, ElementSet, FiniteSemigroup, PowerChain, power_set_chain
 from .errors import WorkBudgetExceeded
 from .reports import CheckReport, failed, passed, unmet
-from .subsets import _check_ambient, _medial, _separator
+from .subsets import _check_ambient, _format_mask, _medial, _separator
 
 __all__ = [
     "PermutationIdentity",
