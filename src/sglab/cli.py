@@ -21,7 +21,7 @@ from .core import format_sg, read_sg
 from .errors import DuplicateLabel, NotACongruence, NotAssociative, SgFormatError, SglabError
 from .permutative import find_permutation_identity, format_permutation, lemma4_minimal_k
 from .subsets import format_subset, idealizer, is_medial, parse_subset, separator
-from .sweep import FAMILY_MODES, THEOREM_GROUPS, SweepConfig, SweepTally, iter_sweep
+from .sweep import FAMILY_MODES, THEOREM_GROUPS, SweepConfig, SweepReport, iter_sweep
 
 __all__ = ["run_command", "main"]
 
@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
         parallelism=args.jobs,
         theorem=args.theorem,
     )
-    tally = SweepTally()
+    rep = SweepReport()
     # Closing the sweep on the way out, also when the reader hangs up,
     # stops its workers there and then.
     with contextlib.closing(iter_sweep(cfg)) as instances:
@@ -160,17 +160,17 @@ def cmd_verify(args) -> int:
             # number of lines: one write per line costs more than the
             # checks behind it, and holding every record until the end
             # would make the whole output resident.
-            lines = tally.lines(instances)
+            lines = rep.lines(instances)
             while chunk := list(islice(lines, _RECORDS_PER_WRITE)):
                 sys.stdout.write("\n".join(chunk) + "\n")
         else:
             for rows in instances:
-                tally.add(rows)
-            for line in tally.report().summary_lines():
+                rep.add(rows)
+            for line in rep.summary_lines():
                 print(line)
-            for line in tally.fails:
+            for line in rep.fails:
                 print(f"FAIL {line}")
-    return 1 if tally.fails else 0
+    return 1 if rep.fails else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ Both directions are checked here, stage by stage, on concrete tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -20,9 +20,11 @@ from .core import (
     _INDEX_TYPES,
     ElementSet,
     FiniteSemigroup,
+    _ambient_order,
     cached_attribute,
     identity_element,
     is_commutative,
+    memoized,
 )
 from .errors import IndexOutOfRange, NotACongruence, OrderTooLarge
 from .reports import CheckReport, failed, passed, unmet
@@ -66,17 +68,13 @@ class Congruence:
 
     Class ids are assigned in order of first appearance by ascending
     element index, so equal partitions compare equal as plain tuples.
-    verified marks partitions that passed a compatibility check against
-    some semigroup; it never participates in equality.
     """
 
     ambient: int
     class_of: tuple[int, ...]
-    verified: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if self.ambient < 1:
-            raise ValueError("ambient order must be positive")
+        object.__setattr__(self, "ambient", _ambient_order(self.ambient))
         if len(self.class_of) != self.ambient:
             raise ValueError(f"expected {self.ambient} class assignments")
         relabel: dict[int, int] = {}
@@ -89,6 +87,7 @@ class Congruence:
 
     @classmethod
     def from_classes(cls, ambient: int, parts: Iterable[Iterable[int]]) -> "Congruence":
+        ambient = _ambient_order(ambient)
         assign = [-1] * ambient
         for pid, part in enumerate(parts):
             for x in part:
@@ -111,11 +110,11 @@ class Congruence:
 
 
 def identity_congruence(n: int) -> Congruence:
-    return Congruence(n, tuple(range(n)), verified=True)
+    return Congruence(n, tuple(range(n)))
 
 
 def universal_congruence(n: int) -> Congruence:
-    return Congruence(n, (0,) * n, verified=True)
+    return Congruence(n, (0,) * n)
 
 
 class QuotientKind(NamedTuple):
@@ -146,37 +145,24 @@ def _class_bits(class_of: tuple[int, ...]) -> list[int]:
     return bits
 
 
-# The private accessors below answer from the table's memo (S._memo,
-# one dict per analysis) and compute on a miss.  Subsets are bit masks
-# throughout: subset analyses are keyed by the mask, partition analyses
-# by the canonical class_of.  The verifiers check the ambient order and
-# take their sets' masks once at entry.
-
-
+@memoized("partition")
 def _classes(S: FiniteSemigroup, class_of: tuple[int, ...]) -> tuple[int, ...]:
     """The class masks of a canonical class_of, by class id."""
-    memo = S._memo["partition"]
-    out = memo.get(class_of)
-    if out is None:
-        out = memo[class_of] = tuple(_class_bits(class_of))
-    return out
+    return tuple(_class_bits(class_of))
 
 
+@memoized("profile")
 def _profile(S: FiniteSemigroup, bits: int) -> tuple[int, ...]:
     """Canonical class ids of the partition the subset with mask ``bits``
     induces: c and d share a class iff their context masks
     {(x, y) : x*c*y in A} are equal."""
-    memo = S._memo["profile"]
-    out = memo.get(bits)
-    if out is None:
-        # Slice c of the bytes is c's context mask.
-        rows = _np_mask(S, bits)[S.word_tensor(3)].transpose(1, 0, 2).tobytes()
-        width = S.order**2
-        ids: dict[bytes, int] = {}
-        out = memo[bits] = tuple(
-            ids.setdefault(rows[i : i + width], len(ids)) for i in range(0, len(rows), width)
-        )
-    return out
+    # Slice c of the bytes is c's context mask.
+    rows = _np_mask(S, bits)[S.word_tensor(3)].transpose(1, 0, 2).tobytes()
+    width = S.order**2
+    ids: dict[bytes, int] = {}
+    return tuple(
+        ids.setdefault(rows[i : i + width], len(ids)) for i in range(0, len(rows), width)
+    )
 
 
 def _context_class_of(S: FiniteSemigroup, masks: Sequence[int]) -> tuple[int, ...]:
@@ -197,15 +183,15 @@ def p_congruence(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence
     a ~ b iff for every A_i and every x, y in S: x*a*y in A_i exactly
     when x*b*y in A_i.  Contexts range over S itself.  The empty family,
     and families containing the empty or full set, degenerate to the
-    universal relation.  The result is re-checked for compatibility
-    before being flagged verified.
+    universal relation.  The result is re-checked for compatibility,
+    and NotACongruence is raised if that check fails.
     """
     _check_ambient(S, *family)
     class_of = _context_class_of(S, [A.bits for A in family])
     ok, w = _compatible(S, class_of)
     if not ok:
         raise NotACongruence(f"induced relation broke compatibility at {w}")
-    return Congruence(S.order, class_of, verified=True)
+    return Congruence(S.order, class_of)
 
 
 def p_congruence_pairwise(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence:
@@ -246,7 +232,7 @@ def p_congruence_pairwise(S: FiniteSemigroup, family: Sequence[ElementSet]) -> C
         for b in range(n):
             if (class_of[a] == class_of[b]) != related(a, b):
                 raise NotACongruence(f"pairwise relation not transitive at ({a},{b})")
-    return Congruence(n, tuple(class_of), verified=True)
+    return Congruence(n, tuple(class_of))
 
 
 def is_congruence(
@@ -262,20 +248,12 @@ def is_congruence(
     return _compatible(S, part.class_of)
 
 
+@memoized("congruence")
 def _compatible(
     S: FiniteSemigroup, cls: tuple[int, ...]
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    memo = S._memo["congruence"]
-    out = memo.get(cls)
-    if out is None:
-        out = memo[cls] = _compatibility(S.table, cls)
-    return out
-
-
-def _compatibility(
-    t: tuple[tuple[int, ...], ...], cls: tuple[int, ...]
-) -> tuple[bool, tuple[int, int, int] | None]:
-    n = len(t)
+    t = S.table
+    n = S.order
     for a in range(n):
         for b in range(n):
             if a == b or cls[a] != cls[b]:
@@ -298,26 +276,23 @@ def quotient(S: FiniteSemigroup, c: Congruence) -> QuotientSemigroup:
     return _quotient(S, c.class_of)
 
 
+@memoized("quotient")
 def _quotient(S: FiniteSemigroup, cls: tuple[int, ...]) -> QuotientSemigroup:
-    memo = S._memo["quotient"]
-    Q = memo.get(cls)
-    if Q is None:
-        k = max(cls) + 1
-        reps = [cls.index(i) for i in range(k)]
-        t = S.table
-        qtable = tuple(tuple(cls[t[r][s]] for s in reps) for r in reps)
-        for a in range(S.order):
-            row = t[a]
-            qrow = qtable[cls[a]]
-            for b in range(S.order):
-                if cls[row[b]] != qrow[cls[b]]:
-                    raise NotACongruence(
-                        f"product of classes {cls[a]},{cls[b]} depends on representatives"
-                    )
-        # Every product of classes is well defined, so the projection is
-        # a homomorphism onto the table, which is therefore associative.
-        Q = memo[cls] = QuotientSemigroup(FiniteSemigroup._from_table(qtable), cls)
-    return Q
+    k = max(cls) + 1
+    reps = [cls.index(i) for i in range(k)]
+    t = S.table
+    qtable = tuple(tuple(cls[t[r][s]] for s in reps) for r in reps)
+    for a in range(S.order):
+        row = t[a]
+        qrow = qtable[cls[a]]
+        for b in range(S.order):
+            if cls[row[b]] != qrow[cls[b]]:
+                raise NotACongruence(
+                    f"product of classes {cls[a]},{cls[b]} depends on representatives"
+                )
+    # Every product of classes is well defined, so the projection is a
+    # homomorphism onto the table, which is therefore associative.
+    return QuotientSemigroup(FiniteSemigroup._from_table(qtable), cls)
 
 
 def classify_quotient(Q: QuotientSemigroup) -> QuotientKind:
@@ -356,7 +331,7 @@ def enumerate_congruences(S: FiniteSemigroup, order_bound: int = 6) -> list[Cong
         raise OrderTooLarge(S.order, order_bound)
     # Restricted growth strings are already canonical class_of tuples.
     return [
-        Congruence(S.order, rgs, verified=True)
+        Congruence(S.order, rgs)
         for rgs in _rgs_strings(S.order)
         if _compatible(S, rgs)[0]
     ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -68,6 +68,35 @@ _VALIDATE_SECONDS = 10.0
 _INDEX_TYPES = (int, np.integer)
 
 
+def _ambient_order(ambient) -> int:
+    """``ambient`` as an int, or ValueError unless it is an integer >= 1."""
+    if not isinstance(ambient, _INDEX_TYPES) or ambient < 1:
+        raise ValueError(f"ambient order must be a positive integer, not {ambient!r}")
+    return int(ambient)
+
+
+def memoized(kind: str) -> Callable:
+    """Memoize ``fn(S, key)`` per table, in ``S._memo[kind]``.
+
+    The accessor answers from the memo and calls ``fn`` only on a miss.
+    Only returned values are stored, so a call that raises is asked
+    afresh next time.  ``fn`` must never return None: None marks a miss.
+    """
+
+    def decorate(fn: Callable) -> Callable:
+        @wraps(fn)
+        def accessor(S: FiniteSemigroup, key):
+            memo = S._memo[kind]
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = fn(S, key)
+            return out
+
+        return accessor
+
+    return decorate
+
+
 class cached_attribute:
     """A computed attribute stored in the instance dict on first read.
 
@@ -100,13 +129,13 @@ class FiniteSemigroup:
 
     ``_memo`` holds the answers to pure questions about the table, one
     dict per analysis kind (``_memo["separator"]``, ``_memo["medial"]``,
-    ...).  Subset analyses are keyed by the subset's bit mask, partition
+    ...), read and filled only through the accessors ``memoized`` makes.
+    Subset analyses are keyed by the subset's bit mask, partition
     analyses by its canonical ``class_of`` and ``identity`` by the
     permutation, never by a whole family, so a subset kind holds at most
-    2**n entries and a partition kind at most Bell(n).  Only returned
-    values are stored; a question that raises is asked afresh every
-    time.  The table is frozen, so an entry never goes stale, and the
-    memo is freed with the semigroup.
+    2**n entries and a partition kind at most Bell(n).  The table is
+    frozen, so an entry never goes stale, and the memo is freed with the
+    semigroup.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -267,14 +296,13 @@ class ElementSet:
 
     def __post_init__(self, ambient: int, members: Iterable[int]):
         # Every validating construction runs here; _from_bits skips it.
-        if not isinstance(ambient, _INDEX_TYPES) or ambient < 1:
-            raise ValueError(f"ambient order must be a positive integer, not {ambient!r}")
+        ambient = _ambient_order(ambient)
         bits = 0
         for x in frozenset(members):
             if not isinstance(x, _INDEX_TYPES) or not 0 <= x < ambient:
                 raise IndexOutOfRange(x, ambient)
             bits |= 1 << int(x)
-        object.__setattr__(self, "ambient", int(ambient))
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "bits", bits)
 
     @classmethod
@@ -350,10 +378,8 @@ def _format_mask(bits: int) -> str:
 
 def all_subsets(ambient: int) -> Iterator[ElementSet]:
     """All 2**ambient subsets, in ascending bitmask order (bit e = element e)."""
-    if ambient < 1:
-        raise ValueError("ambient order must be positive")
-    for mask in range(1 << ambient):
-        yield ElementSet._from_bits(ambient, mask)
+    ambient = _ambient_order(ambient)
+    return (ElementSet._from_bits(ambient, mask) for mask in range(1 << ambient))
 
 
 class PowerChain(NamedTuple):

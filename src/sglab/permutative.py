@@ -27,7 +27,7 @@ from .congruences import (
     _sep_common,
     _separator_structure,
 )
-from .core import _INDEX_TYPES, ElementSet, FiniteSemigroup, PowerChain, power_set_chain
+from .core import _INDEX_TYPES, ElementSet, FiniteSemigroup, PowerChain, memoized, power_set_chain
 from .errors import WorkBudgetExceeded
 from .reports import CheckReport, failed, passed, unmet
 from .subsets import _check_ambient, _format_mask, _medial, _separator
@@ -86,16 +86,16 @@ def satisfies_identity(
     lexicographically first tuple (x_1..x_n) where the sides differ.
     Memoized per semigroup and permutation.
     """
-    memo = S._memo["identity"]
-    out = memo.get(ident.perm)
-    if out is None:
-        w = S.word_tensor(ident.length)
-        bad = w != w.transpose(tuple(p - 1 for p in ident.perm))
-        out = (True, None) if not bad.any() else (
-            False, tuple(int(v) for v in np.argwhere(bad)[0])
-        )
-        memo[ident.perm] = out
-    return out
+    return _identity(S, ident.perm)
+
+
+@memoized("identity")
+def _identity(S: FiniteSemigroup, perm: tuple[int, ...]) -> tuple[bool, tuple[int, ...] | None]:
+    w = S.word_tensor(len(perm))
+    bad = w != w.transpose(tuple(p - 1 for p in perm))
+    if not bad.any():
+        return True, None
+    return False, tuple(int(v) for v in np.argwhere(bad)[0])
 
 
 # Measured cost of one permutation comparison in the identity search:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ElementSet, FiniteSemigroup, _format_mask
+from .core import ElementSet, FiniteSemigroup, _format_mask, memoized
 from .errors import AmbientMismatch
 
 __all__ = [
@@ -71,36 +71,26 @@ def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
     return ElementSet._from_bits(S.order, _separator(S, A.bits))
 
 
-# The private accessors below answer from the table's memo (S._memo,
-# one dict per analysis, keyed by the subset's bit mask) and compute on
-# a miss.  They take the mask; a numpy view, where one is needed, comes
-# from _np_mask.  The verifiers call them after checking the ambient
-# order once at entry.
-
-
 def _np_mask(S: FiniteSemigroup, bits: int) -> np.ndarray:
     """Boolean array of the subset with mask ``bits``."""
     return np.array([bits >> e & 1 for e in range(S.order)], dtype=bool)
 
 
+@memoized("separator")
 def _separator(S: FiniteSemigroup, bits: int) -> int:
     """Mask of Sep of the subset with mask ``bits``."""
-    memo = S._memo["separator"]
-    out = memo.get(bits)
-    if out is None:
-        # x is in Sep(A) iff a -> x*a and a -> a*x keep every a on its side of A.
-        t = S.table
-        n = S.order
-        out = 0
-        for x in range(n):
-            row = t[x]
-            for a in range(n):
-                side = bits >> a & 1
-                if bits >> row[a] & 1 != side or bits >> t[a][x] & 1 != side:
-                    break
-            else:
-                out |= 1 << x
-        memo[bits] = out
+    # x is in Sep(A) iff a -> x*a and a -> a*x keep every a on its side of A.
+    t = S.table
+    n = S.order
+    out = 0
+    for x in range(n):
+        row = t[x]
+        for a in range(n):
+            side = bits >> a & 1
+            if bits >> row[a] & 1 != side or bits >> t[a][x] & 1 != side:
+                break
+        else:
+            out |= 1 << x
     return out
 
 
@@ -117,24 +107,18 @@ def is_medial(
     return _medial(S, A.bits)
 
 
+@memoized("medial")
 def _medial(S: FiniteSemigroup, bits: int) -> tuple[bool, tuple[int, int, int, int] | None]:
-    memo = S._memo["medial"]
-    out = memo.get(bits)
-    if out is None:
-        # A is medial iff it never separates a linked pair (x*a*b*y,
-        # x*b*a*y); the tensor is searched only for a failure's witness.
-        linked = S._linked
-        outside = ~bits
-        for u in range(S.order):
-            if bits >> u & 1 and linked[u] & outside:
-                inside = _np_mask(S, bits)[S.word_tensor(4)]
-                x, a, b, y = np.argwhere(inside & ~inside.swapaxes(1, 2))[0]
-                out = False, (int(x), int(a), int(b), int(y))
-                break
-        else:
-            out = True, None
-        memo[bits] = out
-    return out
+    # A is medial iff it never separates a linked pair (x*a*b*y,
+    # x*b*a*y); the tensor is searched only for a failure's witness.
+    linked = S._linked
+    outside = ~bits
+    for u in range(S.order):
+        if bits >> u & 1 and linked[u] & outside:
+            inside = _np_mask(S, bits)[S.word_tensor(4)]
+            x, a, b, y = np.argwhere(inside & ~inside.swapaxes(1, 2))[0]
+            return False, (int(x), int(a), int(b), int(y))
+    return True, None
 
 
 def is_reflexive(
@@ -148,16 +132,10 @@ def is_reflexive(
     return _reflexive(S, A.bits)
 
 
+@memoized("reflexive")
 def _reflexive(S: FiniteSemigroup, bits: int) -> tuple[bool, tuple[int, int] | None]:
-    memo = S._memo["reflexive"]
-    out = memo.get(bits)
-    if out is None:
-        out = memo[bits] = _reflexivity(S.table, bits)
-    return out
-
-
-def _reflexivity(t, bits: int) -> tuple[bool, tuple[int, int] | None]:
-    n = len(t)
+    t = S.table
+    n = S.order
     for a in range(n):
         row = t[a]
         for b in range(n):
@@ -186,25 +164,15 @@ def is_unitary(
     return w is None, w
 
 
+@memoized("unitary")
 def _unitary(
     S: FiniteSemigroup, bits: int
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None, tuple[int, int] | None]:
     """The first left, right and "both" witnesses (None where unitary)."""
-    memo = S._memo["unitary"]
-    out = memo.get(bits)
-    if out is None:
-        left, right = _unitary_witnesses(S.table, bits)
-        both = min((v for v in (left, right) if v is not None), default=None)
-        out = memo[bits] = left, right, both
-    return out
-
-
-def _unitary_witnesses(
-    t, bits: int
-) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     # The first (a, b) with a in U, b outside, and a*b (left) or b*a
     # (right) in U; the first for "both" is the lesser of the two.
-    n = len(t)
+    t = S.table
+    n = S.order
     left = right = None
     for a in range(n):
         if not bits >> a & 1:
@@ -218,8 +186,9 @@ def _unitary_witnesses(
             if right is None and bits >> t[b][a] & 1:
                 right = (a, b)
             if left is not None and right is not None:
-                return left, right
-    return left, right
+                return left, right, min(left, right)
+    # At most one of the two was found.
+    return left, right, left or right
 
 
 def is_subsemigroup(
@@ -233,18 +202,12 @@ def is_subsemigroup(
     return _subsemigroup(S, A.bits)
 
 
+@memoized("subsemigroup")
 def _subsemigroup(S: FiniteSemigroup, bits: int) -> tuple[bool, tuple[int, int] | None]:
-    memo = S._memo["subsemigroup"]
-    out = memo.get(bits)
-    if out is None:
-        out = memo[bits] = _closure(S.table, bits)
-    return out
-
-
-def _closure(t, bits: int) -> tuple[bool, tuple[int, int] | None]:
     if not bits:
         return False, None
-    inside = [e for e in range(len(t)) if bits >> e & 1]
+    t = S.table
+    inside = [e for e in range(S.order) if bits >> e & 1]
     for a in inside:
         row = t[a]
         for b in inside:

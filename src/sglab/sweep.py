@@ -46,7 +46,6 @@ from .subsets import format_subset
 __all__ = [
     "SweepConfig",
     "SweepReport",
-    "SweepTally",
     "check_lemma1",
     "check_lemma2",
     "check_lemma3",
@@ -95,12 +94,30 @@ class SweepConfig:
             raise ValueError("random_families cannot be negative")
 
 
-@dataclass
 class SweepReport:
-    instances: int
-    records: tuple[str, ...]
-    fails: tuple[str, ...]
-    counts: dict[tuple[str, str], int]
+    """Per-(check, status) counts and fail lines of the rows seen so far.
+
+    ``records`` holds the record lines only where the caller keeps them:
+    ``run_sweep`` does, ``verify`` writes them out instead.
+    """
+
+    def __init__(self):
+        self.instances = 0
+        self.records: list[str] = []
+        self.counts: Counter[tuple[str, str]] = Counter()
+        self.fails: list[str] = []
+
+    def add(self, rows: list[Row]) -> None:
+        """Count one instance's rows."""
+        self.instances += 1
+        self.counts.update(map(_check_status, rows))
+        self.fails += [line for line, _, status in rows if status == FAIL]
+
+    def lines(self, instances: Iterable[list[Row]]) -> Iterator[str]:
+        """The record lines of ``instances``, counting each instance as it passes."""
+        for rows in instances:
+            self.add(rows)
+            yield from map(_line, rows)
 
     def summary_lines(self) -> list[str]:
         n_pass = sum(v for (_, st), v in self.counts.items() if st == "pass")
@@ -250,39 +267,15 @@ def _instance_rows(items, workers: int) -> Iterator[list[Row]]:
         yield from map(_instance_worker, items)
 
 
-class SweepTally:
-    """Per-(check, status) counts and fail lines of the rows seen so far."""
-
-    def __init__(self):
-        self.instances = 0
-        self.counts: Counter[tuple[str, str]] = Counter()
-        self.fails: list[str] = []
-
-    def add(self, rows: list[Row]) -> None:
-        """Count one instance's rows."""
-        self.instances += 1
-        self.counts.update(map(_check_status, rows))
-        self.fails += [line for line, _, status in rows if status == FAIL]
-
-    def lines(self, instances: Iterable[list[Row]]) -> Iterator[str]:
-        """The record lines of ``instances``, counting each instance as it passes."""
-        for rows in instances:
-            self.add(rows)
-            yield from map(_line, rows)
-
-    def report(self, records: Sequence[str] = ()) -> SweepReport:
-        return SweepReport(self.instances, tuple(records), tuple(self.fails), dict(self.counts))
-
-
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Run every configured check over the catalog and keep every record.
 
     Records keep catalog order regardless of parallelism, so two sweeps
     with the same config are byte-identical.
     """
-    tally = SweepTally()
-    records = tuple(tally.lines(iter_sweep(cfg)))
-    return tally.report(records)
+    rep = SweepReport()
+    rep.records.extend(rep.lines(iter_sweep(cfg)))
+    return rep
 
 
 _line = itemgetter(0)

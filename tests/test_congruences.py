@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sglab import (
     AmbientMismatch,
+    PermutationIdentity,
     Congruence,
     ElementSet,
     NotACongruence,
@@ -21,6 +22,7 @@ from sglab import (
     p_congruence,
     p_congruence_pairwise,
     quotient,
+    satisfies_identity,
     separator,
     universal_congruence,
     validate,
@@ -28,6 +30,7 @@ from sglab import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
+from sglab import congruences, subsets
 from sglab.subsets import _np_mask
 from sglab.sweep import _instance_checks, _random_families
 
@@ -40,9 +43,6 @@ class TestCongruenceForm:
     def test_canonicalizes_class_ids(self):
         c = Congruence(3, (7, 7, 2))
         assert c.class_of == (0, 0, 1)
-
-    def test_equality_ignores_verified_flag(self):
-        assert Congruence(2, (0, 1), verified=True) == Congruence(2, (5, 9))
 
     def test_from_classes(self):
         c = Congruence.from_classes(3, [{2}, {0, 1}])
@@ -90,7 +90,6 @@ class TestPCongruence:
         for S in catalog3[::11]:
             for A in all_subsets(S.order):
                 got = p_congruence(S, [A])
-                assert got.verified
                 assert is_congruence(S, got) == (True, None)
 
     def test_congruence_even_for_non_medial_sets(self, lz2mon):
@@ -349,7 +348,45 @@ def test_split_pair_names_the_first_split_class():
     assert _split_pair(0b0110, (0, 1, 0, 1)) == (1, 3)
 
 
+# Each memo kind, its key for the order-2 group's set {0}, partition
+# into singletons or commutativity, and the route that asks it.
+MEMO_ROUTES = {
+    "separator": (0b01, lambda S: subsets._separator(S, 0b01)),
+    "medial": (0b01, lambda S: subsets._medial(S, 0b01)),
+    "reflexive": (0b01, lambda S: subsets._reflexive(S, 0b01)),
+    "unitary": (0b01, lambda S: subsets._unitary(S, 0b01)),
+    "subsemigroup": (0b01, lambda S: subsets._subsemigroup(S, 0b01)),
+    "profile": (0b01, lambda S: congruences._profile(S, 0b01)),
+    "partition": ((0, 1), lambda S: congruences._classes(S, (0, 1))),
+    "congruence": ((0, 1), lambda S: congruences._compatible(S, (0, 1))),
+    "quotient": ((0, 1), lambda S: congruences._quotient(S, (0, 1))),
+    "identity": ((2, 1), lambda S: satisfies_identity(S, PermutationIdentity.of((2, 1)))),
+}
+
+
 class TestMemo:
+    @pytest.mark.parametrize("kind", sorted(MEMO_ROUTES))
+    def test_each_accessor_reads_and_fills_its_own_kind(self, kind):
+        key, ask = MEMO_ROUTES[kind]
+        # A miss computes the answer and stores it under this key alone.
+        fresh = validate([[0, 1], [1, 0]])
+        answer = ask(fresh)
+        assert dict(fresh._memo) == {kind: {key: answer}}
+        # A hit returns the planted answer; with the table gone, any
+        # computation would raise.
+        seeded = validate([[0, 1], [1, 0]])
+        sentinel = object()
+        seeded._memo[kind][key] = sentinel
+        object.__setattr__(seeded, "table", None)
+        assert ask(seeded) is sentinel
+        assert dict(seeded._memo) == {kind: {key: sentinel}}
+
+    def test_failed_quotient_accessor_stores_nothing(self, chain3):
+        for _ in range(2):
+            with pytest.raises(NotACongruence):
+                congruences._quotient(chain3, (0, 1, 0))
+        assert chain3._memo["quotient"] == {}
+
     def test_quotient_of_non_congruence_raises_every_time(self, chain3):
         part = Congruence.from_classes(3, [{0, 2}, {1}])
         for _ in range(3):
@@ -405,10 +442,8 @@ class TestMemo:
             else:
                 assert all(type(a) is tuple and all(type(p) is int for p in a) for a in entries)
             for value in entries.values():
-                # Answers only: no stored error, and no memoized partition
-                # marked verified (only is_congruence vouches for one).
+                # Answers only: no stored error.
                 assert not isinstance(value, BaseException), kind
-                assert not (isinstance(value, Congruence) and value.verified), kind
         # Each memoized partition holds the class masks of its own
         # class_of, by class id.
         for class_of, classes in kinds["partition"].items():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sglab import (
+    Congruence,
     DuplicateLabel,
     ElementSet,
     EmptyWord,
@@ -24,7 +25,7 @@ from sglab import (
     WorkBudgetExceeded,
 )
 from sglab import core
-from sglab.core import _WORD_TENSOR_CELLS
+from sglab.core import _WORD_TENSOR_CELLS, memoized
 
 
 class TestValidate:
@@ -268,6 +269,43 @@ class TestElementSet:
         subs = [tuple(A) for A in all_subsets(2)]
         assert subs == [(), (0,), (1,), (0, 1)]
         assert sum(1 for _ in all_subsets(4)) == 16
+
+
+@pytest.mark.parametrize("ambient", [2.5, "3", None, 0, -1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        all_subsets,
+        lambda n: Congruence(n, (0, 0)),
+        lambda n: Congruence.from_classes(n, [[0]]),
+        lambda n: ElementSet(n, ()),
+    ],
+    ids=["all_subsets", "Congruence", "from_classes", "ElementSet"],
+)
+def test_every_ambient_order_is_refused_by_the_call_itself(build, ambient):
+    # One message for every constructor, raised before anything is
+    # built: all_subsets does not wait for its first next().
+    with pytest.raises(ValueError, match="ambient order must be a positive integer, not "):
+        build(ambient)
+
+
+def test_memoized_stores_answers_and_never_a_raise():
+    calls = []
+
+    @memoized("probe")
+    def probe(S, key):
+        calls.append(key)
+        if key < 0:
+            raise ValueError(key)
+        return 2 * key
+
+    S = validate([[0]])
+    assert (probe(S, 3), probe(S, 3)) == (6, 6)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            probe(S, -1)
+    assert calls == [3, -1, -1]
+    assert S._memo["probe"] == {3: 6}
 
 
 def _bits_of(members):

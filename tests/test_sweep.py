@@ -96,7 +96,7 @@ class TestRunSweep:
     def test_small_catalog_counts_and_zero_fails(self):
         rep = run_sweep(SweepConfig(max_order=2, random_families=3))
         assert rep.instances == 9
-        assert rep.fails == ()
+        assert rep.fails == []
         assert all(st != "fail" for (_, st) in rep.counts)
         assert sum(rep.counts.values()) == len(rep.records)
 
