@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from itertools import compress, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .core import (
     _INDEX_TYPES,
@@ -84,6 +87,14 @@ class Congruence:
                 relabel[v] = len(relabel)
             canon.append(relabel[v])
         object.__setattr__(self, "class_of", tuple(canon))
+
+    @classmethod
+    def _from_rgs(cls, ambient: int, class_of: tuple[int, ...]) -> "Congruence":
+        """Trusted construction from a restricted growth string, which is
+        already a canonical class_of.  Skips ``__post_init__``."""
+        c = object.__new__(cls)
+        c.__dict__.update(ambient=ambient, class_of=class_of)
+        return c
 
     @classmethod
     def from_classes(cls, ambient: int, parts: Iterable[Iterable[int]]) -> "Congruence":
@@ -300,41 +311,90 @@ def classify_quotient(Q: QuotientSemigroup) -> QuotientKind:
     return Q._kind
 
 
-@lru_cache(maxsize=None)
-def _rgs_strings(n: int) -> tuple[tuple[int, ...], ...]:
-    # Restricted growth strings in lexicographic order: a[0]=0 and
-    # a[i] <= max(a[:i]) + 1.  One string per set partition of [0, n),
-    # built once per order: Bell(6) = 203 strings at the default bound.
+def _rgs_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """Restricted growth strings in lexicographic order: a[0] = 0 and
+    a[i] <= max(a[:i]) + 1.  One string per set partition of [0, n), and
+    each is already the canonical class_of of its partition."""
     cur = [0] * n
-    out = []
 
-    def rec(pos: int, mx: int) -> None:
+    def rec(pos: int, mx: int) -> Iterator[tuple[int, ...]]:
         if pos == n:
-            out.append(tuple(cur))
+            yield tuple(cur)
             return
         for v in range(mx + 2):
             cur[pos] = v
-            rec(pos + 1, max(mx, v))
+            yield from rec(pos + 1, max(mx, v))
 
-    rec(1, 0)
-    return tuple(out)
+    return rec(1, 0)
+
+
+# enumerate_congruences judges at most _PARTITION_BLOCK partitions per
+# pass of array operations.  Orders up to 7 (Bell(7) = 877 partitions)
+# take one pass, whose arrays are kept per order.
+_PARTITION_BLOCK = 4096
+_KEPT_PARTITION_ORDER = 7
+
+_Strings = tuple[tuple[int, ...], ...]
+
+
+def _partition_block(strings: _Strings) -> tuple[_Strings, np.ndarray, np.ndarray]:
+    """The strings, their array P (one row per partition) and the gather
+    index that sets each product beside its representative's.
+
+    With rep[k, a] the first element of a's class, partition k is a
+    congruence iff P[k, a*c] == P[k, rep[k, a]*c] and P[k, c*a] ==
+    P[k, c*rep[k, a]] for all a and c.  For G[k, x] = P[k, table[x]] over
+    the n*n cells x, ``G.ravel()[index]`` is (B, 2, n*n): row k holds
+    G[k, rep*n + c] at a*n + c and G[k, c*n + rep] at c*n + a.
+    """
+    P = np.array(strings, dtype=np.intp)
+    rows, n = P.shape
+    first = (P[:, :, None] == np.arange(n)).argmax(axis=1)
+    rep = np.take_along_axis(first, P, axis=1)[:, :, None]
+    c = np.arange(n)
+    offset = np.arange(0, rows * n * n, n * n)[:, None, None]
+    left = offset + rep * n + c
+    right = offset + (c * n)[:, None] + rep.transpose(0, 2, 1)
+    index = np.stack([left, right], axis=1).reshape(rows, 2, n * n)
+    for a in (P, index):
+        a.flags.writeable = False
+    return strings, P, index
+
+
+@lru_cache(maxsize=_KEPT_PARTITION_ORDER)
+def _all_partitions(n: int) -> tuple[_Strings, np.ndarray, np.ndarray]:
+    return _partition_block(tuple(_rgs_strings(n)))
+
+
+def _partition_blocks(n: int) -> Iterable[tuple[_Strings, np.ndarray, np.ndarray]]:
+    if n <= _KEPT_PARTITION_ORDER:
+        return (_all_partitions(n),)
+    strings = _rgs_strings(n)
+    return map(_partition_block, iter(lambda: tuple(islice(strings, _PARTITION_BLOCK)), ()))
 
 
 def enumerate_congruences(S: FiniteSemigroup, order_bound: int = 6) -> list[Congruence]:
     """All congruences of S, by filtering every set partition of [0, n).
 
     Partitions are generated as restricted growth strings in
-    lexicographic order, which the output inherits.  Bounded because
-    partition counts grow fast; the bound guards cost, not correctness.
+    lexicographic order, which the output inherits, and judged a block
+    at a time by one array comparison of every product with its class
+    representative's.  Each congruence found is memoized as one, so a
+    later is_congruence on it is a memo hit.  Bounded because partition
+    counts grow fast; the bound guards cost, not correctness.
     """
-    if S.order > order_bound:
-        raise OrderTooLarge(S.order, order_bound)
-    # Restricted growth strings are already canonical class_of tuples.
-    return [
-        Congruence(S.order, rgs)
-        for rgs in _rgs_strings(S.order)
-        if _compatible(S, rgs)[0]
-    ]
+    n = S.order
+    if n > order_bound:
+        raise OrderTooLarge(n, order_bound)
+    cells = S.np_table.ravel()
+    out = []
+    for strings, P, index in _partition_blocks(n):
+        G = P[:, cells]
+        ok = (G.ravel()[index] == G[:, None, :]).all(axis=(1, 2))
+        for rgs in compress(strings, ok.tolist()):
+            _compatible.store(S, rgs, (True, None))
+            out.append(Congruence._from_rgs(n, rgs))
+    return out
 
 
 # The checks below run as chains of stages.  A stage returns the report

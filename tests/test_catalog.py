@@ -1,5 +1,7 @@
 import hashlib
+import random
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from sglab import (
     NotAssociative,
     OrderTooLarge,
     SgFormatError,
+    WorkBudgetExceeded,
     canonical_form,
     catalog_line,
     enumerate_semigroups,
@@ -15,7 +18,8 @@ from sglab import (
     relabel,
     validate,
 )
-from sglab.catalog import _backtrack
+from sglab import catalog
+from sglab.catalog import _backtrack, _inverse, _relabeled
 
 
 def naive_enumeration(n):
@@ -37,20 +41,6 @@ def catalog_digest(tables):
     """sha256 of the tables' catalog lines, one per line."""
     text = "".join(catalog_line(S) + "\n" for S in tables)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def adjoin(t, zero):
-    """The table t with a new element adjoined as a zero or as an identity."""
-    n = len(t)
-    rows = [list(row) + [n if zero else a] for a, row in enumerate(t)]
-    rows.append([n if zero else b for b in range(n)] + [n])
-    return validate(rows)
-
-
-def direct_product(t, u):
-    m = len(u)
-    cells = [(a, b) for a in range(len(t)) for b in range(m)]
-    return validate([[t[a][c] * m + u[b][d] for c, d in cells] for a, b in cells])
 
 
 # Isomorphism classes per order (OEIS A001423) and the digest of the
@@ -168,12 +158,36 @@ class TestCanonicalForm:
             for p in permutations(range(S.order)):
                 assert canonical_form(relabel(S, p)) == want
 
-    def test_canonical_is_minimal_relabeling(self, catalog2, catalog3, catalog4):
-        order5 = [adjoin(S.table, zero) for S in catalog4[::700] for zero in (False, True)]
-        order6 = [direct_product(t.table, u.table) for t in catalog2[2::3] for u in catalog3[::60]]
+    def test_canonical_is_minimal_relabeling(self, catalog3, order5, order6):
         for S in catalog3[::23] + order5 + order6:
             forms = {relabel(S, p).table for p in permutations(range(S.order))}
             assert canonical_form(S) == min(forms)
+
+
+    def test_whole_and_prefix_blocks_give_the_least_relabeling(self, order7, order8):
+        # Order 7 is one whole block of 5040 relabelings; order 8 takes the
+        # prefix path, one block of 5040 per prefix led by an idempotent.
+        for S in order7 + [order8]:
+            perms = permutations(range(S.order))
+            assert canonical_form(S) == min(_relabeled(S.table, p, _inverse(p)) for p in perms)
+
+    def test_invariant_under_random_relabelings(self, order6, order7, order8):
+        rng = random.Random(7)
+        for S in order6 + order7 + [order8]:
+            want = canonical_form(S)
+            for _ in range(4):
+                p = rng.sample(range(S.order), S.order)
+                assert canonical_form(relabel(S, p)) == want
+
+    def test_work_budget(self, monkeypatch, chain3):
+        # Orders up to 7 are estimated far below the budget; order 11 is
+        # refused before any relabeling is judged.
+        assert factorial(7) * 49 * catalog._RELABELING_CELL_SECONDS < catalog._CANONICAL_SECONDS / 1000
+        with pytest.raises(WorkBudgetExceeded, match="order-11"):
+            canonical_form(validate([[a] * 11 for a in range(11)]))
+        monkeypatch.setattr(catalog, "_RELABELING_CELL_SECONDS", 1.0)
+        with pytest.raises(WorkBudgetExceeded, match="order-3"):
+            canonical_form(chain3)
 
 
 @given(st.sampled_from(list(permutations(range(3)))))

@@ -1,4 +1,5 @@
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,6 +452,48 @@ class TestMemo:
             assert classes == tuple(
                 sum(1 << x for x in range(4) if class_of[x] == c) for c in range(max(class_of) + 1)
             )
+
+
+def _pairwise_congruences(table):
+    # The pairwise loop over every restricted growth string, on a fresh
+    # table whose memo starts empty.
+    S = validate(table)
+    return [rgs for rgs in congruences._rgs_strings(S.order) if congruences._compatible(S, rgs)[0]]
+
+
+class TestBellFilter:
+    def test_equals_the_pairwise_loop(self, catalog2, catalog3, catalog4, order5, order6):
+        for S in catalog2 + catalog3 + catalog4 + order5 + order6:
+            got = [c.class_of for c in enumerate_congruences(validate(S.table))]
+            assert got == _pairwise_congruences(S.table)
+
+    def test_blocks_above_order_seven(self, order8):
+        # Bell(8) = 4140 partitions take two blocks; every one is a
+        # congruence of the null semigroup, in lex order across blocks.
+        null8 = validate([[0] * 8 for _ in range(8)])
+        every = list(congruences._rgs_strings(8))
+        assert len(every) == 4140 > congruences._PARTITION_BLOCK
+        assert [c.class_of for c in enumerate_congruences(null8, order_bound=8)] == every
+        got = [c.class_of for c in enumerate_congruences(validate(order8.table), order_bound=8)]
+        assert got == _pairwise_congruences(order8.table)
+
+    def test_memoizes_exactly_the_congruences(self, catalog3, order5):
+        for T in catalog3[::11] + order5:
+            S = validate(T.table)
+            found = {c.class_of for c in enumerate_congruences(S)}
+            assert dict(S._memo) == {"congruence": dict.fromkeys(found, (True, None))}
+            # A non-congruence is still answered by the pairwise loop,
+            # with its lexicographically first witness.
+            for rgs in congruences._rgs_strings(S.order):
+                part = Congruence(S.order, rgs)
+                answer = is_congruence(S, part)
+                assert answer == is_congruence(validate(T.table), part)
+                assert answer[0] == (rgs in found)
+
+
+def test_only_core_touches_the_memo():
+    src = Path(congruences.__file__).parent
+    assert sorted(p.name for p in src.glob("*.py") if "_memo" in p.read_text()) == ["core.py"]
 
 
 def _congruence_class_families(catalog):
