@@ -17,8 +17,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import FiniteSemigroup, validate
-from .errors import OrderTooLarge, SgFormatError, WorkBudgetExceeded
+from .core import FiniteSemigroup, _within_budget, validate
+from .errors import OrderTooLarge, SgFormatError
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -188,12 +188,10 @@ _BLOCK_LABELS = 7
 # of the table (2-vCPU Xeon VM, Python 3.11, numpy 2.4; a left-zero table,
 # every element idempotent, so every block is judged: 1.09 us per
 # relabeling at order 8, 1.05 us at 9 and 1.68 us at 10, 6.1 s in all).
-# A table whose n! relabelings are estimated above _CANONICAL_SECONDS,
-# the ten seconds the identity search also allows, is refused before the
-# search starts: order 10 passes, 11 is refused.  Order 7 is estimated
-# at 4 ms.
+# A table whose n! relabelings are estimated over the time budget is
+# refused before the search starts: order 10 passes, 11 is refused.
+# Order 7 is estimated at 4 ms.
 _RELABELING_CELL_SECONDS = 17e-9
-_CANONICAL_SECONDS = 10.0
 
 
 @lru_cache(maxsize=_BLOCK_LABELS)
@@ -288,12 +286,7 @@ def canonical_form(S: FiniteSemigroup) -> Table:
     """
     n = S.order
     est = factorial(n) * n * n * _RELABELING_CELL_SECONDS
-    if est > _CANONICAL_SECONDS:
-        raise WorkBudgetExceeded(
-            f"the canonical form of an order-{n} table",
-            f"about {est:.3g} s",
-            f"{_CANONICAL_SECONDS:g} s",
-        )
+    _within_budget(f"the canonical form of an order-{n} table", est)
     flat = S.np_table.ravel()
     weights = _key_weights(n)
     best_key = best = None

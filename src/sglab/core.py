@@ -54,14 +54,17 @@ __all__ = [
 # 289 MiB, so at the limit they need about 0.65 and 1.2 GiB.
 _WORD_TENSOR_CELLS = 1 << 26
 
+# The time budget of every exhaustive search: validation, the identity
+# search, canonical_form and enumerate_congruences each estimate their
+# time from a measured unit cost and are refused through _within_budget,
+# before any work starts, when the estimate is over it.
+_BUDGET_SECONDS = 10.0
+
 # Measured cost of one associativity triple in validation: 40 ns (the
 # fastest of repeated runs at orders 150-250 on a 2-vCPU Xeon VM, Python
-# 3.11; up to 70 ns while the machine is busy).  A table whose n**3
-# triples are estimated above _VALIDATE_SECONDS, the ten seconds the
-# identity search also allows, is refused before the check starts:
-# order 629 passes, 630 is refused.
+# 3.11; up to 70 ns while the machine is busy), so order 629 passes and
+# 630 is refused.
 _TRIPLE_SECONDS = 40e-9
-_VALIDATE_SECONDS = 10.0
 
 # The types an element index may have: a float, string or other number
 # is refused, never truncated.
@@ -73,6 +76,13 @@ def _ambient_order(ambient) -> int:
     if not isinstance(ambient, _INDEX_TYPES) or ambient < 1:
         raise ValueError(f"ambient order must be a positive integer, not {ambient!r}")
     return int(ambient)
+
+
+def _within_budget(what: str, seconds: float) -> None:
+    """Raise WorkBudgetExceeded when ``what``, estimated to take
+    ``seconds``, is over the time budget."""
+    if seconds > _BUDGET_SECONDS:
+        raise WorkBudgetExceeded(what, f"about {seconds:.3g} s", f"{_BUDGET_SECONDS:g} s")
 
 
 def memoized(kind: str) -> Callable:
@@ -154,13 +164,7 @@ class FiniteSemigroup:
             raise ValueError("a semigroup needs at least one element")
         if any(len(row) != n for row in rows):
             raise ValueError("table must be square")
-        est = n**3 * _TRIPLE_SECONDS
-        if est > _VALIDATE_SECONDS:
-            raise WorkBudgetExceeded(
-                f"the associativity check of an order-{n} table",
-                f"about {est:.3g} s",
-                f"{_VALIDATE_SECONDS:g} s",
-            )
+        _within_budget(f"the associativity check of an order-{n} table", n**3 * _TRIPLE_SECONDS)
         for a, row in enumerate(rows):
             for b, v in enumerate(row):
                 if not isinstance(v, _INDEX_TYPES) or not 0 <= v < n:

@@ -12,7 +12,7 @@ variants of the quotient theorem and the separator corollary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 from typing import NamedTuple, Sequence
 
@@ -27,8 +27,15 @@ from .congruences import (
     _sep_common,
     _separator_structure,
 )
-from .core import _INDEX_TYPES, ElementSet, FiniteSemigroup, PowerChain, memoized, power_set_chain
-from .errors import WorkBudgetExceeded
+from .core import (
+    _INDEX_TYPES,
+    ElementSet,
+    FiniteSemigroup,
+    PowerChain,
+    _within_budget,
+    memoized,
+    power_set_chain,
+)
 from .reports import CheckReport, failed, passed, unmet
 from .subsets import _check_ambient, _format_mask, _medial, _separator
 
@@ -102,10 +109,9 @@ def _identity(S: FiniteSemigroup, perm: tuple[int, ...]) -> tuple[bool, tuple[in
 # about 7 us plus 2.2 ns per word-tensor cell (2-vCPU Xeon VM, Python
 # 3.11, numpy 2.4; 7.1 us at 243 cells, 14 us at 2187, 92 us at 46656,
 # 0.83 ms at 390625).  A length whose n! - 1 comparisons are estimated
-# above _SEARCH_SECONDS is refused rather than started.
+# over the time budget is refused rather than started.
 _PERMUTATION_SECONDS = 7e-6
 _CELL_SECONDS = 2.2e-9
-_SEARCH_SECONDS = 10.0
 
 
 def _search_seconds(order: int, n: int) -> float:
@@ -127,15 +133,10 @@ def find_permutation_identity(
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     for n in range(2, n_max + 1):
-        est = _search_seconds(S.order, n)
-        if est > _SEARCH_SECONDS:
-            raise WorkBudgetExceeded(
-                f"the length-{n} identity search", f"about {est:.3g} s", f"{_SEARCH_SECONDS:g} s"
-            )
+        _within_budget(f"the length-{n} identity search", _search_seconds(S.order, n))
         w = S.word_tensor(n)
-        for perm in permutations(range(1, n + 1)):
-            if perm == tuple(range(1, n + 1)):
-                continue
+        # The first permutation in lexicographic order is the identity.
+        for perm in islice(permutations(range(1, n + 1)), 1, None):
             if np.array_equal(w, w.transpose(tuple(p - 1 for p in perm))):
                 return PermutationIdentity(n, perm)
     return None

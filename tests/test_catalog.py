@@ -18,7 +18,7 @@ from sglab import (
     relabel,
     validate,
 )
-from sglab import catalog
+from sglab import catalog, core
 from sglab.catalog import _backtrack, _inverse, _relabeled
 
 
@@ -180,13 +180,16 @@ class TestCanonicalForm:
                 assert canonical_form(relabel(S, p)) == want
 
     def test_work_budget(self, monkeypatch, chain3):
-        # Orders up to 7 are estimated far below the budget; order 11 is
-        # refused before any relabeling is judged.
-        assert factorial(7) * 49 * catalog._RELABELING_CELL_SECONDS < catalog._CANONICAL_SECONDS / 1000
-        with pytest.raises(WorkBudgetExceeded, match="order-11"):
+        # Orders up to 7 are estimated far below the budget, order 10 is
+        # the largest accepted, and order 11 is refused before any
+        # relabeling is judged.
+        est = lambda n: factorial(n) * n * n * catalog._RELABELING_CELL_SECONDS
+        assert est(7) < core._BUDGET_SECONDS / 1000
+        assert est(10) <= core._BUDGET_SECONDS < est(11)
+        with pytest.raises(WorkBudgetExceeded, match="canonical form of an order-11"):
             canonical_form(validate([[a] * 11 for a in range(11)]))
         monkeypatch.setattr(catalog, "_RELABELING_CELL_SECONDS", 1.0)
-        with pytest.raises(WorkBudgetExceeded, match="order-3"):
+        with pytest.raises(WorkBudgetExceeded, match="canonical form of an order-3"):
             canonical_form(chain3)
 
 

@@ -87,10 +87,38 @@ class TestQueries:
         code, out, _ = run(capsys, "quotient", sg_file("c.sg", chain3), "{0,2};{1}")
         assert code == 1 and out.startswith("not a congruence")
 
+    def test_quotient_rejects_an_empty_class(self, capsys, sg_file, chain3):
+        code, out, err = run(capsys, "quotient", sg_file("c.sg", chain3), "{0,1,2};{}")
+        assert code == 2 and out == "" and "class 1 is empty" in err
+
     def test_congruences(self, capsys, sg_file, chain3):
         code, out, _ = run(capsys, "congruences", sg_file("c.sg", chain3))
         assert code == 0
         assert out.splitlines() == ["{0,1,2}", "{0,1};{2}", "{0};{1,2}", "{0};{1};{2}"]
+
+    def test_congruences_above_order_six(self, capsys, sg_file):
+        # Every partition of a null table is a congruence: Bell(7) = 877.
+        null7 = validate([[0] * 7 for _ in range(7)])
+        code, out, _ = run(capsys, "congruences", sg_file("n7.sg", null7))
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 877 and lines[0] == "{0,1,2,3,4,5,6}"
+        assert lines[-1] == "{0};{1};{2};{3};{4};{5};{6}"
+
+    def test_congruences_over_the_work_budget_exit_2(self, capsys, sg_file, monkeypatch):
+        # Order 12 (Bell(12) = 4213597 partitions) is refused before the
+        # first partition is generated.
+        from sglab import congruences
+
+        def generated(n):
+            raise AssertionError(f"a partition of order {n} was generated")
+
+        monkeypatch.setattr(congruences, "_rgs_strings", generated)
+        null12 = validate([[0] * 12 for _ in range(12)])
+        code, out, err = run(capsys, "congruences", sg_file("n12.sg", null12))
+        assert code == 2 and out == ""
+        assert "the congruence search of an order-12 table" in err
+        assert "over the budget of 10 s" in err
 
     def test_permid(self, capsys, sg_file, lz2):
         code, out, _ = run(capsys, "permid", sg_file("l.sg", lz2), "--max-n", "3")
@@ -137,10 +165,12 @@ class TestQueries:
 
         path = sg_file("m.sg", lz2mon)
         # 27 triples at 40 ns are over a 0.1 us budget.
-        monkeypatch.setattr(core, "_VALIDATE_SECONDS", 1e-7)
+        monkeypatch.setattr(core, "_BUDGET_SECONDS", 1e-7)
         for argv in (("validate", path), ("sep", path, "{1}")):
             code, out, err = run(capsys, *argv)
-            assert code == 2 and out == "" and "over the budget" in err, argv
+            assert code == 2 and out == "", argv
+            assert "the associativity check of an order-3 table" in err, argv
+            assert "over the budget of 1e-07 s" in err, argv
 
     def test_lemma4(self, capsys, sg_file, lz2, lz2mon):
         code, out, _ = run(capsys, "lemma4", sg_file("l.sg", lz2))
@@ -205,11 +235,12 @@ class TestVerify:
         assert unmet and all("no identity found up to length 7" in line for line in unmet)
 
     def test_identity_search_over_budget_is_unmet(self, capsys, monkeypatch):
-        from sglab import permutative
+        from sglab import core
 
         # Refuse every length from 5 on: the sweep records those
-        # instances as unmet and still finishes.
-        monkeypatch.setattr(permutative, "_SEARCH_SECONDS", 0.0005)
+        # instances as unmet and still finishes.  No other search of the
+        # order-3 sweep comes near this budget.
+        monkeypatch.setattr(core, "_BUDGET_SECONDS", 0.0005)
         code, out, _ = run(capsys, "verify", "--order", "3", "--n-max-perm", "7",
                            "--structured", "--theorem", "2")
         assert code == 0

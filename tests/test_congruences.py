@@ -11,8 +11,8 @@ from sglab import (
     Congruence,
     ElementSet,
     NotACongruence,
-    OrderTooLarge,
     SweepConfig,
+    WorkBudgetExceeded,
     all_subsets,
     classify_quotient,
     enumerate_congruences,
@@ -31,7 +31,7 @@ from sglab import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
-from sglab import congruences, subsets
+from sglab import congruences, core, subsets
 from sglab.subsets import _np_mask
 from sglab.sweep import _instance_checks, _random_families
 
@@ -55,6 +55,12 @@ class TestCongruenceForm:
             Congruence.from_classes(2, [{0}, {0, 1}])
         with pytest.raises(ValueError):
             Congruence.from_classes(3, [{0}, {2}])
+
+    def test_from_classes_rejects_an_empty_class(self):
+        # An empty class is no block of a partition, wherever it stands.
+        for parts in ([{0, 1, 2}, set()], [set(), {0, 1, 2}], [{0}, (), {1, 2}]):
+            with pytest.raises(ValueError, match="is empty"):
+                Congruence.from_classes(3, parts)
 
     def test_from_classes_names_a_non_index_element(self):
         with pytest.raises(ValueError, match="0.0 is not an element index"):
@@ -86,6 +92,15 @@ class TestPCongruence:
         assert p_congruence(chain3, []).class_of == (0,) * n
         assert p_congruence(chain3, [ElementSet.empty(n)]).class_of == (0,) * n
         assert p_congruence(chain3, [ElementSet.full(n)]).class_of == (0,) * n
+        both = [ElementSet.empty(n), ElementSet.full(n)]
+        assert p_congruence(chain3, both).class_of == (0,) * n
+
+    def test_empty_and_full_sets_beside_others_change_nothing(self, chain3):
+        n = chain3.order
+        alone = p_congruence(chain3, [eset(n, 0)])
+        assert repr(alone) == "Congruence(3, {0};{1,2})"
+        for extra in ([ElementSet.empty(n)], [ElementSet.full(n)], [ElementSet.full(n)] * 2):
+            assert p_congruence(chain3, [eset(n, 0)] + extra) == alone
 
     def test_result_is_verified_congruence(self, catalog3):
         for S in catalog3[::11]:
@@ -230,11 +245,25 @@ class TestEnumerateCongruences:
     def test_one_element(self):
         assert len(enumerate_congruences(validate([[0]]))) == 1
 
-    def test_order_bound(self):
-        S = validate([[0] * 7 for _ in range(7)])
-        with pytest.raises(OrderTooLarge):
-            enumerate_congruences(S)
-        assert enumerate_congruences(S, order_bound=7)
+    def test_work_budget(self, monkeypatch):
+        # Bell(n)*n*n cells at 80 ns each: order 11 is the largest
+        # accepted, order 12 is refused before any partition exists.
+        est = lambda n: congruences._bell(n) * n * n * congruences._PARTITION_CELL_SECONDS
+        assert est(11) <= core._BUDGET_SECONDS < est(12)
+        null = lambda n: validate([[0] * n for _ in range(n)])
+        assert len(enumerate_congruences(null(7))) == 877
+        null12 = null(12)
+
+        def generated(n):
+            raise AssertionError(f"a partition of order {n} was generated")
+
+        monkeypatch.setattr(congruences, "_rgs_strings", generated)
+        with pytest.raises(WorkBudgetExceeded, match="congruence search of an order-12 table"):
+            enumerate_congruences(null12)
+
+    def test_bell_counts_the_restricted_growth_strings(self):
+        for n in range(1, 10):
+            assert congruences._bell(n) == len(list(congruences._rgs_strings(n)))
 
     def test_null_semigroups_list_every_partition_in_lex_order(self):
         # Every partition of a null semigroup is a congruence, so each
@@ -473,8 +502,8 @@ class TestBellFilter:
         null8 = validate([[0] * 8 for _ in range(8)])
         every = list(congruences._rgs_strings(8))
         assert len(every) == 4140 > congruences._PARTITION_BLOCK
-        assert [c.class_of for c in enumerate_congruences(null8, order_bound=8)] == every
-        got = [c.class_of for c in enumerate_congruences(validate(order8.table), order_bound=8)]
+        assert [c.class_of for c in enumerate_congruences(null8)] == every
+        got = [c.class_of for c in enumerate_congruences(validate(order8.table))]
         assert got == _pairwise_congruences(order8.table)
 
     def test_memoizes_exactly_the_congruences(self, catalog3, order5):
@@ -489,6 +518,71 @@ class TestBellFilter:
                 answer = is_congruence(S, part)
                 assert answer == is_congruence(validate(T.table), part)
                 assert answer[0] == (rgs in found)
+
+
+def _least_relation(n, pairs, table=()):
+    """Canonical class ids of the least equivalence on [0, n) relating
+    every pair, by union-find; given a table, also closed under left and
+    right multiplication, so the least congruence holding the pairs."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pending = list(pairs)
+    while pending:
+        x, y = pending.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[max(rx, ry)] = min(rx, ry)
+        # x and y now share a class, so each product with them must too.
+        for row in table:
+            pending.append((row[x], row[y]))
+        for c in range(len(table)):
+            pending.append((table[x][c], table[y][c]))
+    ids = {}
+    return tuple(ids.setdefault(find(x), len(ids)) for x in range(n))
+
+
+def _freese_congruences(S):
+    """Every congruence as a join of principal congruences Cg(a, b), after
+    Freese, "Computing congruences efficiently" (Algebra Universalis 2008):
+    the joins of the principal congruences, the empty join included, are
+    all the congruences.  Joins of congruences are joins of equivalences."""
+    n, t = S.order, S.table
+
+    def pairs(class_of):
+        return [(x, class_of.index(c)) for x, c in enumerate(class_of)]
+
+    principal = {_least_relation(n, [(a, b)], t) for a in range(n) for b in range(a + 1, n)}
+    found = {tuple(range(n))}
+    for p in principal:
+        found |= {_least_relation(n, pairs(q) + pairs(p)) for q in found}
+    return sorted(found)
+
+
+class TestFreeseRoute:
+    def test_principal_congruence_of_a_chain(self, chain3):
+        # Relating 0 and 2 forces min(0, 1) = 0 ~ 1 = min(2, 1).
+        assert _least_relation(3, [(0, 2)], chain3.table) == (0, 0, 0)
+        assert _least_relation(3, [(1, 2)], chain3.table) == (0, 1, 1)
+        assert _least_relation(3, [(0, 2)]) == (0, 1, 0)
+
+    def test_equals_the_bell_filter(self, order5, order6, order8):
+        classes = [S for n in range(1, 5) for S in enumerate_semigroups(n, up_to_iso=True)]
+        assert len(classes) == 218
+        for S in classes + order5 + order6 + [order8]:
+            assert _freese_congruences(S) == [c.class_of for c in enumerate_congruences(S)]
+
+    def test_chain_of_order_nine(self):
+        # A chain's congruences are its 2**8 partitions into intervals.
+        chain9 = validate([[min(a, b) for b in range(9)] for a in range(9)])
+        got = [c.class_of for c in enumerate_congruences(chain9)]
+        assert len(got) == 256 and _freese_congruences(chain9) == got
 
 
 def test_only_core_touches_the_memo():

@@ -89,7 +89,7 @@ class TestValidate:
         # 10**3 triples at 40 ns are 40 us, over a 10 us budget.  The table
         # is not associative, so a check that started would raise
         # NotAssociative instead.
-        monkeypatch.setattr(core, "_VALIDATE_SECONDS", 1e-5)
+        monkeypatch.setattr(core, "_BUDGET_SECONDS", 1e-5)
 
         def successor(n):  # x*y = x+1 mod n, which is not associative
             return [[(a + 1) % n] * n for a in range(n)]
@@ -107,8 +107,25 @@ class TestValidate:
         # The catalog (orders <= 4) and the order-5/6 tables of the query
         # benchmark never come near it; order 630 is the first refused.
         est = lambda n: n**3 * core._TRIPLE_SECONDS
-        assert est(629) <= core._VALIDATE_SECONDS < est(630)
+        assert est(629) <= core._BUDGET_SECONDS < est(630)
         assert validate([[0] * 6 for _ in range(6)]).order == 6
+
+    def test_one_budget_refuses_every_search(self, monkeypatch, chain3):
+        # Every exhaustive search reads the one budget when it is called,
+        # and each refusal names its own search.
+        from sglab import canonical_form, enumerate_congruences, find_permutation_identity
+
+        monkeypatch.setattr(core, "_BUDGET_SECONDS", 1e-9)
+        searches = {
+            "the associativity check of an order-3 table": lambda: validate(chain3.table),
+            "the length-2 identity search": lambda: find_permutation_identity(chain3),
+            "the canonical form of an order-3 table": lambda: canonical_form(chain3),
+            "the congruence search of an order-3 table": lambda: enumerate_congruences(chain3),
+        }
+        for what, search in searches.items():
+            with pytest.raises(WorkBudgetExceeded) as e:
+                search()
+            assert e.value.what == what and e.value.budget == "1e-09 s"
 
 
 class TestWordProduct:

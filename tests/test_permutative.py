@@ -25,7 +25,7 @@ from sglab import (
     verify_theorem2_forward,
     WorkBudgetExceeded,
 )
-from sglab import permutative
+from sglab import core
 from sglab.permutative import _search_seconds
 
 
@@ -119,7 +119,7 @@ class TestFindPermutationIdentity:
 
     def test_search_stops_at_the_work_budget(self, lz2mon):
         # Estimated 0.9 s at length 8 and 18 s at length 9 for order 3.
-        assert _search_seconds(3, 8) <= permutative._SEARCH_SECONDS < _search_seconds(3, 9)
+        assert _search_seconds(3, 8) <= core._BUDGET_SECONDS < _search_seconds(3, 9)
         with pytest.raises(WorkBudgetExceeded, match="length-9 identity search"):
             find_permutation_identity(lz2mon, 40)
         assert max(lz2mon._word_tensors) == 8
