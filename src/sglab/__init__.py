@@ -46,7 +46,6 @@ from .errors import (
     IndexOutOfRange,
     NotACongruence,
     NotAssociative,
-    OrderTooLarge,
     OutOfRangeEntry,
     SgFormatError,
     SglabError,

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import FiniteSemigroup, _within_budget, validate
-from .errors import OrderTooLarge, SgFormatError
+from .errors import SgFormatError
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -69,21 +69,38 @@ def _consistent_after(t: list[list[int]], r: int, c: int, n: int) -> bool:
     return True
 
 
-def enumerate_semigroups(
-    n: int, up_to_iso: bool = False, order_bound: int = 4
-) -> Iterator[FiniteSemigroup]:
+# Labeled semigroups of orders 1-6 (OEIS A023814); an order above 6 is
+# estimated with the order-6 count, a lower bound.
+_LABELED_COUNTS = (1, 8, 113, 3492, 183732, 17061118)
+
+# Measured cost of the catalog per labeled table: 25 us at order 4 and
+# 20-25 us at order 5 (3.7-4.5 s, 129 MiB peak; 2-vCPU Xeon VM, Python
+# 3.11).
+# The class generator alone takes about 7 us per labeled table it stands
+# for, so one cost serves both routes: order 5 is accepted and order 6
+# (about 341 s) is refused, labeled and up to isomorphism alike.
+_TABLE_SECONDS = 20e-6
+
+
+def _labeled_count(n: int) -> int:
+    """The number of labeled semigroups of order n, exact up to order 6
+    and the order-6 count above it."""
+    return _LABELED_COUNTS[min(n, len(_LABELED_COUNTS)) - 1]
+
+
+def enumerate_semigroups(n: int, up_to_iso: bool = False) -> Iterator[FiniteSemigroup]:
     """All associative n x n tables, in lexicographic table order.
 
     With up_to_iso, only tables equal to their own canonical form are
     emitted, one per isomorphism class.  Anti-isomorphic twins (left
     vs right versions) are kept apart on purpose: the one-sided
     predicates distinguish them.  A bad order raises at the call, before
-    the first table is asked for.
+    the first table is asked for: an order whose labeled tables are
+    estimated over ten seconds (order 6 and up) raises WorkBudgetExceeded.
     """
     if n < 1:
         raise ValueError("order must be positive")
-    if n > order_bound:
-        raise OrderTooLarge(n, order_bound)
+    _within_budget(f"the order-{n} catalog", _labeled_count(n) * _TABLE_SECONDS)
     if up_to_iso:
         return map(validate, _backtrack(n))
     return map(FiniteSemigroup._from_table, _labeled(n))

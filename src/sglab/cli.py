@@ -13,7 +13,7 @@ import contextlib
 import os
 import sys
 from itertools import islice
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .catalog import catalog_line, enumerate_semigroups
 from .congruences import Congruence, enumerate_congruences, p_congruence, quotient
@@ -25,8 +25,8 @@ from .sweep import FAMILY_MODES, THEOREM_GROUPS, SweepConfig, SweepReport, iter_
 
 __all__ = ["run_command", "main"]
 
-# Structured verify output goes out this many record lines per write.
-_RECORDS_PER_WRITE = 4096
+# Long outputs go out this many lines per write.
+_LINES_PER_WRITE = 4096
 
 
 def _parse_family(text: str, ambient: int):
@@ -41,8 +41,14 @@ def _parse_partition(text: str, ambient: int) -> Congruence:
     return Congruence.from_classes(ambient, parts)
 
 
-def _partition_literal(c: Congruence) -> str:
-    return ";".join(format_subset(x) for x in c.classes())
+def _write_lines(lines: Iterable[str]) -> None:
+    # Lines go out as they come, in writes of a fixed number of lines:
+    # one write per line costs more than the work behind most lines, and
+    # holding every line until the end would make the whole output
+    # resident.
+    lines = iter(lines)
+    while chunk := list(islice(lines, _LINES_PER_WRITE)):
+        sys.stdout.write("\n".join(chunk) + "\n")
 
 
 def cmd_validate(args) -> int:
@@ -81,7 +87,7 @@ def cmd_medial(args) -> int:
 def cmd_pcong(args) -> int:
     S = read_sg(args.file)
     family = _parse_family(args.family, S.order)
-    print(_partition_literal(p_congruence(S, family)))
+    print(p_congruence(S, family).literal())
     return 0
 
 
@@ -100,8 +106,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_congruences(args) -> int:
     S = read_sg(args.file)
-    for c in enumerate_congruences(S):
-        print(_partition_literal(c))
+    _write_lines(c.literal() for c in enumerate_congruences(S))
     return 0
 
 
@@ -128,8 +133,7 @@ def cmd_lemma4(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    for S in enumerate_semigroups(args.n, up_to_iso=args.up_to_iso):
-        print(catalog_line(S))
+    _write_lines(map(catalog_line, enumerate_semigroups(args.n, up_to_iso=args.up_to_iso)))
     return 0
 
 
@@ -156,13 +160,7 @@ def cmd_verify(args) -> int:
     # stops its workers there and then.
     with contextlib.closing(iter_sweep(cfg)) as instances:
         if args.structured:
-            # Records go out as instances finish, in writes of a fixed
-            # number of lines: one write per line costs more than the
-            # checks behind it, and holding every record until the end
-            # would make the whole output resident.
-            lines = rep.lines(instances)
-            while chunk := list(islice(lines, _RECORDS_PER_WRITE)):
-                sys.stdout.write("\n".join(chunk) + "\n")
+            _write_lines(rep.lines(instances))
         else:
             for rows in instances:
                 rep.add(rows)

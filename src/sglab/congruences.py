@@ -43,7 +43,6 @@ from .subsets import (
     _separator,
     _subsemigroup,
     _unitary,
-    format_subset,
 )
 
 __all__ = [
@@ -119,9 +118,12 @@ class Congruence:
         """Class contents indexed by class id."""
         return tuple(ElementSet._from_bits(self.ambient, b) for b in _class_bits(self.class_of))
 
+    def literal(self) -> str:
+        """The partition literal "{0};{1,2}", one class per ';' by class id."""
+        return ";".join(map(_format_mask, _class_bits(self.class_of)))
+
     def __repr__(self):
-        body = ";".join(format_subset(c) for c in self.classes())
-        return f"Congruence({self.ambient}, {body})"
+        return f"Congruence({self.ambient}, {self.literal()})"
 
 
 def identity_congruence(n: int) -> Congruence:

@@ -55,9 +55,10 @@ __all__ = [
 _WORD_TENSOR_CELLS = 1 << 26
 
 # The time budget of every exhaustive search: validation, the identity
-# search, canonical_form and enumerate_congruences each estimate their
-# time from a measured unit cost and are refused through _within_budget,
-# before any work starts, when the estimate is over it.
+# search, canonical_form, enumerate_congruences, the catalog and the
+# sweep each estimate their time from a measured unit cost and are
+# refused through _within_budget, before any work starts, when the
+# estimate is over it.
 _BUDGET_SECONDS = 10.0
 
 # Measured cost of one associativity triple in validation: 40 ns (the

@@ -75,16 +75,6 @@ class AmbientMismatch(SglabError):
         return f"{self.kind} lives over {self.got} elements, semigroup has {self.expected}"
 
 
-class OrderTooLarge(SglabError):
-    def __init__(self, order: int, bound: int):
-        super().__init__(order, bound)
-        self.order = order
-        self.bound = bound
-
-    def __str__(self) -> str:
-        return f"order {self.order} exceeds the configured bound {self.bound}"
-
-
 class WorkBudgetExceeded(SglabError):
     """A request would allocate or compute more than its work budget allows.
 

@@ -20,7 +20,7 @@ from multiprocessing import Pool
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .catalog import catalog_line, enumerate_semigroups
+from .catalog import _labeled_count, catalog_line, enumerate_semigroups
 from .congruences import (
     check_lemma1,
     check_lemma2,
@@ -30,7 +30,7 @@ from .congruences import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
-from .core import ElementSet, FiniteSemigroup, all_subsets
+from .core import ElementSet, FiniteSemigroup, _within_budget, all_subsets
 from .errors import WorkBudgetExceeded
 from .permutative import (
     find_permutation_identity,
@@ -58,6 +58,12 @@ THEOREM_GROUPS = ("all", "1", "2", "cor1", "cor2", "lemmas")
 
 # One check's output: its record line, check name and status.
 Row = tuple[str, str, str]
+
+# Measured cost of the default sweep per labeled table: 1.7 ms (verify-o4,
+# 5.9-6.1 s over the 3614 tables of orders 1-4; 2-vCPU Xeon VM, Python
+# 3.11, serial).  Orders 1-4 are estimated at 6.1 s and accepted; a range
+# that includes order 5 (312 s for its tables alone) is refused.
+_INSTANCE_SECONDS = 1.7e-3
 
 
 @dataclass(frozen=True)
@@ -243,17 +249,17 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[list[Row]]:
 
     Rows come as the instances are done, so a consumer that writes and
     drops them holds one instance's records at a time.  The order is
-    the same for every parallelism.  Orders above the catalog's default
-    bound raise OrderTooLarge from this call, before any table is built;
-    no more worker processes start than there are CPUs.  Close the
-    iterator to stop a parallel sweep early.
+    the same for every parallelism.  A sweep whose labeled tables are
+    estimated over ten seconds (any that includes order 5) raises
+    WorkBudgetExceeded from this call, before any table is built; no
+    more worker processes start than there are CPUs.  Close the iterator
+    to stop a parallel sweep early.
     """
-    # Each call checks its order against the bound, so every order is
-    # checked before the first table is built.
-    catalogs = [(order, enumerate_semigroups(order))
-                for order in range(cfg.min_order, cfg.max_order + 1)]
+    orders = range(cfg.min_order, cfg.max_order + 1)
+    tables = sum(map(_labeled_count, orders))
+    _within_budget(f"the sweep of {tables:,} labeled tables", tables * _INSTANCE_SECONDS)
     items = [(cfg, order, idx, S.table)
-             for order, catalog in catalogs for idx, S in enumerate(catalog)]
+             for order in orders for idx, S in enumerate(enumerate_semigroups(order))]
     return _instance_rows(items, min(cfg.parallelism, os.cpu_count() or 1))
 
 

@@ -42,6 +42,18 @@ def n3():
     return validate([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Makes the catalog's class generator raise, so a call that builds
+    any table fails the test."""
+    from sglab import catalog
+
+    def generated(n):
+        raise AssertionError(f"a table of order {n} was generated")
+
+    monkeypatch.setattr(catalog, "_backtrack", generated)
+
+
 @pytest.fixture(scope="session")
 def catalog2():
     """All labeled semigroups of orders 1 and 2."""

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from sglab import (
     NotAssociative,
-    OrderTooLarge,
     SgFormatError,
     WorkBudgetExceeded,
     canonical_form,
@@ -19,7 +18,7 @@ from sglab import (
     validate,
 )
 from sglab import catalog, core
-from sglab.catalog import _backtrack, _inverse, _relabeled
+from sglab.catalog import _inverse, _relabeled
 
 
 def naive_enumeration(n):
@@ -103,12 +102,24 @@ class TestEnumeration:
         assert ((0, 0), (1, 1)) in reps
         assert ((0, 1), (0, 1)) in reps
 
-    def test_order_bound(self):
-        # Raised by the call itself, before any table is asked for.
-        with pytest.raises(OrderTooLarge):
-            enumerate_semigroups(5)
+    def test_work_budget(self, no_tables):
+        # Orders up to 5 are estimated within the budget, and order 6 is
+        # the first refused, up to isomorphism too.  The refusal comes
+        # from the call itself, before the generator is asked for a table.
+        est = lambda n: catalog._labeled_count(n) * catalog._TABLE_SECONDS
+        assert est(4) < est(5) <= core._BUDGET_SECONDS < est(6) <= est(7)
+        for n in (6, 7, 40):
+            for up_to_iso in (False, True):
+                with pytest.raises(WorkBudgetExceeded, match=f"the order-{n} catalog needs"):
+                    enumerate_semigroups(n, up_to_iso=up_to_iso)
         with pytest.raises(ValueError):
             enumerate_semigroups(0)
+
+    def test_labeled_counts_match_the_catalog(self, catalog2, catalog3, catalog4):
+        # The estimate's counts (OEIS A023814) against the catalog itself;
+        # order 5 is counted in test_order_five_labeled_catalog.
+        got = [sum(S.order == n for S in catalog2) for n in (1, 2)]
+        assert got + [len(catalog3), len(catalog4)] == list(catalog._LABELED_COUNTS[:4])
 
     def test_lexicographic_stream_order(self, catalog3):
         flat = [tuple(v for row in S.table for v in row) for S in catalog3]
@@ -125,15 +136,25 @@ def automorphisms(t):
 
 
 def test_order_five_classes_add_up_to_the_labeled_count():
-    # An independent count gate above the public bound: the class
-    # generator gives the 1915 classes of order 5 (OEIS A001423), and
-    # their orbit sizes 5!/|Aut| add up to the 183,732 labeled tables
-    # (OEIS A023814), which are never enumerated.
-    reps = list(_backtrack(5))
+    # An independent count gate: the 1915 classes of order 5 (OEIS
+    # A001423) are their own canonical forms, and their orbit sizes
+    # 5!/|Aut|, by a brute-force automorphism count, add up to the
+    # 183,732 labeled tables (OEIS A023814).
+    reps = list(enumerate_semigroups(5, up_to_iso=True))
     assert len(reps) == 1915
-    for t in reps:
-        assert canonical_form(validate(t)) == t
-    assert sum(120 // len(automorphisms(t)) for t in reps) == 183732
+    for S in reps:
+        assert canonical_form(S) == S.table
+    assert sum(120 // len(automorphisms(S.table)) for S in reps) == 183732
+
+
+def test_order_five_labeled_catalog():
+    # The labeled route at order 5: 183,732 distinct tables (OEIS
+    # A023814), streamed in strictly increasing table order.
+    count, prev = 0, ()
+    for S in enumerate_semigroups(5):
+        assert S.table > prev
+        count, prev = count + 1, S.table
+    assert count == catalog._labeled_count(5) == 183732
 
 
 class TestCanonicalForm:

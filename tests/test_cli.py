@@ -188,9 +188,17 @@ class TestQueries:
         code, out, _ = run(capsys, "enumerate", "4", "--up-to-iso")
         assert code == 0 and len(out.splitlines()) == 188
 
-    def test_enumerate_above_catalog_bound_is_refused(self, capsys):
-        code, out, err = run(capsys, "enumerate", "5")
-        assert code == 2 and out == "" and "order 5 exceeds the configured bound 4" in err
+    def test_enumerate_order_five_up_to_iso(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "5", "--up-to-iso")
+        assert code == 0 and len(out.splitlines()) == 1915
+
+    def test_enumerate_above_catalog_bound_is_refused(self, capsys, no_tables):
+        # Order 6 (17,061,118 labeled tables) is over the work budget,
+        # labeled and up to isomorphism alike, before any table is built.
+        for argv in (("enumerate", "6"), ("enumerate", "6", "--up-to-iso")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert "the order-6 catalog" in err and "over the budget of 10 s" in err, argv
 
 
 class TestVerify:
@@ -219,9 +227,13 @@ class TestVerify:
                              "--theorem", "1")
         assert code == 2 and out == "" and "explicit" in err
 
-    def test_order_above_catalog_bound_is_refused(self, capsys):
-        code, out, err = run(capsys, "verify", "--order", "5")
-        assert code == 2 and out == "" and "order 5 exceeds the configured bound 4" in err
+    def test_order_above_catalog_bound_is_refused(self, capsys, no_tables):
+        # A sweep that includes order 5 is over the work budget and exits
+        # 2 before any table is built.
+        for argv in (("--order", "5"), ("--max-order", "5"), ("--max-order", "5", "--structured")):
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 2 and out == "", argv
+            assert "labeled tables" in err and "over the budget of 10 s" in err, argv
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_long_identity_search_completes(self, capsys, jobs):
@@ -235,12 +247,12 @@ class TestVerify:
         assert unmet and all("no identity found up to length 7" in line for line in unmet)
 
     def test_identity_search_over_budget_is_unmet(self, capsys, monkeypatch):
-        from sglab import core
+        from sglab import permutative
 
-        # Refuse every length from 5 on: the sweep records those
-        # instances as unmet and still finishes.  No other search of the
-        # order-3 sweep comes near this budget.
-        monkeypatch.setattr(core, "_BUDGET_SECONDS", 0.0005)
+        # At 0.2 s per permutation, length 4 is estimated at 4.6 s and
+        # every length from 5 on (23.8 s) is refused: the sweep records
+        # those instances as unmet and still finishes.
+        monkeypatch.setattr(permutative, "_PERMUTATION_SECONDS", 0.2)
         code, out, _ = run(capsys, "verify", "--order", "3", "--n-max-perm", "7",
                            "--structured", "--theorem", "2")
         assert code == 0
@@ -319,7 +331,7 @@ class TestStructuredOutput:
         # over at once; one write per line costs more than the checks.
         out = "".join(self.writes())
         lines = out.count("\n")
-        monkeypatch.setattr(cli, "_RECORDS_PER_WRITE", 64)
+        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 64)
         writes = self.writes()
         assert "".join(writes) == out
         assert len(writes) == -(-lines // 64)
@@ -336,7 +348,7 @@ class TestStructuredOutput:
             return worker(item)
 
         monkeypatch.setattr(sweep, "_instance_worker", counting_worker)
-        monkeypatch.setattr(cli, "_RECORDS_PER_WRITE", 64)
+        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 64)
         done_at_write = []
 
         class Sink(_RecordingSink):

@@ -17,6 +17,7 @@ from sglab import (
     classify_quotient,
     enumerate_congruences,
     enumerate_semigroups,
+    format_subset,
     identity_congruence,
     is_congruence,
     is_medial,
@@ -71,6 +72,15 @@ class TestCongruenceForm:
     def test_length_must_match(self):
         with pytest.raises(ValueError):
             Congruence(3, (0, 0))
+
+    def test_literal_lists_the_classes_by_id(self):
+        # The literal from class masks against one formatted class set
+        # at a time, over every partition of [0, 5).
+        for rgs in congruences._rgs_strings(5):
+            c = Congruence(5, rgs)
+            want = ";".join(format_subset(x) for x in c.classes())
+            assert c.literal() == want and repr(c) == f"Congruence(5, {want})"
+        assert Congruence(4, (1, 0, 1, 2)).literal() == "{0,2};{1};{3}"
 
     def test_helpers(self):
         assert identity_congruence(3).class_of == (0, 1, 2)

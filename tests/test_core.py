@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,7 +116,14 @@ class TestValidate:
     def test_one_budget_refuses_every_search(self, monkeypatch, chain3):
         # Every exhaustive search reads the one budget when it is called,
         # and each refusal names its own search.
-        from sglab import canonical_form, enumerate_congruences, find_permutation_identity
+        from sglab import (
+            SweepConfig,
+            canonical_form,
+            enumerate_congruences,
+            enumerate_semigroups,
+            find_permutation_identity,
+        )
+        from sglab.sweep import iter_sweep
 
         monkeypatch.setattr(core, "_BUDGET_SECONDS", 1e-9)
         searches = {
@@ -121,11 +131,28 @@ class TestValidate:
             "the length-2 identity search": lambda: find_permutation_identity(chain3),
             "the canonical form of an order-3 table": lambda: canonical_form(chain3),
             "the congruence search of an order-3 table": lambda: enumerate_congruences(chain3),
+            "the order-1 catalog": lambda: enumerate_semigroups(1, up_to_iso=True),
+            "the sweep of 9 labeled tables": lambda: iter_sweep(SweepConfig(max_order=2)),
         }
         for what, search in searches.items():
             with pytest.raises(WorkBudgetExceeded) as e:
                 search()
             assert e.value.what == what and e.value.budget == "1e-09 s"
+
+
+def test_only_core_raises_the_work_budget():
+    # Every refusal over a work budget comes from core: the one time
+    # budget's _within_budget and the word-tensor memory limit.
+    src = Path(core.__file__).parent
+    raising = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "WorkBudgetExceeded":
+                raising.add(path.name)
+    assert raising == {"core.py"}
 
 
 class TestWordProduct:

@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from sglab import OrderTooLarge, SglabError
+from sglab import SglabError, WorkBudgetExceeded
 
 
 def _all_subclasses(cls):
@@ -20,7 +20,7 @@ def test_every_error_class_is_covered():
     # round trip below.
     assert {c.__name__ for c in ERRORS} >= {
         "OutOfRangeEntry", "NotAssociative", "DuplicateLabel", "EmptyWord", "IndexOutOfRange",
-        "AmbientMismatch", "OrderTooLarge", "WorkBudgetExceeded", "NotACongruence",
+        "AmbientMismatch", "WorkBudgetExceeded", "NotACongruence",
         "SgFormatError",
     }
 
@@ -41,6 +41,7 @@ def test_error_survives_a_pickle_round_trip(cls):
 
 
 def test_messages_are_unchanged():
-    assert str(OrderTooLarge(5, 4)) == "order 5 exceeds the configured bound 4"
-    assert str(pickle.loads(pickle.dumps(OrderTooLarge(5, 4)))) == (
-        "order 5 exceeds the configured bound 4")
+    e = WorkBudgetExceeded("the order-6 catalog", "about 341 s", "10 s")
+    want = "the order-6 catalog needs about 341 s, over the budget of 10 s"
+    assert str(e) == want
+    assert str(pickle.loads(pickle.dumps(e))) == want

@@ -3,8 +3,8 @@ import pytest
 from sglab import (
     ElementSet,
     FiniteSemigroup,
-    OrderTooLarge,
     SweepConfig,
+    WorkBudgetExceeded,
     check_lemma1,
     check_lemma2,
     check_lemma3,
@@ -131,7 +131,7 @@ class TestRunSweep:
             assert fields[4].startswith("status=")
             assert fields[5].startswith("witness=")
 
-    def test_order_above_catalog_bound_is_refused_before_enumerating(self, monkeypatch):
+    def test_order_above_catalog_bound_is_refused_before_enumerating(self, monkeypatch, no_tables):
         built = []
 
         def counting_validate(*args, **kwargs):
@@ -146,15 +146,17 @@ class TestRunSweep:
         trusted = FiniteSemigroup._from_table
         monkeypatch.setattr(catalog, "validate", counting_validate)
         monkeypatch.setattr(FiniteSemigroup, "_from_table", staticmethod(counting_trusted))
-        with pytest.raises(OrderTooLarge):
+        with pytest.raises(WorkBudgetExceeded, match="the sweep of 187,346 labeled tables"):
             run_sweep(SweepConfig(max_order=5))
         assert built == []
 
     def test_stream_refuses_a_large_order_before_its_first_row(self):
         # The refusal comes from the call itself, so a consumer has
         # written nothing when it sees it.
-        with pytest.raises(OrderTooLarge):
+        with pytest.raises(WorkBudgetExceeded, match="over the budget of 10 s"):
             sweep.iter_sweep(SweepConfig(max_order=5))
+        with pytest.raises(WorkBudgetExceeded, match="the sweep of 183,732 labeled tables"):
+            sweep.iter_sweep(SweepConfig(min_order=5, max_order=5))
 
     def test_summary_lines(self):
         rep = run_sweep(SweepConfig(max_order=2, theorem="lemmas"))
