@@ -73,12 +73,14 @@ def _consistent_after(t: list[list[int]], r: int, c: int, n: int) -> bool:
 # estimated with the order-6 count, a lower bound.
 _LABELED_COUNTS = (1, 8, 113, 3492, 183732, 17061118)
 
-# Measured cost of the catalog per labeled table: 25 us at order 4 and
-# 20-25 us at order 5 (3.7-4.5 s, 129 MiB peak; 2-vCPU Xeon VM, Python
-# 3.11).
-# The class generator alone takes about 7 us per labeled table it stands
-# for, so one cost serves both routes: order 5 is accepted and order 6
-# (about 341 s) is refused, labeled and up to isomorphism alike.
+# Measured cost of the catalog per labeled table (2-vCPU Xeon VM, Python
+# 3.11, numpy 2.4): 15-17 us at order 5 (2.8-3.1 s, 55 MiB peak; 25-28 us
+# and 128 MiB when each relabeling was built in Python), and 20 us with
+# `sglab enumerate 5` formatting every table (3.6-3.8 s end to end), so
+# the cost covers that command too.  The class generator alone takes about
+# 7 us per labeled table it stands for, so one cost serves both routes:
+# order 5 is accepted and order 6 (about 341 s) is refused, labeled and up
+# to isomorphism alike.
 _TABLE_SECONDS = 20e-6
 
 
@@ -108,16 +110,20 @@ def enumerate_semigroups(n: int, up_to_iso: bool = False) -> Iterator[FiniteSemi
 
 def _labeled(n: int) -> Iterator[Table]:
     # Every labeled table is a relabeling of exactly one class
-    # representative; sorting the orbits restores the catalog order.
-    # Only the representatives are validated: a relabeling of an
-    # associative table is associative.  Each table is dropped once
-    # handed out, so the catalog is not held twice, here and by the
-    # caller.
-    perms = [(p, _inverse(p)) for p in permutations(range(n))]
-    reps = [validate(t).table for t in _backtrack(n)]
-    tables = sorted({_relabeled(t, p, q) for t in reps for p, q in perms}, reverse=True)
-    while tables:
-        yield tables.pop()
+    # representative, so the catalog is the union of their orbits, each
+    # built by one gather as byte rows.  Only the representatives are
+    # validated: a relabeling of an associative table is associative.
+    # Sorting the rows restores the catalog order, and a row becomes a
+    # table only as it is handed out.
+    p, cells, base = _whole_block(n)
+    cells, base = cells.reshape(-1, n * n), base.reshape(-1, 1)
+    rows = set()
+    for t in _backtrack(n):
+        src = validate(t).np_table.ravel()[cells]
+        src += base
+        rows.update(map(bytes, p[src]))
+    for row in sorted(rows):
+        yield _table(row, n)
 
 
 def _backtrack(n: int) -> Iterator[Table]:
@@ -201,10 +207,12 @@ def relabel(S: FiniteSemigroup, p: Sequence[int]) -> FiniteSemigroup:
 # order 7 the arrays take about 2.5 MiB).
 _BLOCK_LABELS = 7
 
-# Measured cost of canonical_form per relabeling: about 17 ns per cell
+# Measured cost of canonical_form per relabeling: at most 17 ns per cell
 # of the table (2-vCPU Xeon VM, Python 3.11, numpy 2.4; a left-zero table,
-# every element idempotent, so every block is judged: 1.09 us per
-# relabeling at order 8, 1.05 us at 9 and 1.68 us at 10, 6.1 s in all).
+# every element idempotent, so every block is judged: 1.1-1.2 us per
+# relabeling at orders 8 and 9, and 1.3-1.5 us at 10, 4.8-5.3 s in all;
+# 1.8-2.0 us and 6.6-7.2 s at order 10 when rows were compared as int64
+# keys).
 # A table whose n! relabelings are estimated over the time budget is
 # refused before the search starts: order 10 passes, 11 is refused.
 # Order 7 is estimated at 4 ms.
@@ -223,13 +231,15 @@ def _relabelings(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather indices for the relabelings q, where q[k, i] is the element
     that relabeling k labels i.
 
-    Returns the flattened inverse p (p[k, a] is the label of element a),
-    the source cell q[k, i]*n + q[k, j] of each relabeled cell (i, j) as a
-    row of n*n, and the offset k*n of row k of p, so that
-    ``p[table.ravel()[cells] + base]`` is every relabeled table at once.
+    Returns the flattened inverse p (p[k, a] is the label of element a)
+    as bytes (the budgets keep n far below 256), the source cell
+    q[k, i]*n + q[k, j] of each relabeled cell (i, j) as a row of n*n,
+    and the offset k*n of row k of p, so that
+    ``p[table.ravel()[cells] + base]`` is every relabeled table at once,
+    one byte row each, whose byte order is row-major table order.
     """
     rows, n = q.shape
-    p = np.argsort(q, axis=1).ravel()
+    p = np.argsort(q, axis=1).ravel().astype(np.uint8)
     cells = (q[:, :, None] * n + q[:, None, :]).reshape(rows, n * n)
     base = np.arange(0, rows * n, n)[:, None]
     for a in (p, cells, base):
@@ -244,21 +254,6 @@ def _whole_block(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p, cells, base = _relabelings(_orderings(n))
     rows = factorial(n - 1)
     return p, cells.reshape(n, rows, n * n), base.reshape(n, rows, 1)
-
-
-@lru_cache(maxsize=_BLOCK_LABELS)
-def _key_weights(n: int) -> np.ndarray:
-    """The n*n x keys matrix that packs a row-major table into int64 keys:
-    each key is a base-n number of as many cells as fit in 63 bits, so
-    comparing key tuples compares the tables in row-major order."""
-    per = 1
-    while per < n * n and n ** (per + 1) < 1 << 63:
-        per += 1
-    cells = np.arange(n * n)
-    weights = np.zeros((n * n, -(-n * n // per)), dtype=np.int64)
-    weights[cells, cells // per] = n ** (per - 1 - cells % per)
-    weights.flags.writeable = False
-    return weights
 
 
 def _blocks(S: FiniteSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -281,43 +276,36 @@ def _blocks(S: FiniteSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
         yield _relabelings(np.concatenate([head, rest[tails]], axis=1))
 
 
-def _least_row(keys: np.ndarray) -> int:
-    # The row whose key tuple is least: ties on the first key, usually
-    # few, are settled by the others.
-    k = keys[:, 0].argmin()
-    if keys.shape[1] > 1:
-        tied = np.flatnonzero(keys[:, 0] == keys[k, 0])
-        k = tied[np.lexsort(keys[tied, :0:-1].T)[0]]
-    return k
-
-
 def canonical_form(S: FiniteSemigroup) -> Table:
     """Lexicographically least table over all relabelings.
 
     Two semigroups are isomorphic exactly when their canonical forms
     coincide.  The relabelings are judged in blocks of at most 7! by a
     few array operations each: one gather builds every relabeled table
-    of the block as a row, each row is packed into int64 keys, and the
-    least key tuple wins.  An order whose n! relabelings are estimated
+    of the block as a byte row, and one argmin over the rows as strings
+    picks the least.  An order whose n! relabelings are estimated
     over ten seconds (order 11 and up) raises WorkBudgetExceeded first.
     """
     n = S.order
     est = factorial(n) * n * n * _RELABELING_CELL_SECONDS
     _within_budget(f"the canonical form of an order-{n} table", est)
     flat = S.np_table.ravel()
-    weights = _key_weights(n)
-    best_key = best = None
+    best = None
     for p, cells, base in _blocks(S):
         src = flat[cells]
         src += base
         rel = p[src]
-        keys = rel @ weights
-        k = _least_row(keys)
-        key = keys[k].tolist()
-        if best_key is None or key < best_key:
-            best_key, best = key, rel[k]
-    cells = best.tolist()
-    return tuple(tuple(cells[i : i + n]) for i in range(0, n * n, n))
+        # The string view drops trailing NUL bytes (label 0) from the
+        # scalar it would return, so the row is read back at full width.
+        row = rel[rel.view(f"S{n * n}").argmin()].tobytes()
+        if best is None or row < best:
+            best = row
+    return _table(best, n)
+
+
+def _table(row: bytes, n: int) -> Table:
+    """The table whose row-major cells are the bytes of row."""
+    return tuple(tuple(row[i : i + n]) for i in range(0, n * n, n))
 
 
 def catalog_line(S: FiniteSemigroup) -> str:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .catalog import catalog_line, enumerate_semigroups
 from .congruences import Congruence, enumerate_congruences, p_congruence, quotient
 from .core import format_sg, read_sg
-from .errors import DuplicateLabel, NotACongruence, NotAssociative, SgFormatError, SglabError
+from .errors import DuplicateLabel, NotACongruence, NotAssociative, SglabError
 from .permutative import find_permutation_identity, format_permutation, lemma4_minimal_k
 from .subsets import format_subset, idealizer, is_medial, parse_subset, separator
 from .sweep import FAMILY_MODES, THEOREM_GROUPS, SweepConfig, SweepReport, iter_sweep
@@ -257,9 +257,6 @@ def run_command(argv: Sequence[str]) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.fn(args)
-    except SgFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # Downstream consumer (head, etc.) closed the stream; not an error.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -283,11 +283,11 @@ def _compatible(
 
 
 def quotient(S: FiniteSemigroup, c: Congruence) -> QuotientSemigroup:
-    """Quotient table over class ids, with a well-definedness sweep.
+    """Quotient table over class ids, built from the first element of
+    each class once is_congruence confirms the partition.
 
-    Representatives are the first element of each class; the sweep then
-    confirms every other choice agrees, so NotACongruence is raised for
-    any partition that merely pretends to be compatible.  Memoized per
+    NotACongruence, with is_congruence's witness, is raised for any
+    partition that merely pretends to be compatible.  Memoized per
     semigroup and partition; a raise is not memoized.
     """
     _check_ambient(S, c)
@@ -296,20 +296,18 @@ def quotient(S: FiniteSemigroup, c: Congruence) -> QuotientSemigroup:
 
 @memoized("quotient")
 def _quotient(S: FiniteSemigroup, cls: tuple[int, ...]) -> QuotientSemigroup:
-    k = max(cls) + 1
-    reps = [cls.index(i) for i in range(k)]
-    t = S.table
-    qtable = tuple(tuple(cls[t[r][s]] for s in reps) for r in reps)
-    for a in range(S.order):
-        row = t[a]
-        qrow = qtable[cls[a]]
-        for b in range(S.order):
-            if cls[row[b]] != qrow[cls[b]]:
-                raise NotACongruence(
-                    f"product of classes {cls[a]},{cls[b]} depends on representatives"
-                )
+    ok, w = _compatible(S, cls)
+    if not ok:
+        a, b, c = w
+        raise NotACongruence(
+            f"products depend on representatives: {a} and {b} share a class, "
+            f"their products with {c} do not"
+        )
     # Every product of classes is well defined, so the projection is a
     # homomorphism onto the table, which is therefore associative.
+    reps = [cls.index(i) for i in range(max(cls) + 1)]
+    t = S.table
+    qtable = tuple(tuple(cls[t[r][s]] for s in reps) for r in reps)
     return QuotientSemigroup(FiniteSemigroup._from_table(qtable), cls)
 
 
@@ -401,10 +399,8 @@ def enumerate_congruences(S: FiniteSemigroup) -> list[Congruence]:
     Partitions are generated as restricted growth strings in
     lexicographic order, which the output inherits, and judged a block
     at a time by one array comparison of every product with its class
-    representative's.  Each congruence found is memoized as one, so a
-    later is_congruence on it is a memo hit.  An order whose Bell(n)
-    partitions are estimated over ten seconds (order 12 and up) raises
-    WorkBudgetExceeded first.
+    representative's.  An order whose Bell(n) partitions are estimated
+    over ten seconds (order 12 and up) raises WorkBudgetExceeded first.
     """
     n = S.order
     est = _bell(n) * n * n * _PARTITION_CELL_SECONDS
@@ -414,9 +410,7 @@ def enumerate_congruences(S: FiniteSemigroup) -> list[Congruence]:
     for strings, P, index in _partition_blocks(n):
         G = P[:, cells]
         ok = (G.ravel()[index] == G[:, None, :]).all(axis=(1, 2))
-        for rgs in compress(strings, ok.tolist()):
-            _compatible.store(S, rgs, (True, None))
-            out.append(Congruence._from_rgs(n, rgs))
+        out += (Congruence._from_rgs(n, rgs) for rgs in compress(strings, ok.tolist()))
     return out
 
 

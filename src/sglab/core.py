@@ -92,8 +92,6 @@ def memoized(kind: str) -> Callable:
     The accessor answers from the memo and calls ``fn`` only on a miss.
     Only returned values are stored, so a call that raises is asked
     afresh next time.  ``fn`` must never return None: None marks a miss.
-    ``accessor.store(S, key, value)`` records an answer that another
-    route computed, which must be the value ``fn(S, key)`` would return.
     """
 
     def decorate(fn: Callable) -> Callable:
@@ -105,10 +103,6 @@ def memoized(kind: str) -> Callable:
                 out = memo[key] = fn(S, key)
             return out
 
-        def store(S: FiniteSemigroup, key, value) -> None:
-            S._memo[kind][key] = value
-
-        accessor.store = store
         return accessor
 
     return decorate

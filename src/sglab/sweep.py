@@ -184,7 +184,7 @@ def _instance_checks(
         congruences = []
         for sigma in enumerate_congruences(S):
             classes = sigma.classes()
-            congruences.append((_family_literal(classes), sigma, classes))
+            congruences.append((sigma.literal(), sigma, classes))
         families = []
         if cfg.family_mode != "congruence-classes":
             families += [(case, [A]) for case, A in subsets]

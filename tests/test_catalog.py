@@ -149,11 +149,20 @@ def test_order_five_classes_add_up_to_the_labeled_count():
 
 def test_order_five_labeled_catalog():
     # The labeled route at order 5: 183,732 distinct tables (OEIS
-    # A023814), streamed in strictly increasing table order.
+    # A023814), streamed in strictly increasing table order, with their
+    # content pinned as at order 4.
     count, prev = 0, ()
-    for S in enumerate_semigroups(5):
-        assert S.table > prev
-        count, prev = count + 1, S.table
+
+    def stream():
+        nonlocal count, prev
+        for S in enumerate_semigroups(5):
+            assert S.table > prev
+            count, prev = count + 1, S.table
+            yield S
+
+    assert catalog_digest(stream()) == (
+        "f7c31b839e24702492f6e3b8929284c36208204fcd1976e33b8402bec9cb03e0"
+    )
     assert count == catalog._labeled_count(5) == 183732
 
 

@@ -352,20 +352,6 @@ def test_memoized_stores_answers_and_never_a_raise():
     assert S._memo["probe"] == {3: 6}
 
 
-def test_memoized_store_answers_later_calls():
-    calls = []
-
-    @memoized("probe")
-    def probe(S, key):
-        calls.append(key)
-        return 2 * key
-
-    S = validate([[0]])
-    probe.store(S, 4, 8)
-    assert probe(S, 4) == 8 and calls == []
-    assert S._memo["probe"] == {4: 8}
-
-
 def _bits_of(members):
     return sum(1 << e for e in members)
 
