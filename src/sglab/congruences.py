@@ -81,13 +81,7 @@ class Congruence:
         object.__setattr__(self, "ambient", _ambient_order(self.ambient))
         if len(self.class_of) != self.ambient:
             raise ValueError(f"expected {self.ambient} class assignments")
-        relabel: dict[int, int] = {}
-        canon = []
-        for v in self.class_of:
-            if v not in relabel:
-                relabel[v] = len(relabel)
-            canon.append(relabel[v])
-        object.__setattr__(self, "class_of", tuple(canon))
+        object.__setattr__(self, "class_of", _first_appearance(self.class_of))
 
     @classmethod
     def _from_rgs(cls, ambient: int, class_of: tuple[int, ...]) -> "Congruence":
@@ -154,6 +148,14 @@ class QuotientSemigroup:
         return QuotientKind(e is not None, comm, e)
 
 
+def _first_appearance(keys: Iterable) -> tuple[int, ...]:
+    """Class ids of the keys, numbered in order of first appearance, so
+    equal keys share an id and the result is a canonical class_of."""
+    # A list comprehension: faster than tuple() over a generator.
+    ids: dict = {}
+    return tuple([ids.setdefault(key, len(ids)) for key in keys])
+
+
 def _class_bits(class_of: tuple[int, ...]) -> list[int]:
     # Bit mask of each class, indexed by class id.
     bits = [0] * (max(class_of) + 1)
@@ -176,10 +178,7 @@ def _profile(S: FiniteSemigroup, bits: int) -> tuple[int, ...]:
     # Slice c of the bytes is c's context mask.
     rows = _np_mask(S, bits)[S.word_tensor(3)].transpose(1, 0, 2).tobytes()
     width = S.order**2
-    ids: dict[bytes, int] = {}
-    return tuple(
-        ids.setdefault(rows[i : i + width], len(ids)) for i in range(0, len(rows), width)
-    )
+    return _first_appearance([rows[i : i + width] for i in range(0, len(rows), width)])
 
 
 def _context_class_of(S: FiniteSemigroup, masks: Sequence[int]) -> tuple[int, ...]:
@@ -189,9 +188,7 @@ def _context_class_of(S: FiniteSemigroup, masks: Sequence[int]) -> tuple[int, ..
     if len(masks) == 1:
         return _profile(S, masks[0])
     per_set = [_profile(S, bits) for bits in masks]
-    ids: dict[tuple[int, ...], int] = {}
-    keys = zip(*per_set) if per_set else [()] * S.order
-    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+    return _first_appearance(zip(*per_set) if per_set else [()] * S.order)
 
 
 def p_congruence(S: FiniteSemigroup, family: Sequence[ElementSet]) -> Congruence:
@@ -270,15 +267,23 @@ def is_congruence(
 def _compatible(
     S: FiniteSemigroup, cls: tuple[int, ...]
 ) -> tuple[bool, tuple[int, int, int] | None]:
+    # The rule enumerate_congruences judges by: each x's products with
+    # every c, on both sides, lie in the classes of those of x's
+    # representative r, the least element of its class.  Visiting x in
+    # (class id, x) order, the first mismatch (r, x, c) is the pairwise
+    # definition's first triple (a, b, c): the first a with a disagreeing
+    # classmate is always the least of its class, since when a disagrees
+    # with b, r disagrees with a or with b.
     t = S.table
     n = S.order
-    for a in range(n):
-        for b in range(n):
-            if a == b or cls[a] != cls[b]:
-                continue
-            for c in range(n):
-                if cls[t[a][c]] != cls[t[b][c]] or cls[t[c][a]] != cls[t[c][b]]:
-                    return False, (a, b, c)
+    for x in sorted(range(n), key=cls.__getitem__):
+        r = cls.index(cls[x])
+        if r == x:
+            continue
+        tx, tr = t[x], t[r]
+        for c in range(n):
+            if cls[tx[c]] != cls[tr[c]] or cls[t[c][x]] != cls[t[c][r]]:
+                return False, (r, x, c)
     return True, None
 
 
@@ -340,11 +345,10 @@ def _bell(n: int) -> int:
 
 
 # enumerate_congruences judges at most _PARTITION_BLOCK partitions per
-# pass of array operations.  Orders up to 7 (Bell(7) = 877 partitions)
-# take one pass, whose arrays are kept per order; orders 8 to 11 take
-# blocks built as they are needed.
+# pass of array operations.  An order whose Bell(n) partitions fit in one
+# pass (orders up to 7; Bell(7) = 877) keeps its arrays; orders 8 to 11
+# take blocks built as they are needed.
 _PARTITION_BLOCK = 4096
-_KEPT_PARTITION_ORDER = 7
 
 # Measured cost of enumerate_congruences per partition cell: 80 ns for
 # each of the Bell(n)*n*n cells (2-vCPU VM, Python 3.11; a null table,
@@ -381,13 +385,13 @@ def _partition_block(strings: _Strings) -> tuple[_Strings, np.ndarray, np.ndarra
     return strings, P, index
 
 
-@lru_cache(maxsize=_KEPT_PARTITION_ORDER)
+@lru_cache(maxsize=None)
 def _all_partitions(n: int) -> tuple[_Strings, np.ndarray, np.ndarray]:
     return _partition_block(tuple(_rgs_strings(n)))
 
 
 def _partition_blocks(n: int) -> Iterable[tuple[_Strings, np.ndarray, np.ndarray]]:
-    if n <= _KEPT_PARTITION_ORDER:
+    if _bell(n) <= _PARTITION_BLOCK:
         return (_all_partitions(n),)
     strings = _rgs_strings(n)
     return map(_partition_block, iter(lambda: tuple(islice(strings, _PARTITION_BLOCK)), ()))

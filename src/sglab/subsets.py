@@ -13,6 +13,8 @@ tests.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .core import ElementSet, FiniteSemigroup, _format_mask, memoized
@@ -45,18 +47,7 @@ def idealizer(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
     gives the whole semigroup (both conditions hold vacuously).
     """
     _check_ambient(S, A)
-    bits = A.bits
-    t = S.table
-    inside = list(A)
-    out = 0
-    for x in range(S.order):
-        row = t[x]
-        for a in inside:
-            if not (bits >> row[a] & 1 and bits >> t[a][x] & 1):
-                break
-        else:
-            out |= 1 << x
-    return ElementSet._from_bits(S.order, out)
+    return ElementSet._from_bits(S.order, _keepers(S, A.bits, list(A)))
 
 
 def separator(S: FiniteSemigroup, A: ElementSet) -> ElementSet:
@@ -76,22 +67,30 @@ def _np_mask(S: FiniteSemigroup, bits: int) -> np.ndarray:
     return np.array([bits >> e & 1 for e in range(S.order)], dtype=bool)
 
 
-@memoized("separator")
-def _separator(S: FiniteSemigroup, bits: int) -> int:
-    """Mask of Sep of the subset with mask ``bits``."""
-    # x is in Sep(A) iff a -> x*a and a -> a*x keep every a on its side of A.
+def _keepers(S: FiniteSemigroup, bits: int, over: Sequence[int]) -> int:
+    """Mask of the x for which x*a and a*x lie on a's side of the subset
+    with mask ``bits`` for every index a in ``over``.
+
+    Over the members of A these x are Id(A); over every element they are
+    Sep(A), Id(A) intersected with Id(complement of A).
+    """
     t = S.table
-    n = S.order
     out = 0
-    for x in range(n):
+    for x in range(S.order):
         row = t[x]
-        for a in range(n):
+        for a in over:
             side = bits >> a & 1
             if bits >> row[a] & 1 != side or bits >> t[a][x] & 1 != side:
                 break
         else:
             out |= 1 << x
     return out
+
+
+@memoized("separator")
+def _separator(S: FiniteSemigroup, bits: int) -> int:
+    """Mask of Sep of the subset with mask ``bits``."""
+    return _keepers(S, bits, range(S.order))
 
 
 def is_medial(

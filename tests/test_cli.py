@@ -213,6 +213,18 @@ class TestVerify:
         for line in out.splitlines():
             assert line.startswith("order=1 table=")
 
+    @pytest.mark.parametrize("structured", [(), ("--structured",)])
+    def test_bare_verify_sweeps_the_default_config(self, capsys, monkeypatch, structured):
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            yield from ()
+
+        monkeypatch.setattr(cli, "iter_sweep", capture)
+        code, _, _ = run(capsys, "verify", *structured)
+        assert code == 0 and seen == [SweepConfig()]
+
     def test_order_and_max_order_conflict(self, capsys):
         code, _, err = run(capsys, "verify", "--order", "2", "--max-order", "3")
         assert code == 2 and "not both" in err

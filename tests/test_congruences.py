@@ -164,7 +164,32 @@ def test_enlarging_the_family_refines_the_partition(data):
                 assert coarse.class_of[a] == coarse.class_of[b]
 
 
+def _pairwise(table, cls):
+    """Compatibility by definition: the lexicographically first (a, b, c)
+    with a and b in one class but a*c and b*c, or c*a and c*b, in two."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            if a == b or cls[a] != cls[b]:
+                continue
+            for c in range(n):
+                if cls[table[a][c]] != cls[table[b][c]] or cls[table[c][a]] != cls[table[c][b]]:
+                    return False, (a, b, c)
+    return True, None
+
+
 class TestIsCongruence:
+    def test_verdict_and_witness_are_the_pairwise_definitions(self, catalog2, catalog3, catalog4):
+        # Every restricted growth string of every labeled table of order
+        # up to 4, on fresh tables so the fixtures' memos stay empty.
+        pairs = 0
+        for T in catalog2 + catalog3 + catalog4:
+            S = validate(T.table)
+            for rgs in congruences._rgs_strings(S.order):
+                assert is_congruence(S, Congruence(S.order, rgs)) == _pairwise(S.table, rgs)
+                pairs += 1
+        assert pairs == 52962
+
     def test_universal_always(self, z2):
         assert is_congruence(z2, universal_congruence(2)) == (True, None)
 
@@ -496,10 +521,8 @@ class TestMemo:
 
 
 def _pairwise_congruences(table):
-    # The pairwise loop over every restricted growth string, on a fresh
-    # table whose memo starts empty.
-    S = validate(table)
-    return [rgs for rgs in congruences._rgs_strings(S.order) if congruences._compatible(S, rgs)[0]]
+    # The pairwise definition over every restricted growth string.
+    return [rgs for rgs in congruences._rgs_strings(len(table)) if _pairwise(table, rgs)[0]]
 
 
 class TestBellFilter:
@@ -523,7 +546,7 @@ class TestBellFilter:
             S = validate(T.table)
             found = {c.class_of for c in enumerate_congruences(S)}
             assert dict(S._memo) == {}
-            # Every partition is then answered by the pairwise loop.
+            # Every partition is then answered by is_congruence's own loop.
             for rgs in congruences._rgs_strings(S.order):
                 assert is_congruence(S, Congruence(S.order, rgs))[0] == (rgs in found)
 
