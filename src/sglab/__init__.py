@@ -50,6 +50,7 @@ from .errors import (
     SgFormatError,
     SglabError,
     WorkBudgetExceeded,
+    WorkerDied,
 )
 from .permutative import (
     Lemma4Result,

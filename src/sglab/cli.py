@@ -161,17 +161,18 @@ def cmd_verify(args) -> int:
     )
     rep = SweepReport()
     # Closing the sweep on the way out, also when the reader hangs up,
-    # stops its workers there and then.
+    # stops its workers there and then.  Each instance's records go out
+    # in one write as soon as it arrives.
     with contextlib.closing(iter_sweep(cfg)) as instances:
-        if args.structured:
-            _write_lines(rep.lines(instances))
-        else:
-            for rows in instances:
-                rep.add(rows)
-            for line in rep.summary_lines():
-                print(line)
-            for line in rep.fails:
-                print(f"FAIL {line}")
+        for instance in instances:
+            text = rep.add(instance)
+            if args.structured:
+                sys.stdout.write(text)
+    if not args.structured:
+        for line in rep.summary_lines():
+            print(line)
+        for line in rep.fails:
+            print(f"FAIL {line}")
     return 1 if rep.fails else 0
 
 
@@ -243,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    dest="random_families")
     q.add_argument("--seed", type=int, default=_SWEEP.seed)
     q.add_argument("--jobs", type=int, default=_SWEEP.parallelism,
-                   help="worker processes, at most one per CPU")
+                   help="worker processes, at most one per usable CPU "
+                   "(default: every usable CPU; 1 runs serially)")
     q.add_argument("--structured", action="store_true",
                    help="emit one record line per check instead of a summary")
     q.set_defaults(fn=cmd_verify)

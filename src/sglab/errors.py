@@ -112,3 +112,19 @@ class SgFormatError(SglabError):
 
     def __str__(self) -> str:
         return f"line {self.lineno}: {self.detail}"
+
+
+class WorkerDied(SglabError):
+    """A sweep worker process ended before it sent all of its instances.
+
+    ``exitcode`` is the process's exit code: negative for the signal
+    that killed it, None if it still had not ended after a short wait.
+    """
+
+    def __init__(self, worker: int, exitcode: int | None):
+        super().__init__(worker, exitcode)
+        self.worker = worker
+        self.exitcode = exitcode
+
+    def __str__(self) -> str:
+        return f"sweep worker {self.worker} ended with exit code {self.exitcode} before it was done"

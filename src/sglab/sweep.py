@@ -12,13 +12,13 @@ and across worker counts.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import random
+import signal
 from collections import Counter
-from dataclasses import dataclass
-from multiprocessing import Pool
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from .catalog import _labeled_count, catalog_line, enumerate_semigroups
 from .congruences import (
@@ -31,7 +31,7 @@ from .congruences import (
     verify_theorem1_forward,
 )
 from .core import ElementSet, FiniteSemigroup, _within_budget, all_subsets
-from .errors import WorkBudgetExceeded
+from .errors import WorkBudgetExceeded, WorkerDied
 from .permutative import (
     find_permutation_identity,
     format_permutation,
@@ -56,14 +56,29 @@ __all__ = [
 FAMILY_MODES = ("default", "singletons-and-all-subsets", "congruence-classes")
 THEOREM_GROUPS = ("all", "1", "2", "cor1", "cor2", "lemmas")
 
-# One check's output: its record line, check name and status.
-Row = tuple[str, str, str]
+# One instance's output: its record lines, each ending in a newline,
+# its per-(check, status) counts and its fail lines.
+Instance = tuple[str, Counter, list[str]]
+
+# Instances per message from a worker process: 8 to 32 ran the order-4
+# sweep equally fast, and 16 starts no worker for the 9 tables of orders
+# 1-2.
+_CHUNK = 16
 
 # Measured cost of the default sweep per labeled table: 1.7 ms (verify-o4,
 # 5.9-6.1 s over the 3614 tables of orders 1-4; 2-vCPU Xeon VM, Python
 # 3.11, serial).  Orders 1-4 are estimated at 6.1 s and accepted; a range
-# that includes order 5 (312 s for its tables alone) is refused.
+# that includes order 5 (312 s for its tables alone) is refused.  The
+# estimate stays serial, whatever the CPU count, so whether a sweep is
+# refused never depends on the machine.
 _INSTANCE_SECONDS = 1.7e-3
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,9 @@ class SweepConfig:
     min_order/max_order bound the catalog; family_mode picks how
     theorem families are built (the default combines every single-subset
     family with every family of congruence classes); random_families
-    adds that many seeded multi-set families per permutative instance.
+    adds that many seeded multi-set families per permutative instance;
+    parallelism caps the worker processes (default every usable CPU; 1
+    runs the sweep in this process).
     """
 
     min_order: int = 1
@@ -82,7 +99,7 @@ class SweepConfig:
     family_mode: str = "default"
     random_families: int = 20
     seed: int = 0
-    parallelism: int = 1
+    parallelism: int = field(default_factory=_usable_cpus)
     theorem: str = "all"
 
     def __post_init__(self):
@@ -101,7 +118,7 @@ class SweepConfig:
 
 
 class SweepReport:
-    """Per-(check, status) counts and fail lines of the rows seen so far.
+    """Per-(check, status) counts and fail lines of the instances seen so far.
 
     ``records`` holds the record lines only where the caller keeps them:
     ``run_sweep`` does, ``verify`` writes them out instead.
@@ -113,17 +130,13 @@ class SweepReport:
         self.counts: Counter[tuple[str, str]] = Counter()
         self.fails: list[str] = []
 
-    def add(self, rows: list[Row]) -> None:
-        """Count one instance's rows."""
+    def add(self, instance: Instance) -> str:
+        """Count one instance and return its record text."""
+        text, counts, fails = instance
         self.instances += 1
-        self.counts.update(map(_check_status, rows))
-        self.fails += [line for line, _, status in rows if status == FAIL]
-
-    def lines(self, instances: Iterable[list[Row]]) -> Iterator[str]:
-        """The record lines of ``instances``, counting each instance as it passes."""
-        for rows in instances:
-            self.add(rows)
-            yield from map(_line, rows)
+        self.counts.update(counts)
+        self.fails += fails
+        return text
 
     def summary_lines(self) -> list[str]:
         n_pass = sum(v for (_, st), v in self.counts.items() if st == "pass")
@@ -233,44 +246,95 @@ def _instance_checks(
 
 def _instance_worker(
     item: tuple[SweepConfig, int, int, tuple[tuple[int, ...], ...]]
-) -> list[Row]:
+) -> Instance:
     cfg, order, idx, table = item
     # The table comes from enumerate_semigroups, which validated it.
     S = FiniteSemigroup._from_table(table)
     prefix = f"order={order} table={_table_hash(S)} case="
-    return [
-        (f"{prefix}{case} {rep.record()}", rep.check, rep.status)
-        for case, rep in _instance_checks(cfg, order, idx, S)
-    ]
+    checks = _instance_checks(cfg, order, idx, S)
+    lines = [f"{prefix}{case} {rep.record()}" for case, rep in checks]
+    counts = Counter((rep.check, rep.status) for _, rep in checks)
+    fails = [line for line, (_, rep) in zip(lines, checks) if rep.status == FAIL]
+    return "".join(line + "\n" for line in lines), counts, fails
 
 
-def iter_sweep(cfg: SweepConfig) -> Iterator[list[Row]]:
-    """Each catalog instance's (record line, check, status) rows, in catalog order.
+def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
+    """Each catalog instance's record text, (check, status) counts and
+    fail lines, in catalog order.
 
-    Rows come as the instances are done, so a consumer that writes and
-    drops them holds one instance's records at a time.  The order is
-    the same for every parallelism.  A sweep whose labeled tables are
-    estimated over ten seconds (any that includes order 5) raises
-    WorkBudgetExceeded from this call, before any table is built; no
-    more worker processes start than there are CPUs.  Close the iterator
-    to stop a parallel sweep early.
+    Instances come as they are done, so a consumer that writes and
+    drops them holds a few instances' records at a time.  The bytes
+    are the same for every parallelism.  A sweep whose labeled tables
+    are estimated over ten seconds (any that includes order 5) raises
+    WorkBudgetExceeded from this call, before any table is built.  No
+    more worker processes start than there are usable CPUs or chunks
+    of instances; close the iterator to stop a parallel sweep early.
     """
     orders = range(cfg.min_order, cfg.max_order + 1)
     tables = sum(map(_labeled_count, orders))
     _within_budget(f"the sweep of {tables:,} labeled tables", tables * _INSTANCE_SECONDS)
     items = [(cfg, order, idx, S.table)
              for order in orders for idx, S in enumerate(enumerate_semigroups(order))]
-    return _instance_rows(items, min(cfg.parallelism, os.cpu_count() or 1))
+    chunks = [items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK)]
+    workers = min(cfg.parallelism, _usable_cpus(), len(chunks))
+    # Where there is no fork (Windows), the sweep runs in this process.
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        return _forked(chunks, workers)
+    return (_instance_worker(item) for item in items)
 
 
-def _instance_rows(items, workers: int) -> Iterator[list[Row]]:
-    if workers > 1:
-        # imap hands results back in submission order; leaving the block,
-        # also on close, terminates the workers.
-        with Pool(workers) as pool:
-            yield from pool.imap(_instance_worker, items, chunksize=8)
-    else:
-        yield from map(_instance_worker, items)
+def _forked(chunks: list[list], workers: int) -> Iterator[Instance]:
+    # Worker k does chunks k, k + workers, ... and sends each as one
+    # message down its own pipe, so reading the pipes in turn keeps
+    # catalog order.  A full pipe holds its worker back, so at most one
+    # chunk per worker waits to be read.  Fork, not spawn: the workers
+    # inherit the chunks, so nothing is pickled on the way out, and the
+    # parent runs no thread that a fork could catch mid-operation.
+    ctx = multiprocessing.get_context("fork")
+    readers, procs = [], []
+    try:
+        for k in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            proc = ctx.Process(target=_work, args=(chunks[k::workers], writer, readers),
+                               daemon=True)
+            proc.start()
+            procs.append(proc)
+            # Only the worker may hold the write end, or its death
+            # would never reach the reader as end of file.
+            writer.close()
+        for i in range(len(chunks)):
+            k = i % workers
+            try:
+                error, instances = readers[k].recv()
+            except (EOFError, OSError):
+                procs[k].join(timeout=5)
+                raise WorkerDied(k, procs[k].exitcode) from None
+            if error is not None:
+                raise error
+            yield from instances
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for reader in readers:
+            reader.close()
+
+
+def _work(chunks: list[list], writer, readers) -> None:
+    # A worker holds no read end, so a parent that dies leaves it a
+    # broken pipe, not a write that blocks forever; Ctrl-C is the
+    # parent's to handle.
+    for reader in readers:
+        reader.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for chunk in chunks:
+        try:
+            message = None, [_instance_worker(item) for item in chunk]
+        except Exception as e:  # raised again in the parent, in catalog order
+            writer.send((e, None))
+            return
+        writer.send(message)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
@@ -280,9 +344,6 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     with the same config are byte-identical.
     """
     rep = SweepReport()
-    rep.records.extend(rep.lines(iter_sweep(cfg)))
+    for instance in iter_sweep(cfg):
+        rep.records += rep.add(instance).splitlines()
     return rep
-
-
-_line = itemgetter(0)
-_check_status = itemgetter(1, 2)

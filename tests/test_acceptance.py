@@ -49,7 +49,6 @@ def sweep():
         n_max_permutation=4,
         random_families=100,
         seed=0,
-        parallelism=1,
     )
     t0 = time.perf_counter()
     rep = run_sweep(cfg)

@@ -225,6 +225,18 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", *structured)
         assert code == 0 and seen == [SweepConfig()]
 
+    @pytest.mark.parametrize("structured", [(), ("--structured",)])
+    @pytest.mark.parametrize(
+        "scope", [(), ("--theorem", "lemmas"), ("--family-mode", "congruence-classes")]
+    )
+    def test_default_workers_match_a_serial_run(self, capsys, structured, scope):
+        # The 113 tables of order 3 are 8 chunks, so the default route
+        # forks one worker per usable CPU.
+        argv = ("verify", "--order", "3", *scope, *structured)
+        default = run(capsys, *argv)
+        assert default == run(capsys, *argv, "--jobs", "1")
+        assert default[0] == 0 and default[1]
+
     def test_order_and_max_order_conflict(self, capsys):
         code, _, err = run(capsys, "verify", "--order", "2", "--max-order", "3")
         assert code == 2 and "not both" in err
@@ -338,16 +350,15 @@ class TestStructuredOutput:
             print(line, file=expected)
         assert "".join(self.writes()) == expected.getvalue()
 
-    def test_no_write_exceeds_the_chunk_bound(self, monkeypatch):
-        # One write of every record would hold the whole output twice
-        # over at once; one write per line costs more than the checks.
-        out = "".join(self.writes())
-        lines = out.count("\n")
-        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 64)
+    def test_no_write_exceeds_the_chunk_bound(self):
+        # Each write is one instance's records: one write of every record
+        # would hold the whole output twice over at once; one write per
+        # line costs more than the checks.
         writes = self.writes()
-        assert "".join(writes) == out
-        assert len(writes) == -(-lines // 64)
-        assert all(w.endswith("\n") and w.count("\n") <= 64 for w in writes)
+        assert len(writes) == 1 + 8
+        for w in writes:
+            assert w.endswith("\n")
+            assert len({line.split()[1] for line in w.splitlines()}) == 1
 
     def test_records_go_out_before_the_sweep_ends(self, monkeypatch):
         # The first write must not wait for the last instance: holding
@@ -360,7 +371,6 @@ class TestStructuredOutput:
             return worker(item)
 
         monkeypatch.setattr(sweep, "_instance_worker", counting_worker)
-        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 64)
         done_at_write = []
 
         class Sink(_RecordingSink):
@@ -369,7 +379,8 @@ class TestStructuredOutput:
                 return super().write(s)
 
         with contextlib.redirect_stdout(Sink()):
-            assert run_command(["verify", "--max-order", "3", "--structured"]) == 0
+            # In this process, so the calls can be counted here.
+            assert run_command(["verify", "--max-order", "3", "--structured", "--jobs", "1"]) == 0
         assert len(calls) == 1 + 8 + 113
         assert done_at_write[0] < len(calls)
 
@@ -408,8 +419,7 @@ def test_reader_hanging_up_stops_a_parallel_sweep():
     # The reader takes one line and closes the pipe: the next write
     # fails, the workers are torn down and the command still exits 0.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "sglab.cli", "verify", "--max-order", "4", "--structured",
-         "--jobs", "2"],
+        [sys.executable, "-m", "sglab.cli", "verify", "--max-order", "4", "--structured"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )

@@ -21,14 +21,15 @@ def test_every_error_class_is_covered():
     assert {c.__name__ for c in ERRORS} >= {
         "OutOfRangeEntry", "NotAssociative", "DuplicateLabel", "EmptyWord", "IndexOutOfRange",
         "AmbientMismatch", "WorkBudgetExceeded", "NotACongruence",
-        "SgFormatError",
+        "SgFormatError", "WorkerDied",
     }
 
 
 @pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__name__)
 def test_error_survives_a_pickle_round_trip(cls):
-    # An error raised in a --jobs worker is pickled back to the parent;
-    # one that cannot be rebuilt from its args would hang Pool.map.
+    # An error raised in a sweep worker is pickled back to the parent;
+    # one that cannot be rebuilt from its args would end the worker
+    # instead of reaching the parent with its type.
     params = list(inspect.signature(cls.__init__).parameters)[1:]
     args = tuple(range(3, 3 + len(params)))
     e = cls(*args)

@@ -1,17 +1,25 @@
+import contextlib
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
 from sglab import (
     ElementSet,
     FiniteSemigroup,
+    NotACongruence,
     SweepConfig,
     WorkBudgetExceeded,
+    WorkerDied,
     check_lemma1,
     check_lemma2,
     check_lemma3,
     run_sweep,
     validate,
 )
-from sglab import catalog, sweep
+from sglab import catalog, cli, sweep
 from sglab.sweep import _random_families
 
 
@@ -115,10 +123,13 @@ class TestRunSweep:
         cfg = SweepConfig(max_order=2, random_families=4, seed=9)
         assert run_sweep(cfg).records == run_sweep(cfg).records
 
-    def test_parallel_matches_serial(self):
-        serial = run_sweep(SweepConfig(max_order=2, parallelism=1))
-        parallel = run_sweep(SweepConfig(max_order=2, parallelism=3))
+    def test_parallel_matches_serial(self, monkeypatch):
+        # Orders 1-3 are 8 chunks, so three workers start on any machine.
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+        serial = run_sweep(SweepConfig(max_order=3, parallelism=1))
+        parallel = run_sweep(SweepConfig(max_order=3, parallelism=3))
         assert serial.records == parallel.records
+        assert serial.counts == parallel.counts and serial.fails == parallel.fails
 
     def test_record_shape(self):
         rep = run_sweep(SweepConfig(min_order=2, max_order=2, theorem="lemmas"))
@@ -176,34 +187,127 @@ class TestRunSweep:
         assert n_fwd(full) == n_fwd(singles) + n_fwd(classes)
 
 
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_budget_is_the_serial_estimate_on_any_machine(self, started_workers, monkeypatch,
+                                                          cpus):
+        # Whether a sweep is refused never depends on how many CPUs
+        # would share it.  started_workers keeps the accepted sweeps
+        # from forking.
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+        for lo in range(1, 5):
+            sweep.iter_sweep(SweepConfig(min_order=lo, max_order=4, parallelism=cpus)).close()
+        with pytest.raises(WorkBudgetExceeded, match="the sweep of 183,732 labeled tables"):
+            sweep.iter_sweep(SweepConfig(min_order=5, max_order=5, parallelism=cpus))
+
+
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replaces multiprocessing.Pool with a recorder of worker counts that
-    maps in this process, so no worker is ever started."""
-    sizes = []
+def started_workers(monkeypatch):
+    """Replaces the forking starter with a recorder of worker counts that
+    runs the chunks in this process, so no worker is ever started."""
+    counts = []
 
-    class Recorder:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def recorder(chunks, workers):
+        counts.append(workers)
+        return (sweep._instance_worker(item) for chunk in chunks for item in chunk)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(sweep, "Pool", Recorder)
-    return sizes
+    monkeypatch.setattr(sweep, "_forked", recorder)
+    return counts
 
 
 @pytest.mark.parametrize(
     "cpus,jobs,started", [(3, 64, [3]), (16, 4, [4]), (1, 8, []), (None, 8, [])]
 )
-def test_jobs_capped_at_cpu_count(pool_sizes, monkeypatch, cpus, jobs, started):
+def test_jobs_capped_at_cpu_count(started_workers, monkeypatch, cpus, jobs, started):
+    # Without an affinity mask the cap is the CPU count, an unknown
+    # count read as one.  Orders 1-3 are 8 chunks.
+    monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
-    rep = run_sweep(SweepConfig(max_order=2, theorem="lemmas", parallelism=jobs))
-    assert pool_sizes == started
-    assert rep.records == run_sweep(SweepConfig(max_order=2, theorem="lemmas")).records
+    rep = run_sweep(SweepConfig(max_order=3, theorem="lemmas", parallelism=jobs))
+    assert started_workers == started
+    serial = run_sweep(SweepConfig(max_order=3, theorem="lemmas", parallelism=1))
+    assert rep.records == serial.records
+
+
+def test_workers_capped_by_affinity_and_chunks(started_workers, monkeypatch):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    run_sweep(SweepConfig(max_order=3, theorem="lemmas", parallelism=8))
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(64)))
+    run_sweep(SweepConfig(max_order=3, theorem="lemmas", parallelism=64))
+    # The 9 tables of orders 1-2 are one chunk: no worker starts.
+    run_sweep(SweepConfig(max_order=2, theorem="lemmas", parallelism=64))
+    assert started_workers == [2, 8]
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this block once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestWorkers:
+    """The forked route on two workers, whatever this machine's CPUs."""
+
+    CFG = SweepConfig(max_order=3, theorem="lemmas", parallelism=2)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def failing_at(self, monkeypatch):
+        """Makes the worker function call ``fail`` on order 3, index 5."""
+        worker = sweep._instance_worker
+
+        def plant(fail):
+            def patched(item):
+                if item[1:3] == (3, 5):
+                    fail()
+                return worker(item)
+
+            monkeypatch.setattr(sweep, "_instance_worker", patched)
+
+        return plant
+
+    def test_dead_worker_is_an_error_not_a_hang(self, failing_at):
+        failing_at(lambda: os._exit(1))
+        t0 = time.monotonic()
+        with deadline(30), pytest.raises(WorkerDied, match="exit code 1 "):
+            run_sweep(self.CFG)
+        assert time.monotonic() - t0 < 10
+        assert multiprocessing.active_children() == []
+
+    def test_verify_exits_nonzero_when_a_worker_dies(self, failing_at, capsys):
+        failing_at(lambda: os._exit(1))
+        with deadline(30):
+            code = cli.run_command(["verify", "--max-order", "3", "--theorem", "lemmas",
+                                    "--structured", "--jobs", "2"])
+        assert code == 2 and "exit code 1" in capsys.readouterr().err
+
+    def test_worker_exception_is_raised_with_its_type(self, failing_at):
+        def planted():
+            raise NotACongruence("planted")
+
+        failing_at(planted)
+        with deadline(30), pytest.raises(NotACongruence, match="planted"):
+            run_sweep(self.CFG)
+        assert multiprocessing.active_children() == []
+
+    def test_early_close_stops_the_workers(self):
+        # A chunk of full order-3 records is over a pipe's 64 KiB, so
+        # neither worker can finish before the close.
+        instances = sweep.iter_sweep(SweepConfig(max_order=3, parallelism=2))
+        next(instances)
+        assert len(multiprocessing.active_children()) == 2
+        instances.close()
+        assert multiprocessing.active_children() == []
