@@ -74,13 +74,12 @@ def _consistent_after(t: list[list[int]], r: int, c: int, n: int) -> bool:
 _LABELED_COUNTS = (1, 8, 113, 3492, 183732, 17061118)
 
 # Measured cost of the catalog per labeled table (2-vCPU Xeon VM, Python
-# 3.11, numpy 2.4): 15-17 us at order 5 (2.8-3.1 s, 55 MiB peak; 25-28 us
-# and 128 MiB when each relabeling was built in Python), and 20 us with
-# `sglab enumerate 5` formatting every table (3.6-3.8 s end to end), so
-# the cost covers that command too.  The class generator alone takes about
-# 7 us per labeled table it stands for, so one cost serves both routes:
-# order 5 is accepted and order 6 (about 341 s) is refused, labeled and up
-# to isomorphism alike.
+# 3.11, numpy 2.4): 15-17 us at order 5 (2.8-3.1 s, 55 MiB peak), and
+# 20 us with `sglab enumerate 5` formatting every table (3.6-3.8 s end to
+# end), so the cost covers that command too.  The class generator alone
+# takes about 7 us per labeled table it stands for, so one cost serves
+# both routes: order 5 is accepted and order 6 (about 341 s) is refused,
+# labeled and up to isomorphism alike.
 _TABLE_SECONDS = 20e-6
 
 
@@ -149,7 +148,7 @@ def _backtrack(n: int) -> Iterator[Table]:
                 continue
             still = []
             for p, q in tied:
-                sign = _relabeled_cmp(t, p, q, t)
+                sign = _relabeled_cmp(t, p, q)
                 if sign < 0:
                     break
                 if sign == 0:
@@ -174,18 +173,16 @@ def _relabeled(t: Table, p: Sequence[int], q: Sequence[int]) -> Table:
     return tuple(tuple(p[t[q[i]][q[j]]] for j in range(n)) for i in range(n))
 
 
-def _relabeled_cmp(
-    t: Sequence[Sequence[int]], p: Sequence[int], q: Sequence[int], ref: Sequence[Sequence[int]]
-) -> int:
-    # The sign of t relabeled by p against ref in row-major order, from
-    # the first cell where they differ; 0 if they agree up to the first
-    # cell whose source in t is still undecided (-1).  Sources are a
-    # bijection on cells, so when ref is a row-major prefix of t itself,
-    # no undecided cell of ref is reached before an undecided source.
-    n = len(ref)
+def _relabeled_cmp(t: Sequence[Sequence[int]], p: Sequence[int], q: Sequence[int]) -> int:
+    # The sign of t relabeled by p against t itself in row-major order,
+    # from the first cell where they differ; 0 if they agree up to the
+    # first cell whose source in t is still undecided (-1).  Sources are a
+    # bijection on cells and t's decided cells are a row-major prefix, so
+    # no undecided cell of t is compared before an undecided source.
+    n = len(t)
     for i in range(n):
         row = t[q[i]]
-        ref_row = ref[i]
+        ref_row = t[i]
         for j in range(n):
             v = row[q[j]]
             if v < 0:
@@ -210,9 +207,7 @@ _BLOCK_LABELS = 7
 # Measured cost of canonical_form per relabeling: at most 17 ns per cell
 # of the table (2-vCPU Xeon VM, Python 3.11, numpy 2.4; a left-zero table,
 # every element idempotent, so every block is judged: 1.1-1.2 us per
-# relabeling at orders 8 and 9, and 1.3-1.5 us at 10, 4.8-5.3 s in all;
-# 1.8-2.0 us and 6.6-7.2 s at order 10 when rows were compared as int64
-# keys).
+# relabeling at orders 8 and 9, and 1.3-1.5 us at 10, 4.8-5.3 s in all).
 # A table whose n! relabelings are estimated over the time budget is
 # refused before the search starts: order 10 passes, 11 is refused.
 # Order 7 is estimated at 4 ms.

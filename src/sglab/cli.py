@@ -141,9 +141,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.order is not None and args.max_order is not None:
-        print("error: give --order or --max-order, not both", file=sys.stderr)
-        return 2
     if args.order is not None:
         lo = hi = args.order
     else:
@@ -232,9 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_enumerate)
 
     q = sub.add_parser("verify", help="run the verification sweep over the catalog")
-    q.add_argument("--order", type=int, default=None, help="exactly this order")
-    q.add_argument("--max-order", type=int, default=None, dest="max_order",
-                   help=f"orders 1 through this bound (default {_SWEEP.max_order})")
+    orders = q.add_mutually_exclusive_group()
+    orders.add_argument("--order", type=int, default=None, help="exactly this order")
+    orders.add_argument("--max-order", type=int, default=None, dest="max_order",
+                        help=f"orders 1 through this bound (default {_SWEEP.max_order})")
     q.add_argument("--theorem", choices=THEOREM_GROUPS, default=_SWEEP.theorem)
     q.add_argument("--family-mode", choices=FAMILY_MODES, default=_SWEEP.family_mode,
                    dest="family_mode")

@@ -108,6 +108,11 @@ def memoized(kind: str) -> Callable:
     return decorate
 
 
+def _first_true(bad: np.ndarray) -> tuple[int, ...]:
+    """The lexicographically first True index of ``bad``, which holds one, as ints."""
+    return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+
+
 class cached_attribute:
     """A computed attribute stored in the instance dict on first read.
 
@@ -142,11 +147,11 @@ class FiniteSemigroup:
     dict per analysis kind (``_memo["separator"]``, ``_memo["medial"]``,
     ...), read and filled only through the accessors ``memoized`` makes.
     Subset analyses are keyed by the subset's bit mask, partition
-    analyses by its canonical ``class_of`` and ``identity`` by the
-    permutation, never by a whole family, so a subset kind holds at most
-    2**n entries and a partition kind at most Bell(n).  The table is
-    frozen, so an entry never goes stale, and the memo is freed with the
-    semigroup.
+    analyses by its canonical ``class_of``, ``identity`` by the
+    permutation and ``word_tensor`` by the length, never by a whole
+    family, so a subset kind holds at most 2**n entries and a partition
+    kind at most Bell(n).  The table is frozen, so an entry never goes
+    stale, and the memo is freed with the semigroup.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -212,26 +217,22 @@ class FiniteSemigroup:
     def np_table(self) -> np.ndarray:
         return np.array(self.table, dtype=np.intp)
 
-    @cached_attribute
-    def _word_tensors(self) -> dict[int, np.ndarray]:
-        return {1: np.arange(self.order, dtype=np.intp)}
-
+    @memoized("word_tensor")
     def word_tensor(self, k: int) -> np.ndarray:
         """k-dimensional array of all left-to-right products of k elements.
 
-        ``word_tensor(k)[x1, ..., xk] == x1*x2*...*xk``.  Memory grows as
-        n**k, so a tensor of more than 2**26 cells raises
-        WorkBudgetExceeded before anything is allocated.
+        ``word_tensor(k)[x1, ..., xk] == x1*x2*...*xk``, memoized per
+        length.  Memory grows as n**k, so a tensor of more than 2**26
+        cells raises WorkBudgetExceeded before anything is allocated.
         """
-        cache = self._word_tensors
-        if k not in cache:
-            cells = self.order**k
-            if cells > _WORD_TENSOR_CELLS:
-                raise WorkBudgetExceeded(
-                    f"the length-{k} word tensor", f"{cells} cells", f"{_WORD_TENSOR_CELLS} cells"
-                )
-            cache[k] = self.np_table[self.word_tensor(k - 1)]
-        return cache[k]
+        if k == 1:
+            return np.arange(self.order, dtype=np.intp)
+        cells = self.order**k
+        if cells > _WORD_TENSOR_CELLS:
+            raise WorkBudgetExceeded(
+                f"the length-{k} word tensor", f"{cells} cells", f"{_WORD_TENSOR_CELLS} cells"
+            )
+        return self.np_table[self.word_tensor(k - 1)]
 
     @cached_attribute
     def _linked(self) -> tuple[int, ...]:

@@ -32,6 +32,7 @@ from .core import (
     ElementSet,
     FiniteSemigroup,
     PowerChain,
+    _first_true,
     _within_budget,
     memoized,
     power_set_chain,
@@ -102,7 +103,7 @@ def _identity(S: FiniteSemigroup, perm: tuple[int, ...]) -> tuple[bool, tuple[in
     bad = w != w.transpose(tuple(p - 1 for p in perm))
     if not bad.any():
         return True, None
-    return False, tuple(int(v) for v in np.argwhere(bad)[0])
+    return False, _first_true(bad)
 
 
 # Measured cost of one permutation comparison in the identity search:
@@ -173,8 +174,8 @@ def lemma4_minimal_k(S: FiniteSemigroup) -> Lemma4Result:
         bad = sub != sub.swapaxes(1, 2)
         if not bad.any():
             return Lemma4Result(k, chain, tuple(counterexamples))
-        ui, x, y, vi = np.argwhere(bad)[0]
-        counterexamples.append((k, (int(idx[ui]), int(x), int(y), int(idx[vi]))))
+        ui, x, y, vi = _first_true(bad)
+        counterexamples.append((k, (int(idx[ui]), x, y, int(idx[vi]))))
     return Lemma4Result(None, chain, tuple(counterexamples))
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ElementSet, FiniteSemigroup, _format_mask, memoized
+from .core import ElementSet, FiniteSemigroup, _first_true, _format_mask, memoized
 from .errors import AmbientMismatch
 
 __all__ = [
@@ -115,8 +115,7 @@ def _medial(S: FiniteSemigroup, bits: int) -> tuple[bool, tuple[int, int, int, i
     for u in range(S.order):
         if bits >> u & 1 and linked[u] & outside:
             inside = _np_mask(S, bits)[S.word_tensor(4)]
-            x, a, b, y = np.argwhere(inside & ~inside.swapaxes(1, 2))[0]
-            return False, (int(x), int(a), int(b), int(y))
+            return False, _first_true(inside & ~inside.swapaxes(1, 2))
     return True, None
 
 

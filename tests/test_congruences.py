@@ -426,19 +426,28 @@ MEMO_ROUTES = {
     "congruence": ((0, 1), lambda S: congruences._compatible(S, (0, 1))),
     "quotient": ((0, 1), lambda S: congruences._quotient(S, (0, 1))),
     "identity": ((2, 1), lambda S: satisfies_identity(S, PermutationIdentity.of((2, 1)))),
+    "word_tensor": (1, lambda S: S.word_tensor(1)),
 }
+
+# The word-tensor lengths a kind's computation leaves in the memo: each
+# length is built from the one below it.
+TENSOR_LENGTHS = {"medial": {1, 2, 3, 4}, "profile": {1, 2, 3}, "identity": {1, 2}}
 
 
 class TestMemo:
     @pytest.mark.parametrize("kind", sorted(MEMO_ROUTES))
     def test_each_accessor_reads_and_fills_its_own_kind(self, kind):
         key, ask = MEMO_ROUTES[kind]
-        # A miss computes the answer and stores it under this key alone;
-        # a quotient is built once its partition is judged a congruence.
+        # A miss computes the answer and stores it under this key alone,
+        # beside the word tensors it read; a quotient is built once its
+        # partition is judged a congruence.
         fresh = validate([[0, 1], [1, 0]])
         answer = ask(fresh)
-        judged = {"congruence": {key: (True, None)}} if kind == "quotient" else {}
-        assert dict(fresh._memo) == {kind: {key: answer}, **judged}
+        beside = {"congruence": {key: (True, None)}} if kind == "quotient" else {}
+        if kind in TENSOR_LENGTHS:
+            beside["word_tensor"] = fresh._memo["word_tensor"]
+            assert set(beside["word_tensor"]) == TENSOR_LENGTHS[kind]
+        assert dict(fresh._memo) == {kind: {key: answer}, **beside}
         # A hit returns the planted answer; with the table gone, any
         # computation would raise.
         seeded = validate([[0, 1], [1, 0]])
@@ -493,7 +502,7 @@ class TestMemo:
         # Every kind the sweep asks is listed here, so a new one cannot go
         # unchecked.
         kinds = dict(S._memo)
-        assert set(kinds) == subset_kinds | partition_kinds | {"identity"}
+        assert set(kinds) == subset_kinds | partition_kinds | {"identity", "word_tensor"}
         for kind, entries in kinds.items():
             assert entries, f"the sweep never asked {kind}"
             if kind in subset_kinds:
@@ -506,6 +515,9 @@ class TestMemo:
                     for a in entries
                 ), kind
                 assert len(entries) <= bell4, kind
+            elif kind == "word_tensor":
+                # Keyed by length, up to the identity search's bound.
+                assert set(entries) == {1, 2, 3, 4}
             else:
                 assert all(type(a) is tuple and all(type(p) is int for p in a) for a in entries)
             for value in entries.values():

@@ -207,11 +207,17 @@ class TestWordTensor:
     def test_cached(self, z2):
         assert z2.word_tensor(4) is z2.word_tensor(4)
 
+    def test_memoized_by_length(self, lz2mon):
+        # Each length is built from the one below it, and every one stays.
+        w3 = lz2mon.word_tensor(3)
+        assert lz2mon._memo["word_tensor"].keys() == {1, 2, 3}
+        assert lz2mon._memo["word_tensor"][3] is w3
+
     def test_over_budget_raises_before_allocating(self, lz2mon):
         k = next(k for k in range(1, 64) if 3**k > _WORD_TENSOR_CELLS)
         with pytest.raises(WorkBudgetExceeded):
             lz2mon.word_tensor(k)
-        assert set(lz2mon._word_tensors) == {1}
+        assert lz2mon._memo["word_tensor"] == {}
 
 
 class TestPowerSetChain:

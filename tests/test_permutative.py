@@ -122,7 +122,7 @@ class TestFindPermutationIdentity:
         assert _search_seconds(3, 8) <= core._BUDGET_SECONDS < _search_seconds(3, 9)
         with pytest.raises(WorkBudgetExceeded, match="length-9 identity search"):
             find_permutation_identity(lz2mon, 40)
-        assert max(lz2mon._word_tensors) == 8
+        assert max(lz2mon._memo["word_tensor"]) == 8
 
     def test_budget_leaves_default_searches_alone(self):
         # The sweep's and the query stream's lengths (up to 4) at orders

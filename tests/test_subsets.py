@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +8,8 @@ from sglab import (
     AmbientMismatch,
     ElementSet,
     all_subsets,
+    classify_quotient,
+    enumerate_semigroups,
     format_subset,
     idealizer,
     is_commutative,
@@ -14,11 +17,15 @@ from sglab import (
     is_reflexive,
     is_subsemigroup,
     is_unitary,
+    p_congruence,
     parse_subset,
+    quotient,
     separator,
     validate,
     word_product,
 )
+from sglab.core import _first_true
+from sglab.subsets import _np_mask
 
 
 def eset(ambient, *members):
@@ -316,3 +323,24 @@ def test_memoized_analyses_match_their_definitions(data, catalog2, catalog3):
             assert is_reflexive(T, A) == want[4]
             for side, w in want[5].items():
                 assert is_unitary(T, A, side) == w, side
+
+
+def test_mediality_is_commutativity_of_the_induced_quotient():
+    # A second route: A is medial exactly when a*b and b*a share every
+    # two-sided context x*_*y into A, that is when the quotient by the
+    # congruence A induces is commutative.  On each failing tensor the
+    # witness helper gives np.argwhere's first index.
+    pairs = witnesses = 0
+    for n in range(1, 5):
+        for S in enumerate_semigroups(n):
+            for A in all_subsets(n):
+                medial = is_medial(S, A)[0]
+                Q = quotient(S, p_congruence(S, [A]))
+                assert medial == classify_quotient(Q).is_commutative, (S.table, A)
+                pairs += 1
+                if not medial:
+                    inside = _np_mask(S, A.bits)[S.word_tensor(4)]
+                    bad = inside & ~inside.swapaxes(1, 2)
+                    assert _first_true(bad) == tuple(np.argwhere(bad)[0]), (S.table, A)
+                    witnesses += 1
+    assert (pairs, witnesses) == (56810, 5112)

@@ -16,11 +16,12 @@ from sglab import (
     check_lemma1,
     check_lemma2,
     check_lemma3,
+    enumerate_semigroups,
     run_sweep,
     validate,
 )
 from sglab import catalog, cli, sweep
-from sglab.sweep import _random_families
+from sglab.sweep import _instance_checks, _random_families
 
 
 def eset(ambient, *members):
@@ -98,6 +99,24 @@ class TestRandomFamilies:
         a = _random_families(SweepConfig(random_families=5, seed=0), 3, 0)
         b = _random_families(SweepConfig(random_families=5, seed=1), 3, 0)
         assert a != b
+
+
+def test_every_check_agrees_on_a_table_and_its_transpose():
+    # The paper's conditions are left-right symmetric: a subset, a
+    # partition or a permutation identity holds in S exactly when its
+    # mirror holds in the opposite semigroup, whose table is S's
+    # transposed.  So every class representative of orders 1-4 and its
+    # opposite give the same (case, check, status) records, up to order.
+    cfg = SweepConfig(random_families=0)
+    representatives = 0
+    for n in range(1, 5):
+        for S in enumerate_semigroups(n, up_to_iso=True):
+            op = validate([list(col) for col in zip(*S.table)])
+            checks = [_instance_checks(cfg, n, 0, T) for T in (S, op)]
+            mine, theirs = (sorted((c, r.check, r.status) for c, r in out) for out in checks)
+            assert mine == theirs, S.table
+            representatives += 1
+    assert representatives == 218
 
 
 class TestRunSweep:
