@@ -64,15 +64,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_sep(args) -> int:
+def cmd_subset(args) -> int:
+    # sep and idealizer: args.op maps the table and the set to a set.
     S = read_sg(args.file)
-    print(format_subset(separator(S, parse_subset(args.set, S.order))))
-    return 0
-
-
-def cmd_idealizer(args) -> int:
-    S = read_sg(args.file)
-    print(format_subset(idealizer(S, parse_subset(args.set, S.order))))
+    print(format_subset(args.op(S, parse_subset(args.set, S.order))))
     return 0
 
 
@@ -188,12 +183,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("sep", help="separator of a subset")
     q.add_argument("file")
     q.add_argument("set", help="subset literal, e.g. '{0,2}'")
-    q.set_defaults(fn=cmd_sep)
+    q.set_defaults(fn=cmd_subset, op=separator)
 
     q = sub.add_parser("idealizer", help="idealizer of a subset")
     q.add_argument("file")
     q.add_argument("set")
-    q.set_defaults(fn=cmd_idealizer)
+    q.set_defaults(fn=cmd_subset, op=idealizer)
 
     q = sub.add_parser("medial", help="test whether a subset is medial")
     q.add_argument("file")

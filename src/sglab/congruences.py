@@ -13,7 +13,7 @@ Both directions are checked here, stage by stage, on concrete tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -26,7 +26,6 @@ from .core import (
     FiniteSemigroup,
     _ambient_order,
     _within_budget,
-    cached_attribute,
     identity_element,
     is_commutative,
     memoized,
@@ -141,7 +140,7 @@ class QuotientSemigroup:
     quotient: FiniteSemigroup
     projection: tuple[int, ...]
 
-    @cached_attribute
+    @cached_property
     def _kind(self) -> QuotientKind:
         e = identity_element(self.quotient)
         comm, _ = is_commutative(self.quotient)

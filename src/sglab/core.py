@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -113,28 +113,6 @@ def _first_true(bad: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
 
 
-class cached_attribute:
-    """A computed attribute stored in the instance dict on first read.
-
-    Like ``functools.cached_property`` but without the lock that class
-    takes on every first read on Python 3.11: the instance dict shadows
-    this non-data descriptor, so later reads are plain attribute reads.
-    """
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class FiniteSemigroup:
     """An order-n semigroup given by its n x n Cayley table.
@@ -213,7 +191,7 @@ class FiniteSemigroup:
     def __repr__(self):
         return f"FiniteSemigroup(order={self.order}, table={self.table!r})"
 
-    @cached_attribute
+    @cached_property
     def np_table(self) -> np.ndarray:
         return np.array(self.table, dtype=np.intp)
 
@@ -223,8 +201,11 @@ class FiniteSemigroup:
 
         ``word_tensor(k)[x1, ..., xk] == x1*x2*...*xk``, memoized per
         length.  Memory grows as n**k, so a tensor of more than 2**26
-        cells raises WorkBudgetExceeded before anything is allocated.
+        cells raises WorkBudgetExceeded before anything is allocated, and
+        a length that is not an integer >= 1 raises ValueError.
         """
+        if not isinstance(k, _INDEX_TYPES) or k < 1:
+            raise ValueError(f"word length must be a positive integer, not {k!r}")
         if k == 1:
             return np.arange(self.order, dtype=np.intp)
         cells = self.order**k
@@ -234,7 +215,7 @@ class FiniteSemigroup:
             )
         return self.np_table[self.word_tensor(k - 1)]
 
-    @cached_attribute
+    @cached_property
     def _linked(self) -> tuple[int, ...]:
         """Per element u, the mask of the v with u = x*a*b*y and v = x*b*a*y
         for some x, a, b, y (the pairs a medial subset never separates).
@@ -255,7 +236,7 @@ class FiniteSemigroup:
 
 
 def validate(
-    table: Sequence[Sequence[int]], labels: Sequence[str] | None = None
+    table: Iterable[Iterable[int]], labels: Iterable[str] | None = None
 ) -> FiniteSemigroup:
     """Construct a semigroup, raising on the first axiom violation.
 
@@ -263,10 +244,7 @@ def validate(
     order, that is not an integer in [0, n);
     NotAssociative the lexicographically first bad triple (a, b, c).
     """
-    return FiniteSemigroup(
-        tuple(tuple(row) for row in table),
-        None if labels is None else tuple(labels),
-    )
+    return FiniteSemigroup(table, labels)
 
 
 def word_product(S: FiniteSemigroup, w: Sequence[int]) -> int:

@@ -268,6 +268,11 @@ class TestClassifyQuotient:
         kind = classify_quotient(quotient(lz2mon, universal_congruence(3)))
         assert kind.is_monoid and kind.is_commutative and kind.identity_class == 0
 
+    def test_computed_once_per_quotient(self, chain3):
+        Q = quotient(chain3, Congruence.from_classes(3, [{0, 1}, {2}]))
+        assert classify_quotient(Q) is classify_quotient(Q)
+        assert vars(Q)["_kind"] is classify_quotient(Q)
+
 
 class TestEnumerateCongruences:
     def test_two_element_group(self, z2):

@@ -83,6 +83,11 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate([[0, 0], [0, 1]], labels=["x"])
 
+    def test_one_shot_iterators_become_tuples(self):
+        S = validate((iter(row) for row in [[0, 0], [0, 1]]), iter(["zero", "one"]))
+        assert S.table == ((0, 0), (0, 1))
+        assert S.labels == ("zero", "one")
+
     def test_labels_do_not_affect_equality(self):
         a = validate([[0, 0], [0, 1]], labels=["a", "b"])
         b = validate([[0, 0], [0, 1]])
@@ -218,6 +223,25 @@ class TestWordTensor:
         with pytest.raises(WorkBudgetExceeded):
             lz2mon.word_tensor(k)
         assert lz2mon._memo["word_tensor"] == {}
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5])
+    def test_bad_length_is_refused_before_recursing(self, k):
+        S = validate([[0]])
+        with pytest.raises(ValueError, match="word length"):
+            S.word_tensor(k)
+        assert S._memo["word_tensor"] == {}
+
+
+@pytest.mark.parametrize(
+    "build", [validate, FiniteSemigroup._from_table], ids=["validate", "from_table"]
+)
+def test_derived_values_are_computed_once_per_table(build):
+    S = build(((0, 1, 2), (1, 1, 1), (2, 2, 2)))
+    for name in ("np_table", "_linked"):
+        assert name not in vars(S)
+        first = getattr(S, name)
+        assert vars(S)[name] is first
+        assert getattr(S, name) is first
 
 
 class TestPowerSetChain:
