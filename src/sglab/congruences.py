@@ -155,18 +155,14 @@ def _first_appearance(keys: Iterable) -> tuple[int, ...]:
     return tuple([ids.setdefault(key, len(ids)) for key in keys])
 
 
-def _class_bits(class_of: tuple[int, ...]) -> list[int]:
-    # Bit mask of each class, indexed by class id.
+@lru_cache(maxsize=1 << 12)
+def _class_bits(class_of: tuple[int, ...]) -> tuple[int, ...]:
+    """The class masks of a canonical class_of, by class id.  They never
+    read a table, so one entry serves every table with this partition."""
     bits = [0] * (max(class_of) + 1)
     for x, c in enumerate(class_of):
         bits[c] |= 1 << x
-    return bits
-
-
-@memoized("partition")
-def _classes(S: FiniteSemigroup, class_of: tuple[int, ...]) -> tuple[int, ...]:
-    """The class masks of a canonical class_of, by class id."""
-    return tuple(_class_bits(class_of))
+    return tuple(bits)
 
 
 @memoized("profile")
@@ -324,17 +320,13 @@ def _rgs_strings(n: int) -> Iterator[tuple[int, ...]]:
     """Restricted growth strings in lexicographic order: a[0] = 0 and
     a[i] <= max(a[:i]) + 1.  One string per set partition of [0, n), and
     each is already the canonical class_of of its partition."""
-    cur = [0] * n
-
-    def rec(pos: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            yield tuple(cur)
-            return
-        for v in range(mx + 2):
-            cur[pos] = v
-            yield from rec(pos + 1, max(mx, v))
-
-    return rec(1, 0)
+    if n == 1:
+        yield (0,)
+        return
+    # Each string of length n - 1, extended in every allowed way.
+    for head in _rgs_strings(n - 1):
+        for v in range(max(head) + 2):
+            yield head + (v,)
 
 
 @lru_cache(maxsize=None)
@@ -452,7 +444,7 @@ def _quotient_stages(
     if not kind.is_commutative:
         pair = tuple(zip("ab", is_commutative(Q.quotient)[1])) if name_pair else None
         return failed(check, pair, noncommutative)
-    ident = _classes(S, class_of)[kind.identity_class]
+    ident = _class_bits(class_of)[kind.identity_class]
     if ident != common:
         return failed(
             check,
@@ -490,7 +482,7 @@ def verify_theorem1_forward(S: FiniteSemigroup, family: Sequence[ElementSet]) ->
     )
     if bad is not None:
         return bad
-    classes = _classes(S, class_of)
+    classes = _class_bits(class_of)
     for i, bits in enumerate(masks):
         if any(C & bits and C & ~bits for C in classes):
             a, b = _split_pair(bits, class_of)
@@ -542,7 +534,7 @@ def verify_theorem1_converse(S: FiniteSemigroup, sigma: Congruence) -> CheckRepo
         return bad
     if not _quotient(S, class_of)._kind.is_commutative:
         return unmet(check, "quotient is not commutative")
-    for i, bits in enumerate(_classes(S, class_of)):
+    for i, bits in enumerate(_class_bits(class_of)):
         ok, w = _medial(S, bits)
         if not ok:
             return failed(check, (("i", i),) + tuple(zip("xaby", w)), f"class {i} not medial")
@@ -553,7 +545,7 @@ def _induces_itself(check: str, S: FiniteSemigroup, class_of: tuple[int, ...]) -
     """The converses' last stages, on a monoid congruence: the classes'
     separators meet in the identity class, and the classes induce the
     partition back."""
-    classes = _classes(S, class_of)
+    classes = _class_bits(class_of)
     ident = classes[_quotient(S, class_of)._kind.identity_class]
     common = _sep_common(S, classes)
     if common != ident:

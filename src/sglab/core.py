@@ -54,6 +54,10 @@ __all__ = [
 # 289 MiB, so at the limit they need about 0.65 and 1.2 GiB.
 _WORD_TENSOR_CELLS = 1 << 26
 
+# Most dimensions a numpy array may have, so the longest word tensor:
+# 64 from numpy 2.0 on, 32 before.
+_WORD_LENGTH_MAX = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+
 # The time budget of every exhaustive search: validation, the identity
 # search, canonical_form, enumerate_congruences, the catalog and the
 # sweep each estimate their time from a measured unit cost and are
@@ -202,10 +206,12 @@ class FiniteSemigroup:
         ``word_tensor(k)[x1, ..., xk] == x1*x2*...*xk``, memoized per
         length.  Memory grows as n**k, so a tensor of more than 2**26
         cells raises WorkBudgetExceeded before anything is allocated, and
-        a length that is not an integer >= 1 raises ValueError.
+        a length that is not an integer from 1 to the most dimensions
+        numpy allows (64) raises ValueError.
         """
-        if not isinstance(k, _INDEX_TYPES) or k < 1:
-            raise ValueError(f"word length must be a positive integer, not {k!r}")
+        if not isinstance(k, _INDEX_TYPES) or not 1 <= k <= _WORD_LENGTH_MAX:
+            limit = f"an integer from 1 to numpy's {_WORD_LENGTH_MAX} dimensions"
+            raise ValueError(f"word length must be {limit}, not {k!r}")
         if k == 1:
             return np.arange(self.order, dtype=np.intp)
         cells = self.order**k

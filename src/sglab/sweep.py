@@ -18,6 +18,7 @@ import random
 import signal
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Iterator, Sequence
 
 from .catalog import _labeled_count, catalog_line, enumerate_semigroups
@@ -30,9 +31,10 @@ from .congruences import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
-from .core import ElementSet, FiniteSemigroup, _within_budget, all_subsets
+from .core import _BUDGET_SECONDS, ElementSet, FiniteSemigroup, _within_budget, all_subsets
 from .errors import WorkBudgetExceeded, WorkerDied
 from .permutative import (
+    _search_seconds,
     find_permutation_identity,
     format_permutation,
     lemma4_minimal_k,
@@ -72,6 +74,11 @@ _CHUNK = 16
 # estimate stays serial, whatever the CPU count, so whether a sweep is
 # refused never depends on the machine.
 _INSTANCE_SECONDS = 1.7e-3
+
+# The labeled tables of orders 1-4 with no permutation identity up to
+# length 4, a catalog fact: only these search on when n_max_permutation
+# is above 4.  Above order 4, every labeled table is counted.
+_SEARCHES_PAST_FOUR = {1: 0, 2: 0, 3: 6, 4: 584}
 
 
 def _usable_cpus() -> int:
@@ -258,6 +265,16 @@ def _instance_worker(
     return "".join(line + "\n" for line in lines), counts, fails
 
 
+def _search_past_four(cfg: SweepConfig, order: int) -> float:
+    """Estimated time of one order's identity searches at lengths 5 to
+    n_max, up to the first length the search itself refuses."""
+    if not (_wants(cfg, "2") or _wants(cfg, "cor2")):
+        return 0.0
+    searching = _SEARCHES_PAST_FOUR.get(order, _labeled_count(order))
+    costs = (_search_seconds(order, n) for n in range(5, cfg.n_max_permutation + 1))
+    return searching * sum(takewhile(lambda s: s <= _BUDGET_SECONDS, costs))
+
+
 def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
     """Each catalog instance's record text, (check, status) counts and
     fail lines, in catalog order.
@@ -265,14 +282,17 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
     Instances come as they are done, so a consumer that writes and
     drops them holds a few instances' records at a time.  The bytes
     are the same for every parallelism.  A sweep whose labeled tables
-    are estimated over ten seconds (any that includes order 5) raises
-    WorkBudgetExceeded from this call, before any table is built.  No
-    more worker processes start than there are usable CPUs or chunks
-    of instances; close the iterator to stop a parallel sweep early.
+    and identity searches past length 4 are estimated over ten seconds
+    (any that includes order 5, or order 4 with n_max_permutation 6 or
+    more) raises WorkBudgetExceeded from this call, before any table is
+    built.  No more worker processes start than there are usable CPUs
+    or chunks of instances; close the iterator to stop a parallel sweep
+    early.
     """
     orders = range(cfg.min_order, cfg.max_order + 1)
     tables = sum(map(_labeled_count, orders))
-    _within_budget(f"the sweep of {tables:,} labeled tables", tables * _INSTANCE_SECONDS)
+    seconds = tables * _INSTANCE_SECONDS + sum(_search_past_four(cfg, n) for n in orders)
+    _within_budget(f"the sweep of {tables:,} labeled tables", seconds)
     items = [(cfg, order, idx, S.table)
              for order in orders for idx, S in enumerate(enumerate_semigroups(order))]
     chunks = [items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK)]

@@ -261,6 +261,14 @@ class TestVerify:
             assert code == 2 and out == "", argv
             assert "labeled tables" in err and "over the budget of 10 s" in err, argv
 
+    def test_long_identity_searches_at_order_four_are_refused(self, capsys, no_tables):
+        # 584 order-4 tables search on past length 4, and from length 6
+        # on their searches put the sweep over the work budget.
+        for n_max in ("6", "8"):
+            code, out, err = run(capsys, "verify", "--order", "4", "--n-max-perm", n_max)
+            assert code == 2 and out == "", n_max
+            assert "labeled tables" in err and "over the budget of 10 s" in err, n_max
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_long_identity_search_completes(self, capsys, jobs):
         # Order-3 tables with no identity are searched through length 7

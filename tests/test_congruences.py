@@ -427,7 +427,6 @@ MEMO_ROUTES = {
     "unitary": (0b01, lambda S: subsets._unitary(S, 0b01)),
     "subsemigroup": (0b01, lambda S: subsets._subsemigroup(S, 0b01)),
     "profile": (0b01, lambda S: congruences._profile(S, 0b01)),
-    "partition": ((0, 1), lambda S: congruences._classes(S, (0, 1))),
     "congruence": ((0, 1), lambda S: congruences._compatible(S, (0, 1))),
     "quotient": ((0, 1), lambda S: congruences._quotient(S, (0, 1))),
     "identity": ((2, 1), lambda S: satisfies_identity(S, PermutationIdentity.of((2, 1)))),
@@ -503,9 +502,10 @@ class TestMemo:
         assert any(rep.check == "theorem2-forward" for _, rep in _instance_checks(cfg, 4, 0, S))
         bell4 = 15
         subset_kinds = {"separator", "medial", "profile", "subsemigroup", "unitary", "reflexive"}
-        partition_kinds = {"congruence", "quotient", "partition"}
+        partition_kinds = {"congruence", "quotient"}
         # Every kind the sweep asks is listed here, so a new one cannot go
-        # unchecked.
+        # unchecked: the nine analyses of the table and its word tensors.
+        # A partition's class masks never read the table, so none is here.
         kinds = dict(S._memo)
         assert set(kinds) == subset_kinds | partition_kinds | {"identity", "word_tensor"}
         for kind, entries in kinds.items():
@@ -528,13 +528,20 @@ class TestMemo:
             for value in entries.values():
                 # Answers only: no stored error.
                 assert not isinstance(value, BaseException), kind
-        # Each memoized partition holds the class masks of its own
-        # class_of, by class id.
-        for class_of, classes in kinds["partition"].items():
-            assert all(type(C) is int for C in classes)
-            assert classes == tuple(
-                sum(1 << x for x in range(4) if class_of[x] == c) for c in range(max(class_of) + 1)
-            )
+
+
+def test_class_masks_are_the_classes_of_every_partition():
+    # The cached masks of every restricted growth string of orders 1-4
+    # are its classes by definition, and Congruence reads them.
+    for n in range(1, 5):
+        for class_of in congruences._rgs_strings(n):
+            parts = [[x for x in range(n) if class_of[x] == c] for c in range(max(class_of) + 1)]
+            masks = congruences._class_bits(class_of)
+            assert masks == tuple(sum(1 << x for x in part) for part in parts)
+            assert all(type(C) is int for C in masks)
+            sigma = Congruence(n, class_of)
+            assert sigma.classes() == tuple(ElementSet(n, part) for part in parts)
+            assert sigma.literal() == ";".join("{" + ",".join(map(str, p)) + "}" for p in parts)
 
 
 def _pairwise_congruences(table):

@@ -14,6 +14,7 @@ from sglab import (
     IndexOutOfRange,
     NotAssociative,
     OutOfRangeEntry,
+    PermutationIdentity,
     SgFormatError,
     all_subsets,
     format_sg,
@@ -23,6 +24,7 @@ from sglab import (
     parse_sg,
     power_set_chain,
     read_sg,
+    satisfies_identity,
     validate,
     word_product,
     WorkBudgetExceeded,
@@ -230,6 +232,24 @@ class TestWordTensor:
         with pytest.raises(ValueError, match="word length"):
             S.word_tensor(k)
         assert S._memo["word_tensor"] == {}
+
+    def test_lengths_past_numpy_dimensions_are_refused(self):
+        # Every length of an order-1 table has one cell, so the cell
+        # budget never stops it; numpy arrays stop at 64 dimensions (32
+        # before numpy 2.0).
+        top = core._WORD_LENGTH_MAX
+        with pytest.raises(ValueError, match="maximum supported dimension"):
+            np.empty((1,) * (top + 1))
+        assert validate([[0]]).word_tensor(top).shape == (1,) * top
+        for k in (top + 1, 600):
+            T = validate([[0]])
+            with pytest.raises(ValueError, match=f"numpy's {top} dimensions"):
+                T.word_tensor(k)
+            assert T._memo["word_tensor"] == {}
+        T = validate([[0]])
+        with pytest.raises(ValueError, match=f"numpy's {top} dimensions"):
+            satisfies_identity(T, PermutationIdentity.of((2, 1, *range(3, top + 2))))
+        assert T._memo["word_tensor"] == {} and T._memo["identity"] == {}
 
 
 @pytest.mark.parametrize(

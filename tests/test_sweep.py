@@ -17,6 +17,7 @@ from sglab import (
     check_lemma2,
     check_lemma3,
     enumerate_semigroups,
+    find_permutation_identity,
     run_sweep,
     validate,
 )
@@ -187,6 +188,27 @@ class TestRunSweep:
             sweep.iter_sweep(SweepConfig(max_order=5))
         with pytest.raises(WorkBudgetExceeded, match="the sweep of 183,732 labeled tables"):
             sweep.iter_sweep(SweepConfig(min_order=5, max_order=5))
+
+    def test_searches_past_length_four_are_the_catalog_count(self):
+        # The tables whose identity search goes on past length 4, counted
+        # on the catalog itself.
+        for n in range(1, 5):
+            tables = enumerate_semigroups(n)
+            searching = sum(find_permutation_identity(S, 4) is None for S in tables)
+            assert sweep._SEARCHES_PAST_FOUR[n] == searching, n
+
+    def test_identity_searches_past_length_four_are_estimated(self, started_workers):
+        # Order 4's 584 searching tables are over the budget from length
+        # 6 on (about 13.3 s with the sweep); order 3's 6 stay under it
+        # up to length 8, the last its search accepts.  The default bound
+        # adds nothing, and a sweep that runs no search is not charged.
+        for lo, hi, n_max in ((1, 3, 8), (1, 3, 9), (1, 4, 4), (4, 4, 5)):
+            sweep.iter_sweep(SweepConfig(min_order=lo, max_order=hi, n_max_permutation=n_max))
+        sweep.iter_sweep(SweepConfig(min_order=4, max_order=4, n_max_permutation=8,
+                                     theorem="lemmas"))
+        for n_max in (6, 7, 8):
+            with pytest.raises(WorkBudgetExceeded, match="the sweep of 3,492 labeled tables"):
+                sweep.iter_sweep(SweepConfig(min_order=4, max_order=4, n_max_permutation=n_max))
 
     def test_summary_lines(self):
         rep = run_sweep(SweepConfig(max_order=2, theorem="lemmas"))
