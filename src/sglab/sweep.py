@@ -62,9 +62,10 @@ THEOREM_GROUPS = ("all", "1", "2", "cor1", "cor2", "lemmas")
 # its per-(check, status) counts and its fail lines.
 Instance = tuple[str, Counter, list[str]]
 
-# Instances per message from a worker process: 8 to 32 ran the order-4
-# sweep equally fast, and 16 starts no worker for the 9 tables of orders
-# 1-2.
+# Instances per claim and per message from a worker process: 8 to 32
+# run the order-4 sweep equally fast, a larger chunk holds more records
+# in the parent's reorder window (32: about 1 MiB more at peak), and 16
+# starts no worker for the 9 tables of orders 1-2.
 _CHUNK = 16
 
 # Measured cost of the default sweep per labeled table: 1.7 ms (verify-o4,
@@ -304,36 +305,70 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
 
 
 def _forked(chunks: list[list], workers: int) -> Iterator[Instance]:
-    # Worker k does chunks k, k + workers, ... and sends each as one
-    # message down its own pipe, so reading the pipes in turn keeps
-    # catalog order.  A full pipe holds its worker back, so at most one
-    # chunk per worker waits to be read.  Fork, not spawn: the workers
-    # inherit the chunks, so nothing is pickled on the way out, and the
-    # parent runs no thread that a fork could catch mid-operation.
+    # A free worker claims the next chunk by reading its index from one
+    # shared claims pipe, and sends back (index, error, instances) down
+    # its own result pipe.  The parent reads whichever result pipe is
+    # ready, holds early chunks, and yields strictly in catalog order.
+    # It writes an index into the claims pipe only once the chunk
+    # 2 * workers places before it has been yielded, so no more than
+    # that many chunks are ever claimed and not yet yielded.  Fork, not
+    # spawn: the workers inherit the chunks, so nothing is pickled on the
+    # way out, and the parent runs no thread that a fork could catch
+    # mid-operation.
+
+    # Imported here, as ctx.Pipe imports it, so that a program that
+    # only imports sglab does not load it and the subprocess module.
+    from multiprocessing.connection import wait
+
     ctx = multiprocessing.get_context("fork")
+    window = 2 * workers
+    # The parent keeps the claims pipe's read end as well, so a write to
+    # it cannot fail, even once every worker is gone.
+    claims, handout = os.pipe()
     readers, procs = [], []
+    early = {}  # chunk index -> (error, instances), for chunks not yet yielded
+
+    def receive(timeout: float | None) -> None:
+        for reader in wait(readers, timeout):
+            try:
+                i, error, instances = reader.recv()
+            except (EOFError, OSError):
+                # The claims pipe stays open until the sweep is done, so
+                # no worker runs out of work before then: any end of file
+                # is a death, whatever the exit code.
+                k = readers.index(reader)
+                procs[k].join(timeout=5)
+                raise WorkerDied(k, procs[k].exitcode) from None
+            early[i] = error, instances
+
     try:
         for k in range(workers):
             reader, writer = ctx.Pipe(duplex=False)
             readers.append(reader)
-            proc = ctx.Process(target=_work, args=(chunks[k::workers], writer, readers),
+            proc = ctx.Process(target=_work, args=(chunks, claims, handout, writer, readers),
                                daemon=True)
             proc.start()
             procs.append(proc)
             # Only the worker may hold the write end, or its death
             # would never reach the reader as end of file.
             writer.close()
-        for i in range(len(chunks)):
-            k = i % workers
-            try:
-                error, instances = readers[k].recv()
-            except (EOFError, OSError):
-                procs[k].join(timeout=5)
-                raise WorkerDied(k, procs[k].exitcode) from None
+        for i in range(min(window, len(chunks))):
+            os.write(handout, i.to_bytes(4, "little"))
+        for pos in range(len(chunks)):
+            # Take in whatever has arrived, so a finished worker is not
+            # held in send while this chunk is yielded.
+            receive(0)
+            while pos not in early:
+                receive(None)
+            error, instances = early.pop(pos)
             if error is not None:
                 raise error
             yield from instances
+            if pos + window < len(chunks):
+                os.write(handout, (pos + window).to_bytes(4, "little"))
     finally:
+        os.close(handout)
+        os.close(claims)
         for proc in procs:
             proc.terminate()
             proc.join()
@@ -341,20 +376,28 @@ def _forked(chunks: list[list], workers: int) -> Iterator[Instance]:
             reader.close()
 
 
-def _work(chunks: list[list], writer, readers) -> None:
-    # A worker holds no read end, so a parent that dies leaves it a
-    # broken pipe, not a write that blocks forever; Ctrl-C is the
-    # parent's to handle.
+def _work(chunks: list[list], claims: int, handout: int, writer, readers) -> None:
+    # A worker holds only the claims pipe's read end and its own result
+    # pipe's write end, so it can block only where a dead parent wakes
+    # it: the claims pipe then reads end of file and a send raises
+    # BrokenPipeError, and either ends the worker quietly.  Ctrl-C is
+    # the parent's to handle.
+    os.close(handout)
     for reader in readers:
         reader.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for chunk in chunks:
+    # Each 4-byte index is one write, under the pipe's atomic size, so
+    # two workers never split one.
+    while claim := os.read(claims, 4):
+        i = int.from_bytes(claim, "little")
         try:
-            message = None, [_instance_worker(item) for item in chunk]
+            message = i, None, [_instance_worker(item) for item in chunks[i]]
         except Exception as e:  # raised again in the parent, in catalog order
-            writer.send((e, None))
+            message = i, e, None
+        try:
+            writer.send(message)
+        except BrokenPipeError:
             return
-        writer.send(message)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:

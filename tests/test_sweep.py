@@ -2,7 +2,10 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -320,12 +323,110 @@ class TestWorkers:
 
         return plant
 
+    @pytest.fixture
+    def logging_items(self, monkeypatch, tmp_path):
+        """Makes the worker function log (pid, order, idx) of each item
+        it starts, after a 20 ms sleep on the (order, idx) pairs in
+        ``slow``; returns a reader of the log."""
+        log = tmp_path / "started"
+        worker = sweep._instance_worker
+
+        def plant(slow=()):
+            log.touch()
+
+            def patched(item):
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {item[1]} {item[2]}\n")
+                if item[1:3] in slow:
+                    time.sleep(0.02)
+                return worker(item)
+
+            monkeypatch.setattr(sweep, "_instance_worker", patched)
+            return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+        return plant
+
+    def test_a_slow_chunk_does_not_hold_back_the_next_ones(self, logging_items):
+        serial = run_sweep(replace(self.CFG, parallelism=1))
+        items = [(n, idx) for n in range(1, 4) for idx, _ in enumerate(enumerate_semigroups(n))]
+        chunk = lambda c: items[c * sweep._CHUNK:(c + 1) * sweep._CHUNK]
+        started = logging_items(slow=set(chunk(0)))
+        with deadline(30):
+            parallel = run_sweep(self.CFG)
+        assert parallel.records == serial.records
+        assert parallel.counts == serial.counts and parallel.fails == serial.fails
+        # While one worker sleeps through chunk 0 (about 0.3 s), the
+        # other claims chunks 1, 2 and 3.
+        pid = {(n, idx): p for p, n, idx in started()}
+        assert {pid[item] for item in chunk(0)}.isdisjoint(pid[item] for item in chunk(2))
+        assert multiprocessing.active_children() == []
+
+    def test_more_workers_than_cpus_claim_each_chunk_once(self, logging_items, monkeypatch):
+        # Six workers share the 8 chunks of orders 1-3 and their claims
+        # pipe, whatever this machine's CPUs.
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 6)
+        serial = run_sweep(replace(self.CFG, parallelism=1))
+        started = logging_items()
+        with deadline(30):
+            parallel = run_sweep(replace(self.CFG, parallelism=6))
+        assert parallel.records == serial.records
+        items = [(n, idx) for _, n, idx in started()]
+        assert sorted(items) == sorted(set(items)) and len(items) == serial.instances
+        assert multiprocessing.active_children() == []
+
+    def test_claims_stop_a_window_ahead_of_the_reader(self, logging_items):
+        # Corollary 1 on the 122 tables of orders 1-3 takes well under
+        # the pause, and its chunks (about 13 KB each) all fit in the
+        # result pipes, so without the window every table would start.
+        started = logging_items()
+        instances = sweep.iter_sweep(SweepConfig(max_order=3, theorem="cor1", parallelism=2))
+        next(instances)
+        time.sleep(1)
+        assert len(started()) <= 2 * 2 * sweep._CHUNK
+        instances.close()
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_parent_leaves_no_worker(self):
+        # The parent stalls on a full stdout with the window claimed;
+        # once it is killed, each worker finds its pipes closed and
+        # exits without a traceback.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sglab.cli", "verify", "--max-order", "4", "--structured"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"order=1 ")
+            time.sleep(2)
+            proc.kill()
+            proc.wait()
+            t0 = time.monotonic()
+            with pytest.raises(ProcessLookupError):
+                while time.monotonic() - t0 < 10:
+                    os.killpg(proc.pid, 0)
+                    time.sleep(0.05)
+            assert b"Traceback" not in proc.stderr.read()
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+
     def test_dead_worker_is_an_error_not_a_hang(self, failing_at):
         failing_at(lambda: os._exit(1))
         t0 = time.monotonic()
         with deadline(30), pytest.raises(WorkerDied, match="exit code 1 "):
             run_sweep(self.CFG)
         assert time.monotonic() - t0 < 10
+        assert multiprocessing.active_children() == []
+
+    def test_a_clean_exit_that_owes_a_chunk_is_a_death(self, failing_at):
+        # Exit code 0 is no excuse while the worker's chunk is unsent.
+        failing_at(lambda: os._exit(0))
+        with deadline(30), pytest.raises(WorkerDied, match="exit code 0 "):
+            run_sweep(self.CFG)
         assert multiprocessing.active_children() == []
 
     def test_verify_exits_nonzero_when_a_worker_dies(self, failing_at, capsys):
@@ -345,8 +446,9 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
     def test_early_close_stops_the_workers(self):
-        # A chunk of full order-3 records is over a pipe's 64 KiB, so
-        # neither worker can finish before the close.
+        # The window holds the workers' claims to four of the eight
+        # chunks ahead of the reader, and a worker waits for its next
+        # claim until the sweep is closed, so both are alive here.
         instances = sweep.iter_sweep(SweepConfig(max_order=3, parallelism=2))
         next(instances)
         assert len(multiprocessing.active_children()) == 2
