@@ -21,7 +21,7 @@ from .core import format_sg, read_sg
 from .errors import DuplicateLabel, NotACongruence, NotAssociative
 from .permutative import find_permutation_identity, format_permutation, lemma4_minimal_k
 from .subsets import format_subset, idealizer, is_medial, parse_subset, separator
-from .sweep import FAMILY_MODES, THEOREM_GROUPS, SweepConfig, SweepReport, iter_sweep
+from .sweep import THEOREM_GROUPS, SweepConfig, SweepReport, iter_sweep
 
 __all__ = ["run_command", "main"]
 
@@ -145,7 +145,6 @@ def cmd_verify(args) -> int:
         min_order=lo,
         max_order=hi,
         n_max_permutation=args.n_max_perm,
-        family_mode=args.family_mode,
         random_families=args.random_families,
         seed=args.seed,
         parallelism=args.jobs,
@@ -229,8 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     orders.add_argument("--max-order", type=int, default=None, dest="max_order",
                         help=f"orders 1 through this bound (default {_SWEEP.max_order})")
     q.add_argument("--theorem", choices=THEOREM_GROUPS, default=_SWEEP.theorem)
-    q.add_argument("--family-mode", choices=FAMILY_MODES, default=_SWEEP.family_mode,
-                   dest="family_mode")
     q.add_argument("--n-max-perm", type=int, default=_SWEEP.n_max_permutation,
                    dest="n_max_perm")
     q.add_argument("--random-families", type=int, default=_SWEEP.random_families,

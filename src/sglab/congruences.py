@@ -643,7 +643,13 @@ def check_lemma2(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
 
 def check_lemma3(S: FiniteSemigroup, A: ElementSet) -> CheckReport:
     """A subsemigroup is two-sided unitary exactly when it equals its
-    own separator."""
+    own separator.
+
+    The empty set is not a subsemigroup here, so it is reported
+    precondition-unmet.  The convention is load-bearing: Sep(empty) is
+    all of S and the empty set is vacuously unitary, so the lemma would
+    fail on it.
+    """
     _check_ambient(S, A)
     bits = A.bits
     ok, _ = _subsemigroup(S, bits)

@@ -189,9 +189,6 @@ class FiniteSemigroup:
         S.__dict__.update(table=table, labels=None, order=len(table), _memo=defaultdict(dict))
         return S
 
-    def product(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def __repr__(self):
         return f"FiniteSemigroup(order={self.order}, table={self.table!r})"
 

@@ -194,7 +194,9 @@ def is_subsemigroup(
 ) -> tuple[bool, tuple[int, int] | None]:
     """Nonempty and closed under the product; witness (a, b) has a*b outside.
 
-    Memoized per semigroup and subset.
+    The empty set is not a subsemigroup (with no witness), which keeps
+    it out of lemma 3: see ``check_lemma3``.  Memoized per semigroup and
+    subset.
     """
     _check_ambient(S, A)
     return _subsemigroup(S, A.bits)

@@ -55,7 +55,6 @@ __all__ = [
     "run_sweep",
 ]
 
-FAMILY_MODES = ("default", "singletons-and-all-subsets", "congruence-classes")
 THEOREM_GROUPS = ("all", "1", "2", "cor1", "cor2", "lemmas")
 
 # One instance's output: its record lines, each ending in a newline,
@@ -93,18 +92,15 @@ def _usable_cpus() -> int:
 class SweepConfig:
     """Knobs for one catalog sweep.
 
-    min_order/max_order bound the catalog; family_mode picks how
-    theorem families are built (the default combines every single-subset
-    family with every family of congruence classes); random_families
-    adds that many seeded multi-set families per permutative instance;
-    parallelism caps the worker processes (default every usable CPU; 1
-    runs the sweep in this process).
+    min_order/max_order bound the catalog; random_families adds that
+    many seeded multi-set families per permutative instance to the
+    theorem 2 families; parallelism caps the worker processes (default
+    every usable CPU; 1 runs the sweep in this process).
     """
 
     min_order: int = 1
     max_order: int = 4
     n_max_permutation: int = 4
-    family_mode: str = "default"
     random_families: int = 20
     seed: int = 0
     parallelism: int = field(default_factory=_usable_cpus)
@@ -115,8 +111,6 @@ class SweepConfig:
             raise ValueError("need 1 <= min_order <= max_order")
         if self.n_max_permutation < 2:
             raise ValueError("n_max_permutation must be at least 2")
-        if self.family_mode not in FAMILY_MODES:
-            raise ValueError(f"family_mode must be one of {FAMILY_MODES}")
         if self.theorem not in THEOREM_GROUPS:
             raise ValueError(f"theorem must be one of {THEOREM_GROUPS}")
         if self.parallelism < 1:
@@ -164,7 +158,7 @@ def _table_hash(S: FiniteSemigroup) -> str:
 
 
 def _family_literal(family: Sequence[ElementSet]) -> str:
-    return ";".join(format_subset(X) for X in family) if family else "(empty)"
+    return ";".join(format_subset(X) for X in family)
 
 
 def _wants(cfg: SweepConfig, group: str) -> bool:
@@ -206,11 +200,8 @@ def _instance_checks(
         for sigma in enumerate_congruences(S):
             classes = sigma.classes()
             congruences.append((sigma.literal(), sigma, classes))
-        families = []
-        if cfg.family_mode != "congruence-classes":
-            families += [(case, [A]) for case, A in subsets]
-        if cfg.family_mode != "singletons-and-all-subsets":
-            families += [(case, classes) for case, _, classes in congruences]
+        families = [(case, [A]) for case, A in subsets]
+        families += [(case, classes) for case, _, classes in congruences]
 
     if _wants(cfg, "1"):
         for case, fam in families:

@@ -229,7 +229,7 @@ def test_relabel_is_an_isomorphism(p):
     T = relabel(S, p)
     for a in range(3):
         for b in range(3):
-            assert p[S.product(a, b)] == T.product(p[a], p[b])
+            assert p[S.table[a][b]] == T.table[p[a]][p[b]]
 
 
 class TestCatalogLines:

@@ -238,7 +238,7 @@ class TestQuotient:
                 pr = Q.projection
                 for a in range(S.order):
                     for b in range(S.order):
-                        assert pr[S.product(a, b)] == Q.quotient.product(pr[a], pr[b])
+                        assert pr[S.table[a][b]] == Q.quotient.table[pr[a]][pr[b]]
 
     def test_trusted_quotient_tables_pass_full_validation(self, catalog2, catalog3):
         # Quotient tables skip validation; every one of the catalog up to

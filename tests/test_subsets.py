@@ -47,7 +47,7 @@ class TestIdealizer:
                 want = {
                     x
                     for x in range(S.order)
-                    if all(S.product(x, a) in A and S.product(a, x) in A for a in A)
+                    if all(S.table[x][a] in A and S.table[a][x] in A for a in A)
                 }
                 assert got == want
 
@@ -151,8 +151,8 @@ def test_separator_never_maps_across_boundary(data):
     A = ElementSet.of(S.order, (e for e in range(S.order) if mask >> e & 1))
     for x in separator(S, A):
         for a in range(S.order):
-            assert (S.product(x, a) in A) == (a in A)
-            assert (S.product(a, x) in A) == (a in A)
+            assert (S.table[x][a] in A) == (a in A)
+            assert (S.table[a][x] in A) == (a in A)
 
 
 class TestSubsetLiterals:
@@ -179,13 +179,13 @@ class TestSubsetLiterals:
 
 def _idealizer_by_definition(S, A):
     n = range(S.order)
-    return {x for x in n if all(S.product(x, a) in A and S.product(a, x) in A for a in A)}
+    return {x for x in n if all(S.table[x][a] in A and S.table[a][x] in A for a in A)}
 
 
 def _separator_by_definition(S, A):
     n = range(S.order)
     return {
-        x for x in n if all((S.product(x, a) in A) == (a in A) == (S.product(a, x) in A) for a in n)
+        x for x in n if all((S.table[x][a] in A) == (a in A) == (S.table[a][x] in A) for a in n)
     }
 
 
@@ -204,7 +204,7 @@ def _subsemigroup_by_definition(S, A):
     if not inside:
         return False, None
     for a, b in itertools.product(inside, inside):
-        if S.product(a, b) not in A.members:
+        if S.table[a][b] not in A.members:
             return False, (a, b)
     return True, None
 
@@ -212,7 +212,7 @@ def _subsemigroup_by_definition(S, A):
 def _reflexive_by_definition(S, A):
     n = range(S.order)
     for a, b in itertools.product(n, n):
-        if S.product(a, b) in A.members and S.product(b, a) not in A.members:
+        if S.table[a][b] in A.members and S.table[b][a] not in A.members:
             return False, (a, b)
     return True, None
 
@@ -222,8 +222,8 @@ def _unitary_by_definition(S, U, side):
     for a, b in itertools.product(n, n):
         if a not in U.members or b in U.members:
             continue
-        left = S.product(a, b) in U.members
-        right = S.product(b, a) in U.members
+        left = S.table[a][b] in U.members
+        right = S.table[b][a] in U.members
         if {"left": left, "right": right, "both": left or right}[side]:
             return False, (a, b)
     return True, None
@@ -240,7 +240,7 @@ def _adjoin(S, zero):
 def _direct_product(S, T):
     m = T.order
     cells = [(a, b) for a in range(S.order) for b in range(m)]
-    return validate([[S.product(a, c) * m + T.product(b, d) for c, d in cells] for a, b in cells])
+    return validate([[S.table[a][c] * m + T.table[b][d] for c, d in cells] for a, b in cells])
 
 
 def _larger_tables(catalog2, catalog3):

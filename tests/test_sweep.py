@@ -19,9 +19,13 @@ from sglab import (
     check_lemma1,
     check_lemma2,
     check_lemma3,
+    enumerate_congruences,
     enumerate_semigroups,
     find_permutation_identity,
+    format_subset,
+    is_unitary,
     run_sweep,
+    separator,
     validate,
 )
 from sglab import catalog, cli, sweep
@@ -63,11 +67,23 @@ class TestLemmaChecks:
         rep = check_lemma3(min2, eset(2, 0))
         assert rep.status == "pass" and "neither" in rep.detail
 
+    def test_lemma3_does_not_count_the_empty_set(self, catalog2, catalog3):
+        # The empty set is not a subsemigroup, so lemma 3 does not apply
+        # to it.  The convention is load-bearing: Sep(empty) is all of S
+        # and the empty set is vacuously unitary, so lemma 3 would fail
+        # on it in every table.
+        for S in catalog2 + catalog3:
+            empty = ElementSet.empty(S.order)
+            rep = check_lemma3(S, empty)
+            assert (rep.status, rep.detail) == ("precondition-unmet", "not a subsemigroup")
+            assert separator(S, empty) == ElementSet.full(S.order)
+            assert is_unitary(S, empty) == (True, None)
+
 
 class TestSweepConfig:
     def test_defaults(self):
         cfg = SweepConfig()
-        assert cfg.max_order == 4 and cfg.family_mode == "default"
+        assert cfg.max_order == 4 and cfg.random_families == 20
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -75,7 +91,6 @@ class TestSweepConfig:
             {"min_order": 0},
             {"min_order": 3, "max_order": 2},
             {"n_max_permutation": 1},
-            {"family_mode": "everything"},
             {"theorem": "5"},
             {"parallelism": 0},
             {"random_families": -1},
@@ -121,6 +136,31 @@ def test_every_check_agrees_on_a_table_and_its_transpose():
             assert mine == theirs, S.table
             representatives += 1
     assert representatives == 218
+
+
+def test_theorem_families_are_every_subset_then_every_class_family():
+    # Theorem 1 forward runs on each subset as a one-set family, in mask
+    # order, then on each congruence's classes, in enumeration order.
+    # Theorem 2 forward runs on the same families, then on the instance's
+    # seeded random families, wherever a permutation identity is found.
+    cfg = SweepConfig()
+    permutative = 0
+    for n in range(1, 4):
+        subsets = [format_subset(ElementSet.of(n, [e for e in range(n) if bits >> e & 1]))
+                   for bits in range(1 << n)]
+        for idx, S in enumerate(enumerate_semigroups(n)):
+            checks = _instance_checks(cfg, n, idx, S)
+            families = subsets + [sigma.literal() for sigma in enumerate_congruences(S)]
+            assert [c for c, r in checks if r.check == "theorem1-forward"] == families
+            randoms = [";".join(format_subset(ElementSet._from_bits(n, bits)) for bits in masks)
+                       for masks in _random_families(cfg, n, idx)]
+            assert len(randoms) == cfg.random_families
+            if find_permutation_identity(S, cfg.n_max_permutation) is None:
+                families = randoms = []
+            else:
+                permutative += 1
+            assert [c for c, r in checks if r.check == "theorem2-forward"] == families + randoms
+    assert permutative == 116
 
 
 class TestRunSweep:
@@ -218,17 +258,6 @@ class TestRunSweep:
         lines = rep.summary_lines()
         assert lines[0] == "instances: 9"
         assert lines[1].startswith("checks: pass=")
-
-    def test_family_mode_restriction(self):
-        full = run_sweep(SweepConfig(max_order=2, theorem="1"))
-        singles = run_sweep(
-            SweepConfig(max_order=2, theorem="1", family_mode="singletons-and-all-subsets")
-        )
-        classes = run_sweep(
-            SweepConfig(max_order=2, theorem="1", family_mode="congruence-classes")
-        )
-        n_fwd = lambda r: sum(v for (c, _), v in r.counts.items() if c == "theorem1-forward")
-        assert n_fwd(full) == n_fwd(singles) + n_fwd(classes)
 
 
     @pytest.mark.parametrize("cpus", [1, 64])
