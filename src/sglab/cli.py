@@ -144,7 +144,6 @@ def cmd_verify(args) -> int:
     cfg = SweepConfig(
         min_order=lo,
         max_order=hi,
-        n_max_permutation=args.n_max_perm,
         random_families=args.random_families,
         seed=args.seed,
         parallelism=args.jobs,
@@ -228,8 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     orders.add_argument("--max-order", type=int, default=None, dest="max_order",
                         help=f"orders 1 through this bound (default {_SWEEP.max_order})")
     q.add_argument("--theorem", choices=THEOREM_GROUPS, default=_SWEEP.theorem)
-    q.add_argument("--n-max-perm", type=int, default=_SWEEP.n_max_permutation,
-                   dest="n_max_perm")
     q.add_argument("--random-families", type=int, default=_SWEEP.random_families,
                    dest="random_families")
     q.add_argument("--seed", type=int, default=_SWEEP.seed)

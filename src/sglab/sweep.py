@@ -3,10 +3,10 @@ whole catalog of small semigroups.
 
 Every catalog instance is pushed through the lemma checks (all subsets),
 both directions of the commutative-monoid quotient theorem, the
-separator corollary, and, when a permutation identity is found within
-the configured bound, the permutative strengthenings.  Output is a
-stream of one-line records ordered by instance, byte-stable across runs
-and across worker counts.
+separator corollary, and, when a permutation identity of length at most
+4 is found, the permutative strengthenings.  Output is a stream of
+one-line records ordered by instance, byte-stable across runs and
+across worker counts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import random
 import signal
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import takewhile
 from typing import Iterator, Sequence
 
 from .catalog import _labeled_count, catalog_line, enumerate_semigroups
@@ -31,10 +30,9 @@ from .congruences import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
-from .core import _BUDGET_SECONDS, ElementSet, FiniteSemigroup, _within_budget, all_subsets
-from .errors import WorkBudgetExceeded, WorkerDied
+from .core import ElementSet, FiniteSemigroup, _within_budget, all_subsets
+from .errors import WorkerDied
 from .permutative import (
-    _search_seconds,
     find_permutation_identity,
     format_permutation,
     lemma4_minimal_k,
@@ -75,10 +73,14 @@ _CHUNK = 16
 # refused never depends on the machine.
 _INSTANCE_SECONDS = 1.7e-3
 
-# The labeled tables of orders 1-4 with no permutation identity up to
-# length 4, a catalog fact: only these search on when n_max_permutation
-# is above 4.  Above order 4, every labeled table is counted.
-_SEARCHES_PAST_FOUR = {1: 0, 2: 0, 3: 6, 4: 584}
+# The longest permutation identity the sweep searches for.  A longer
+# search changes no verdict at the orders the sweep accepts: of the
+# isomorphism classes with no identity up to length 4 (2 at order 3, 34
+# at order 4, 609 at order 5), none has one of length 5-8 at orders 3-4
+# or of length 5-6 at order 5.  A shorter one would drop checks.  The
+# length-4 search is refused only above order 90, so no sweep meets a
+# refusal.
+_IDENTITY_LENGTH = 4
 
 
 def _usable_cpus() -> int:
@@ -94,13 +96,13 @@ class SweepConfig:
 
     min_order/max_order bound the catalog; random_families adds that
     many seeded multi-set families per permutative instance to the
-    theorem 2 families; parallelism caps the worker processes (default
-    every usable CPU; 1 runs the sweep in this process).
+    theorem 2 families, drawn from seed; parallelism caps the worker
+    processes (default every usable CPU; 1 runs the sweep in this
+    process); theorem picks the check group (one of THEOREM_GROUPS).
     """
 
     min_order: int = 1
     max_order: int = 4
-    n_max_permutation: int = 4
     random_families: int = 20
     seed: int = 0
     parallelism: int = field(default_factory=_usable_cpus)
@@ -109,8 +111,6 @@ class SweepConfig:
     def __post_init__(self):
         if not 1 <= self.min_order <= self.max_order:
             raise ValueError("need 1 <= min_order <= max_order")
-        if self.n_max_permutation < 2:
-            raise ValueError("n_max_permutation must be at least 2")
         if self.theorem not in THEOREM_GROUPS:
             raise ValueError(f"theorem must be one of {THEOREM_GROUPS}")
         if self.parallelism < 1:
@@ -210,14 +210,9 @@ def _instance_checks(
             out.append((case, verify_theorem1_converse(S, sigma)))
 
     if _wants(cfg, "2") or _wants(cfg, "cor2"):
-        # A length over the work budget ends the search like exhausting
-        # n_max does: the instance's identity is unmet, the sweep goes on.
-        try:
-            witness = find_permutation_identity(S, cfg.n_max_permutation)
-            why = f"no identity found up to length {cfg.n_max_permutation}"
-        except WorkBudgetExceeded as e:
-            witness, why = None, f"search stopped: {e}"
+        witness = find_permutation_identity(S, _IDENTITY_LENGTH)
         if witness is None:
+            why = f"no identity found up to length {_IDENTITY_LENGTH}"
             out.append(("-", unmet("permutation-identity", why)))
         else:
             detail = f"n={witness.length} {format_permutation(witness)}"
@@ -257,16 +252,6 @@ def _instance_worker(
     return "".join(line + "\n" for line in lines), counts, fails
 
 
-def _search_past_four(cfg: SweepConfig, order: int) -> float:
-    """Estimated time of one order's identity searches at lengths 5 to
-    n_max, up to the first length the search itself refuses."""
-    if not (_wants(cfg, "2") or _wants(cfg, "cor2")):
-        return 0.0
-    searching = _SEARCHES_PAST_FOUR.get(order, _labeled_count(order))
-    costs = (_search_seconds(order, n) for n in range(5, cfg.n_max_permutation + 1))
-    return searching * sum(takewhile(lambda s: s <= _BUDGET_SECONDS, costs))
-
-
 def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
     """Each catalog instance's record text, (check, status) counts and
     fail lines, in catalog order.
@@ -274,17 +259,14 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
     Instances come as they are done, so a consumer that writes and
     drops them holds a few instances' records at a time.  The bytes
     are the same for every parallelism.  A sweep whose labeled tables
-    and identity searches past length 4 are estimated over ten seconds
-    (any that includes order 5, or order 4 with n_max_permutation 6 or
-    more) raises WorkBudgetExceeded from this call, before any table is
-    built.  No more worker processes start than there are usable CPUs
-    or chunks of instances; close the iterator to stop a parallel sweep
-    early.
+    are estimated over ten seconds (any that includes order 5) raises
+    WorkBudgetExceeded from this call, before any table is built.  No
+    more worker processes start than there are usable CPUs or chunks of
+    instances; close the iterator to stop a parallel sweep early.
     """
     orders = range(cfg.min_order, cfg.max_order + 1)
     tables = sum(map(_labeled_count, orders))
-    seconds = tables * _INSTANCE_SECONDS + sum(_search_past_four(cfg, n) for n in orders)
-    _within_budget(f"the sweep of {tables:,} labeled tables", seconds)
+    _within_budget(f"the sweep of {tables:,} labeled tables", tables * _INSTANCE_SECONDS)
     items = [(cfg, order, idx, S.table)
              for order in orders for idx, S in enumerate(enumerate_semigroups(order))]
     chunks = [items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK)]

@@ -46,7 +46,6 @@ def _verdict(capsys, number, name, ok):
 def sweep():
     cfg = SweepConfig(
         max_order=MAX_ORDER,
-        n_max_permutation=4,
         random_families=100,
         seed=0,
     )

@@ -90,7 +90,6 @@ class TestSweepConfig:
         [
             {"min_order": 0},
             {"min_order": 3, "max_order": 2},
-            {"n_max_permutation": 1},
             {"theorem": "5"},
             {"parallelism": 0},
             {"random_families": -1},
@@ -155,12 +154,26 @@ def test_theorem_families_are_every_subset_then_every_class_family():
             randoms = [";".join(format_subset(ElementSet._from_bits(n, bits)) for bits in masks)
                        for masks in _random_families(cfg, n, idx)]
             assert len(randoms) == cfg.random_families
-            if find_permutation_identity(S, cfg.n_max_permutation) is None:
+            if find_permutation_identity(S, sweep._IDENTITY_LENGTH) is None:
                 families = randoms = []
             else:
                 permutative += 1
             assert [c for c, r in checks if r.check == "theorem2-forward"] == families + randoms
     assert permutative == 116
+
+
+def test_no_class_without_a_short_identity_has_a_longer_one():
+    # The sweep searches identities up to one fixed length.  Searching
+    # further would change no verdict: no class of orders 1-4 without
+    # an identity up to that length has one of the next two lengths.
+    length = sweep._IDENTITY_LENGTH
+    searched = []
+    for n in range(1, 5):
+        for S in enumerate_semigroups(n, up_to_iso=True):
+            if find_permutation_identity(S, length) is None:
+                assert find_permutation_identity(S, length + 2) is None, S.table
+                searched.append(n)
+    assert (searched.count(3), searched.count(4), len(searched)) == (2, 34, 36)
 
 
 class TestRunSweep:
@@ -231,27 +244,6 @@ class TestRunSweep:
             sweep.iter_sweep(SweepConfig(max_order=5))
         with pytest.raises(WorkBudgetExceeded, match="the sweep of 183,732 labeled tables"):
             sweep.iter_sweep(SweepConfig(min_order=5, max_order=5))
-
-    def test_searches_past_length_four_are_the_catalog_count(self):
-        # The tables whose identity search goes on past length 4, counted
-        # on the catalog itself.
-        for n in range(1, 5):
-            tables = enumerate_semigroups(n)
-            searching = sum(find_permutation_identity(S, 4) is None for S in tables)
-            assert sweep._SEARCHES_PAST_FOUR[n] == searching, n
-
-    def test_identity_searches_past_length_four_are_estimated(self, started_workers):
-        # Order 4's 584 searching tables are over the budget from length
-        # 6 on (about 13.3 s with the sweep); order 3's 6 stay under it
-        # up to length 8, the last its search accepts.  The default bound
-        # adds nothing, and a sweep that runs no search is not charged.
-        for lo, hi, n_max in ((1, 3, 8), (1, 3, 9), (1, 4, 4), (4, 4, 5)):
-            sweep.iter_sweep(SweepConfig(min_order=lo, max_order=hi, n_max_permutation=n_max))
-        sweep.iter_sweep(SweepConfig(min_order=4, max_order=4, n_max_permutation=8,
-                                     theorem="lemmas"))
-        for n_max in (6, 7, 8):
-            with pytest.raises(WorkBudgetExceeded, match="the sweep of 3,492 labeled tables"):
-                sweep.iter_sweep(SweepConfig(min_order=4, max_order=4, n_max_permutation=n_max))
 
     def test_summary_lines(self):
         rep = run_sweep(SweepConfig(max_order=2, theorem="lemmas"))
