@@ -104,25 +104,46 @@ def enumerate_semigroups(n: int, up_to_iso: bool = False) -> Iterator[FiniteSemi
     _within_budget(f"the order-{n} catalog", _labeled_count(n) * _TABLE_SECONDS)
     if up_to_iso:
         return map(validate, _backtrack(n))
-    return map(FiniteSemigroup._from_table, _labeled(n))
+    return (FiniteSemigroup._from_table(t) for t, _, _ in _orbits(n))
 
 
-def _labeled(n: int) -> Iterator[Table]:
-    # Every labeled table is a relabeling of exactly one class
-    # representative, so the catalog is the union of their orbits, each
-    # built by one gather as byte rows.  Only the representatives are
-    # validated: a relabeling of an associative table is associative.
-    # Sorting the rows restores the catalog order, and a row becomes a
-    # table only as it is handed out.
+def _orbits(n: int) -> Iterator[tuple[Table, FiniteSemigroup, int]]:
+    # Each labeled table with its class representative R and the index k
+    # of the relabeling of R that gives it, a row of _orderings(n).  Every
+    # labeled table is a relabeling of exactly one class representative,
+    # so the catalog is the union of their orbits, each built by one
+    # gather as byte rows.  Only the representatives are validated: a
+    # relabeling of an associative table is associative.  Where R has
+    # automorphisms several relabelings give one row, and the row keeps
+    # the first, as one int that packs R's position and k.  Sorting the
+    # rows restores the catalog order, and a row becomes a table only as
+    # it is handed out.
     p, cells, base = _whole_block(n)
     cells, base = cells.reshape(-1, n * n), base.reshape(-1, 1)
-    rows = set()
+    relabelings = factorial(n)
+    reps, rows = [], {}
     for t in _backtrack(n):
-        src = validate(t).np_table.ravel()[cells]
+        R = validate(t)
+        src = R.np_table.ravel()[cells]
         src += base
-        rows.update(map(bytes, p[src]))
+        first = len(reps) * relabelings
+        reps.append(R)
+        # Written last to first, so a repeated row keeps its least k.
+        rows.update(zip(map(bytes, p[src][::-1]), range(first + relabelings - 1, first - 1, -1)))
     for row in sorted(rows):
-        yield _table(row, n)
+        i, k = divmod(rows[row], relabelings)
+        yield _table(row, n), reps[i], k
+
+
+def _relabeling(R: FiniteSemigroup, k: int) -> tuple[FiniteSemigroup, tuple[int, ...]]:
+    """The labeled table that relabeling k of _orderings(n) makes of R,
+    and that relabeling q: the table labels i the element q[i] of R.
+    Relabeling 0 is the identity, and gives back R itself."""
+    n = R.order
+    if k == 0:
+        return R, tuple(range(n))
+    q = tuple(_orderings(n)[k].tolist())
+    return FiniteSemigroup._from_table(_relabeled(R.table, _inverse(q), q)), q
 
 
 def _backtrack(n: int) -> Iterator[Table]:

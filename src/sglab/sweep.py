@@ -4,9 +4,12 @@ whole catalog of small semigroups.
 Every catalog instance is pushed through the lemma checks (all subsets),
 both directions of the commutative-monoid quotient theorem, the
 separator corollary, and, when a permutation identity of length at most
-4 is found, the permutative strengthenings.  Output is a stream of
-one-line records ordered by instance, byte-stable across runs and
-across worker counts.
+4 is found, the permutative strengthenings.  Each check is asked of
+the instance's class representative, once per isomorphism class, and
+its answer moved onto every labeled copy; an answer with a witness is
+asked of the copy itself (see _Copy).  Output is a stream of one-line
+records ordered by instance, byte-stable across runs and across worker
+counts.
 """
 
 from __future__ import annotations
@@ -15,13 +18,17 @@ import hashlib
 import multiprocessing
 import os
 import random
+import re
 import signal
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .catalog import _labeled_count, catalog_line, enumerate_semigroups
+from .catalog import _labeled_count, _orbits, _relabeling, catalog_line
 from .congruences import (
+    Congruence,
+    _class_bits,
+    _first_appearance,
     check_lemma1,
     check_lemma2,
     check_lemma3,
@@ -30,18 +37,19 @@ from .congruences import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
-from .core import ElementSet, FiniteSemigroup, _within_budget, all_subsets
+from .core import ElementSet, FiniteSemigroup, _format_mask, _within_budget, memoized
 from .errors import WorkerDied
 from .permutative import (
+    PermutationIdentity,
     find_permutation_identity,
     format_permutation,
     lemma4_minimal_k,
+    parse_permutation,
     verify_corollary2,
     verify_theorem2_converse,
     verify_theorem2_forward,
 )
-from .reports import FAIL, CheckReport, failed, passed, unmet
-from .subsets import format_subset
+from .reports import FAIL, PASS, CheckReport, _report, failed, passed, unmet
 
 __all__ = [
     "SweepConfig",
@@ -65,13 +73,15 @@ Instance = tuple[str, Counter, list[str]]
 # starts no worker for the 9 tables of orders 1-2.
 _CHUNK = 16
 
-# Measured cost of the default sweep per labeled table: 1.7 ms (verify-o4,
-# 5.9-6.1 s over the 3614 tables of orders 1-4; 2-vCPU Xeon VM, Python
-# 3.11, serial).  Orders 1-4 are estimated at 6.1 s and accepted; a range
-# that includes order 5 (312 s for its tables alone) is refused.  The
+# Measured cost of the default sweep per labeled table: 0.9 ms (verify-o4,
+# 2.55-3.29 s over the 3614 tables of orders 1-4 in 5 runs; 2-vCPU Xeon
+# VM, Python 3.11, serial).  Most tables are answered through their class
+# representative, so the cost is an average over the 218 classes and
+# their copies.  Orders 1-4 are estimated at 3.3 s and accepted; a range
+# that includes order 5 (165 s for its tables alone) is refused.  The
 # estimate stays serial, whatever the CPU count, so whether a sweep is
 # refused never depends on the machine.
-_INSTANCE_SECONDS = 1.7e-3
+_INSTANCE_SECONDS = 0.9e-3
 
 # The longest permutation identity the sweep searches for.  A longer
 # search changes no verdict at the orders the sweep accepts: of the
@@ -157,10 +167,6 @@ def _table_hash(S: FiniteSemigroup) -> str:
     return hashlib.sha256(catalog_line(S).encode()).hexdigest()[:12]
 
 
-def _family_literal(family: Sequence[ElementSet]) -> str:
-    return ";".join(format_subset(X) for X in family)
-
-
 def _wants(cfg: SweepConfig, group: str) -> bool:
     return cfg.theorem in ("all", group)
 
@@ -176,80 +182,199 @@ def _random_families(cfg: SweepConfig, order: int, idx: int) -> list[tuple[int, 
     ]
 
 
+def _sets(n: int, masks: Iterable[int]) -> list[ElementSet]:
+    return [ElementSet._from_bits(n, bits) for bits in masks]
+
+
+def _family(n: int, case: int | tuple[int, ...]) -> list[ElementSet]:
+    """The theorem family of a case: a mask's one set, a partition's classes."""
+    return _sets(n, (case,) if type(case) is int else _class_bits(case))
+
+
+def _identity_report(T: FiniteSemigroup, _) -> CheckReport:
+    witness = find_permutation_identity(T, _IDENTITY_LENGTH)
+    if witness is None:
+        return unmet("permutation-identity", f"no identity found up to length {_IDENTITY_LENGTH}")
+    return passed("permutation-identity", f"n={witness.length} {format_permutation(witness)}")
+
+
+def _lemma4_report(T: FiniteSemigroup, _) -> CheckReport:
+    res = lemma4_minimal_k(T)
+    if res.k is not None:
+        return passed("lemma4", f"k={res.k}")
+    k, w = res.counterexamples[0]
+    return failed("lemma4", tuple(zip("kuxyv", (k, *w))),
+                  "no exponent works along the whole power chain")
+
+
+def _identity(T: FiniteSemigroup) -> PermutationIdentity | None:
+    """The permutation identity that T's permutation-identity report names."""
+    rep = _answer(T, ("permutation-identity", None))
+    return parse_permutation(rep.detail.partition(" ")[2]) if rep.status == PASS else None
+
+
+# Each check the sweep asks, as a function of a table and a case: a
+# subset's mask, a partition's class_of, or None for a whole-table check.
+_CHECKS = {
+    "lemma1": lambda T, bits: check_lemma1(T, ElementSet._from_bits(T.order, bits)),
+    "lemma2": lambda T, bits: check_lemma2(T, ElementSet._from_bits(T.order, bits)),
+    "lemma3": lambda T, bits: check_lemma3(T, ElementSet._from_bits(T.order, bits)),
+    "corollary1": lambda T, bits: verify_corollary1(T, ElementSet._from_bits(T.order, bits)),
+    "theorem1-forward": lambda T, case: verify_theorem1_forward(T, _family(T.order, case)),
+    "theorem1-converse": lambda T, cls: verify_theorem1_converse(
+        T, Congruence._from_rgs(T.order, cls)),
+    "permutation-identity": _identity_report,
+    "lemma4": _lemma4_report,
+    "theorem2-forward": lambda T, case: verify_theorem2_forward(
+        T, _family(T.order, case), _identity(T)),
+    "theorem2-converse": lambda T, cls: verify_theorem2_converse(
+        T, Congruence._from_rgs(T.order, cls), _identity(T)),
+    "corollary2": lambda T, bits: verify_corollary2(
+        T, ElementSet._from_bits(T.order, bits), _identity(T)),
+}
+
+
+@memoized("answer")
+def _answer(R: FiniteSemigroup, key: tuple[str, int | tuple[int, ...] | None]) -> CheckReport:
+    """R's report for a (check, case) key."""
+    check, case = key
+    return _CHECKS[check](R, case)
+
+
+# A subset literal in a report's detail, as _format_mask writes it.
+_MASK_LITERAL = re.compile(r"\{[\d,]*\}")
+
+
+class _Copy:
+    """A labeled table S, asked through its class representative R.
+
+    q is the relabeling that makes S of R: S labels i the element q[i]
+    of R.  A case of S, a subset's mask or a partition, is pulled back
+    through q, and R answers it once per class through its memo.  Every
+    notion the checks test is defined up to relabeling, so a report
+    without a witness holds for S as it stands once each subset literal
+    in its detail is pushed forward to S's labels.  A witness is the
+    lexicographically first, which a relabeling does not keep, so a
+    report with a witness is asked of S itself.  With R = S and q the
+    identity nothing moves, and nothing is asked twice.
+    """
+
+    def __init__(self, S: FiniteSemigroup, R: FiniteSemigroup, q: Sequence[int]):
+        self.S, self.R, self.q = S, R, q
+        # pull[b] is R's mask of S's subset with mask b.
+        pull = [0] * (1 << S.order)
+        for b in range(1, len(pull)):
+            low = b & -b
+            pull[b] = pull[b ^ low] | 1 << q[low.bit_length() - 1]
+        self.pull = pull
+        self.literals = {_format_mask(r): _format_mask(b) for b, r in enumerate(pull)}
+        self.details: dict[str, str] = {}
+
+    def pushed_partition(self, class_of: tuple[int, ...]) -> tuple[int, ...]:
+        """S's class_of of R's partition ``class_of``."""
+        return _first_appearance([class_of[x] for x in self.q])
+
+    def answers(self, check: str, cases: Sequence[tuple]) -> list[CheckReport]:
+        """S's reports for ``check`` at each (S's case, R's key) of ``cases``."""
+        R, S = self.R, self.S
+        reps = [_answer(R, (check, key)) for _, key in cases]
+        if S is not R:
+            for i, rep in enumerate(reps):
+                if rep.witness is not None:
+                    reps[i] = _CHECKS[check](S, cases[i][0])
+                elif "{" in rep.detail:
+                    reps[i] = self.pushed(rep)
+        return reps
+
+    def pushed(self, rep: CheckReport) -> CheckReport:
+        """R's witness-free report as S's: its subset literals moved."""
+        detail = rep.detail
+        if "{" not in detail or self.S is self.R:
+            return rep
+        moved = self.details.get(detail)
+        if moved is None:
+            moved = self.details[detail] = _MASK_LITERAL.sub(
+                lambda m: self.literals[m[0]], detail)
+        return _report(rep.check, rep.status, None, moved)
+
+
 def _instance_checks(
-    cfg: SweepConfig, order: int, idx: int, S: FiniteSemigroup
+    cfg: SweepConfig,
+    order: int,
+    idx: int,
+    S: FiniteSemigroup,
+    R: FiniteSemigroup | None = None,
+    q: Sequence[int] | None = None,
 ) -> list[tuple[str, CheckReport]]:
-    """All (case, report) pairs for one catalog instance, in a fixed order."""
+    """All (case, report) pairs for one catalog instance, in a fixed order.
+
+    R is S's class representative and q the relabeling that makes S of
+    it, as in _Copy; left out, R is S and q the identity.  The cases,
+    their literals and their order are S's own.
+    """
+    if R is None:
+        R, q = S, range(order)
+    copy = _Copy(S, R, q)
+    answers, pull = copy.answers, copy.pull
     out: list[tuple[str, CheckReport]] = []
-    subsets = [(format_subset(A), A) for A in all_subsets(order)]
+    # Each case as (S's case, R's key), beside its literals.
+    subsets = list(enumerate(pull))
+    literals = list(map(_format_mask, range(len(pull))))
 
     if _wants(cfg, "lemmas"):
-        for case, A in subsets:
-            out.append((case, check_lemma1(S, A)))
-            out.append((case, check_lemma2(S, A)))
-            out.append((case, check_lemma3(S, A)))
+        for case, *reps in zip(literals, *(answers(check, subsets)
+                                           for check in ("lemma1", "lemma2", "lemma3"))):
+            out += [(case, rep) for rep in reps]
 
     if _wants(cfg, "cor1"):
-        for case, A in subsets:
-            out.append((case, verify_corollary1(S, A)))
+        out += zip(literals, answers("corollary1", subsets))
 
     if _wants(cfg, "1") or _wants(cfg, "2"):
-        # Each congruence with its classes, and the theorem families:
-        # singletons, then class families.
-        congruences = []
-        for sigma in enumerate_congruences(S):
-            classes = sigma.classes()
-            congruences.append((sigma.literal(), sigma, classes))
-        families = [(case, [A]) for case, A in subsets]
-        families += [(case, classes) for case, _, classes in congruences]
+        # S's congruences are R's pushed forward, in S's enumeration
+        # (RGS) order.  The theorem families: singletons, then each
+        # congruence's classes.
+        congruences = sorted((copy.pushed_partition(sigma.class_of), sigma.class_of)
+                             for sigma in enumerate_congruences(R))
+        families = subsets + congruences
+        literals += [Congruence._from_rgs(order, cls).literal() for cls, _ in congruences]
 
     if _wants(cfg, "1"):
-        for case, fam in families:
-            out.append((case, verify_theorem1_forward(S, fam)))
-        for case, sigma, _ in congruences:
-            out.append((case, verify_theorem1_converse(S, sigma)))
+        out += zip(literals, answers("theorem1-forward", families))
+        out += zip(literals[len(subsets):], answers("theorem1-converse", congruences))
 
     if _wants(cfg, "2") or _wants(cfg, "cor2"):
-        witness = find_permutation_identity(S, _IDENTITY_LENGTH)
-        if witness is None:
-            why = f"no identity found up to length {_IDENTITY_LENGTH}"
-            out.append(("-", unmet("permutation-identity", why)))
-        else:
-            detail = f"n={witness.length} {format_permutation(witness)}"
-            out.append(("-", passed("permutation-identity", detail)))
+        out.append(("-", answers("permutation-identity", [(None, None)])[0]))
+        witness = _identity(R)
         if witness is not None and _wants(cfg, "2"):
-            res = lemma4_minimal_k(S)
-            if res.k is not None:
-                out.append(("-", passed("lemma4", f"k={res.k}")))
-            else:
-                k, w = res.counterexamples[0]
-                out.append(("-", failed("lemma4", tuple(zip("kuxyv", (k, *w))),
-                                        "no exponent works along the whole power chain")))
-            randoms = [tuple(ElementSet._from_bits(order, bits) for bits in masks)
-                       for masks in _random_families(cfg, order, idx)]
-            for case, fam in families + [(_family_literal(fam), fam) for fam in randoms]:
-                out.append((case, verify_theorem2_forward(S, fam, witness)))
-            for case, sigma, _ in congruences:
-                out.append((case, verify_theorem2_converse(S, sigma, witness)))
+            out.append(("-", answers("lemma4", [(None, None)])[0]))
+            out += zip(literals, answers("theorem2-forward", families))
+            # Each random family is asked of R once, past the memo.
+            for masks in _random_families(cfg, order, idx):
+                rep = verify_theorem2_forward(R, _sets(order, map(pull.__getitem__, masks)),
+                                              witness)
+                if rep.witness is None:
+                    rep = copy.pushed(rep)
+                elif S is not R:
+                    rep = verify_theorem2_forward(S, _sets(order, masks), witness)
+                out.append((";".join(map(_format_mask, masks)), rep))
+            out += zip(literals[len(subsets):], answers("theorem2-converse", congruences))
         if witness is not None and _wants(cfg, "cor2"):
-            for case, A in subsets:
-                out.append((case, verify_corollary2(S, A, witness)))
+            out += zip(literals, answers("corollary2", subsets))
 
     return out
 
 
-def _instance_worker(
-    item: tuple[SweepConfig, int, int, tuple[tuple[int, ...], ...]]
-) -> Instance:
-    cfg, order, idx, table = item
-    # The table comes from enumerate_semigroups, which validated it.
-    S = FiniteSemigroup._from_table(table)
+def _instance_worker(item: tuple[SweepConfig, int, int, FiniteSemigroup, int]) -> Instance:
+    # The item carries S's class representative and the index of the
+    # relabeling that makes S of it.
+    cfg, order, idx, R, k = item
+    S, q = _relabeling(R, k)
     prefix = f"order={order} table={_table_hash(S)} case="
-    checks = _instance_checks(cfg, order, idx, S)
-    lines = [f"{prefix}{case} {rep.record()}" for case, rep in checks]
+    checks = _instance_checks(cfg, order, idx, S, R, q)
+    lines = [f"{prefix}{case} {rep.record()}\n" for case, rep in checks]
     counts = Counter((rep.check, rep.status) for _, rep in checks)
-    fails = [line for line, (_, rep) in zip(lines, checks) if rep.status == FAIL]
-    return "".join(line + "\n" for line in lines), counts, fails
+    fails = [line[:-1] for line, (_, rep) in zip(lines, checks) if rep.status == FAIL]
+    return "".join(lines), counts, fails
 
 
 def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
@@ -267,8 +392,8 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
     orders = range(cfg.min_order, cfg.max_order + 1)
     tables = sum(map(_labeled_count, orders))
     _within_budget(f"the sweep of {tables:,} labeled tables", tables * _INSTANCE_SECONDS)
-    items = [(cfg, order, idx, S.table)
-             for order in orders for idx, S in enumerate(enumerate_semigroups(order))]
+    items = [(cfg, order, idx, R, k)
+             for order in orders for idx, (_, R, k) in enumerate(_orbits(order))]
     chunks = [items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK)]
     workers = min(cfg.parallelism, _usable_cpus(), len(chunks))
     # Where there is no fork (Windows), the sweep runs in this process.

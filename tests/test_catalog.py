@@ -135,6 +135,32 @@ def automorphisms(t):
     ]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbits_list_each_labeled_table_once_beside_its_representative(n):
+    # catalog._orbits yields each labeled table once, in catalog order,
+    # with its class representative and the index k of the relabeling
+    # that makes the table of it: the first such index where automorphisms
+    # give several.  Each representative's orbit has n!/|Aut| tables,
+    # with |Aut| counted by brute force, and the orbit sizes add up to the
+    # labeled count (OEIS A023814).
+    orbits = list(catalog._orbits(n))
+    assert [t for t, _, _ in orbits] == [S.table for S in enumerate_semigroups(n)]
+    reps = [S.table for S in enumerate_semigroups(n, up_to_iso=True)]
+    sizes = dict.fromkeys(reps, 0)
+    orderings = [tuple(q) for q in catalog._orderings(n).tolist()]
+    for t, R, k in orbits:
+        sizes[R.table] += 1
+        q = orderings[k]
+        assert relabel(R, _inverse(q)).table == t
+        assert all(relabel(R, _inverse(r)).table != t for r in orderings[:k])
+        S, got = catalog._relabeling(R, k)
+        assert (S.table, got) == (t, q)
+        assert (S is R) == (k == 0)
+    assert list(sizes) == reps
+    assert all(size == factorial(n) // len(automorphisms(t)) for t, size in sizes.items())
+    assert sum(sizes.values()) == (1, 8, 113, 3492)[n - 1]
+
+
 def test_order_five_classes_add_up_to_the_labeled_count():
     # An independent count gate: the 1915 classes of order 5 (OEIS
     # A001423) are their own canonical forms, and their orbit sizes

@@ -32,7 +32,7 @@ from sglab import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
-from sglab import congruences, core, subsets
+from sglab import congruences, core, subsets, sweep
 from sglab.subsets import _np_mask
 from sglab.sweep import _instance_checks, _random_families
 
@@ -504,10 +504,24 @@ class TestMemo:
         subset_kinds = {"separator", "medial", "profile", "subsemigroup", "unitary", "reflexive"}
         partition_kinds = {"congruence", "quotient"}
         # Every kind the sweep asks is listed here, so a new one cannot go
-        # unchecked: the nine analyses of the table and its word tensors.
-        # A partition's class masks never read the table, so none is here.
+        # unchecked: the nine analyses of the table, its word tensors and
+        # the sweep's own reports.  A partition's class masks never read
+        # the table, so none is here.
         kinds = dict(S._memo)
-        assert set(kinds) == subset_kinds | partition_kinds | {"identity", "word_tensor"}
+        assert set(kinds) == subset_kinds | partition_kinds | {"identity", "word_tensor", "answer"}
+        # The sweep's reports, keyed by (check, case): a case is a mask, a
+        # partition or None (a whole-table check), never a random family.
+        answers = kinds.pop("answer")
+        assert {check for check, _ in answers} == set(sweep._CHECKS)
+        assert len(answers) <= len(sweep._CHECKS) * (2**4 + bell4)
+        for check, case in answers:
+            assert (
+                case is None
+                or type(case) is int and 0 <= case < 2**4
+                or type(case) is tuple and len(case) == 4 and case[0] == 0
+                and all(type(c) is int and c <= max(case[:i], default=0) + 1
+                        for i, c in enumerate(case))
+            ), (check, case)
         for kind, entries in kinds.items():
             assert entries, f"the sweep never asked {kind}"
             if kind in subset_kinds:

@@ -16,6 +16,7 @@ from sglab import (
     SweepConfig,
     WorkBudgetExceeded,
     WorkerDied,
+    canonical_form,
     check_lemma1,
     check_lemma2,
     check_lemma3,
@@ -23,7 +24,9 @@ from sglab import (
     enumerate_semigroups,
     find_permutation_identity,
     format_subset,
+    is_medial,
     is_unitary,
+    relabel,
     run_sweep,
     separator,
     validate,
@@ -160,6 +163,47 @@ def test_theorem_families_are_every_subset_then_every_class_family():
                 permutative += 1
             assert [c for c, r in checks if r.check == "theorem2-forward"] == families + randoms
     assert permutative == 116
+
+
+def test_records_through_the_representative_equal_the_direct_ones():
+    # The sweep asks each check of a table's class representative and
+    # moves the answer onto the table.  Each table of orders 1-3, asked
+    # directly as its own representative, must give the same records.
+    # That catalog holds every relabeling of every class, so this covers
+    # every push the sweep makes there.
+    cfg = SweepConfig(max_order=3, parallelism=1)
+    direct, moved = [], 0
+    for n in range(1, 4):
+        for idx, S in enumerate(enumerate_semigroups(n)):
+            T = validate(S.table)
+            moved += canonical_form(T) != T.table
+            prefix = f"order={n} table={sweep._table_hash(T)} case="
+            direct += [f"{prefix}{case} {rep.record()}"
+                       for case, rep in _instance_checks(cfg, n, idx, T)]
+    assert run_sweep(cfg).records == direct
+    assert moved == 122 - 30
+
+
+def test_a_moved_table_keeps_its_own_first_witness():
+    # S relabels its class representative R so that S's subset {1} is
+    # R's {0}, which is not medial.  R's first witness, moved to S's
+    # labels, reads y=1, but S's own first witness has y=0: a report
+    # with a witness is asked of the table itself.
+    S = validate([[0, 1, 2], [1, 1, 1], [2, 2, 2]])
+    R = validate(canonical_form(S))
+    assert R.table == ((0, 0, 0), (0, 1, 2), (2, 2, 2))
+    p = (1, 0, 2)  # S's label of each element of R
+    assert relabel(R, p) == S
+    assert [p[v] for v in is_medial(R, eset(3, 0))[1]] == [0, 1, 2, 1]
+    h = sweep._table_hash(S)
+    records = run_sweep(SweepConfig(min_order=3, max_order=3, parallelism=1)).records
+    assert [line for line in records
+            if line.startswith(f"order=3 table={h} case={{1}} ") and "witness=-" not in line] == [
+        f"order=3 table={h} case={{1}} check=corollary1 status=precondition-unmet"
+        " witness=x=0,a=1,b=2,y=0 detail=subset not medial",
+        f"order=3 table={h} case={{1}} check=theorem1-forward status=precondition-unmet"
+        " witness=x=0,a=1,b=2,y=0 detail=set 0 not medial",
+    ]
 
 
 def test_no_class_without_a_short_identity_has_a_longer_one():
