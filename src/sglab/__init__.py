@@ -49,6 +49,7 @@ from .errors import (
     OutOfRangeEntry,
     SgFormatError,
     SglabError,
+    StatusNotInvariant,
     WorkBudgetExceeded,
     WorkerDied,
 )

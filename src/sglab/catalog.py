@@ -135,6 +135,18 @@ def _orbits(n: int) -> Iterator[tuple[Table, FiniteSemigroup, int]]:
         yield _table(row, n), reps[i], k
 
 
+@lru_cache(maxsize=None)
+def _orbit_index(n: int) -> tuple[tuple[Table, ...], tuple[tuple[int, int], ...]]:
+    """The class representatives' tables of order n, and each labeled
+    table's (representative position, k), in catalog order, as _orbits
+    yields them.  Only immutable data is kept once per order, so every
+    caller builds its own representatives, with empty memos.  The sweep
+    budget admits orders 1-4 only, about 0.3 MiB in all."""
+    position: dict[Table, int] = {}
+    index = tuple((position.setdefault(R.table, len(position)), k) for _, R, k in _orbits(n))
+    return tuple(position), index
+
+
 def _relabeling(R: FiniteSemigroup, k: int) -> tuple[FiniteSemigroup, tuple[int, ...]]:
     """The labeled table that relabeling k of _orderings(n) makes of R,
     and that relabeling q: the table labels i the element q[i] of R.

@@ -128,3 +128,22 @@ class WorkerDied(SglabError):
 
     def __str__(self) -> str:
         return f"sweep worker {self.worker} ended with exit code {self.exitcode} before it was done"
+
+
+class StatusNotInvariant(SglabError):
+    """A check asked of a labeled table itself gave another status than
+    its class representative gave, though the sweep counts the
+    representative's status for every table of the class.  ``table`` is
+    the table's record hash and ``case`` its case literal."""
+
+    def __init__(self, table: str, check: str, case: str, expected: str, got: str):
+        super().__init__(table, check, case, expected, got)
+        self.table = table
+        self.check = check
+        self.case = case
+        self.expected = expected
+        self.got = got
+
+    def __str__(self) -> str:
+        return (f"table={self.table} case={self.case} check={self.check}: status {self.got}, "
+                f"but its class representative's is {self.expected}")

@@ -203,9 +203,16 @@ def verify_theorem2_forward(
     monoid claim and flagged in its own detail string, since it arrives
     by a different route than the monoid structure itself.
     """
-    check = "theorem2-forward"
     _check_ambient(S, *family)
-    masks = [X.bits for X in family]
+    return _theorem2_forward(S, [X.bits for X in family], permutation_witness)
+
+
+def _theorem2_forward(
+    S: FiniteSemigroup, masks: Sequence[int], permutation_witness: PermutationIdentity
+) -> CheckReport:
+    """verify_theorem2_forward on a family given as the bit masks of its
+    sets, each known to lie in S."""
+    check = "theorem2-forward"
     bad = _witness_holds(check, S, permutation_witness)
     if bad is not None:
         return bad

@@ -5,11 +5,12 @@ Every catalog instance is pushed through the lemma checks (all subsets),
 both directions of the commutative-monoid quotient theorem, the
 separator corollary, and, when a permutation identity of length at most
 4 is found, the permutative strengthenings.  Each check is asked of
-the instance's class representative, once per isomorphism class, and
-its answer moved onto every labeled copy; an answer with a witness is
-asked of the copy itself (see _Copy).  Output is a stream of one-line
-records ordered by instance, byte-stable across runs and across worker
-counts.
+the instance's class representative and its record rendered, once per
+isomorphism class (see _plan); a labeled copy's records are the
+representative's, picked by the copy's cases pulled back, and a report
+with a witness is asked of the copy itself (see _Copy).  Output is a
+stream of one-line records ordered by instance, byte-stable across
+runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import re
 import signal
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
-from .catalog import _labeled_count, _orbits, _relabeling, catalog_line
+from .catalog import _labeled_count, _orbit_index, _relabeling, catalog_line
 from .congruences import (
     Congruence,
     _class_bits,
@@ -37,19 +39,18 @@ from .congruences import (
     verify_theorem1_converse,
     verify_theorem1_forward,
 )
-from .core import ElementSet, FiniteSemigroup, _format_mask, _within_budget, memoized
-from .errors import WorkerDied
+from .core import ElementSet, FiniteSemigroup, _format_mask, _within_budget, memoized, validate
+from .errors import StatusNotInvariant, WorkerDied
 from .permutative import (
     PermutationIdentity,
+    _theorem2_forward,
     find_permutation_identity,
     format_permutation,
     lemma4_minimal_k,
-    parse_permutation,
     verify_corollary2,
     verify_theorem2_converse,
-    verify_theorem2_forward,
 )
-from .reports import FAIL, PASS, CheckReport, _report, failed, passed, unmet
+from .reports import FAIL, CheckReport, failed, passed, unmet
 
 __all__ = [
     "SweepConfig",
@@ -73,15 +74,16 @@ Instance = tuple[str, Counter, list[str]]
 # starts no worker for the 9 tables of orders 1-2.
 _CHUNK = 16
 
-# Measured cost of the default sweep per labeled table: 0.9 ms (verify-o4,
-# 2.55-3.29 s over the 3614 tables of orders 1-4 in 5 runs; 2-vCPU Xeon
-# VM, Python 3.11, serial).  Most tables are answered through their class
-# representative, so the cost is an average over the 218 classes and
-# their copies.  Orders 1-4 are estimated at 3.3 s and accepted; a range
-# that includes order 5 (165 s for its tables alone) is refused.  The
-# estimate stays serial, whatever the CPU count, so whether a sweep is
-# refused never depends on the machine.
-_INSTANCE_SECONDS = 0.9e-3
+# Measured cost of the default sweep per labeled table: 0.75 ms
+# (verify-o4, 1.89-2.72 s end to end over the 3614 tables of orders 1-4
+# in 5 runs; 2-vCPU Xeon VM, Python 3.11, serial).  Each class is
+# answered and rendered once and its copies assembled from that, so the
+# cost is an average over the 218 classes and their copies.  Orders 1-4
+# are estimated at 2.7 s and accepted; a range that includes order 5
+# (138 s for its tables alone) is refused.  The estimate stays serial,
+# whatever the CPU count, so whether a sweep is refused never depends on
+# the machine.
+_INSTANCE_SECONDS = 0.75e-3
 
 # The longest permutation identity the sweep searches for.  A longer
 # search changes no verdict at the orders the sweep accepts: of the
@@ -167,10 +169,6 @@ def _table_hash(S: FiniteSemigroup) -> str:
     return hashlib.sha256(catalog_line(S).encode()).hexdigest()[:12]
 
 
-def _wants(cfg: SweepConfig, group: str) -> bool:
-    return cfg.theorem in ("all", group)
-
-
 def _random_families(cfg: SweepConfig, order: int, idx: int) -> list[tuple[int, ...]]:
     # Each family as the bit masks of its 2-3 sets.  One generator per
     # instance, keyed by seed, order, and catalog position, so results
@@ -182,23 +180,22 @@ def _random_families(cfg: SweepConfig, order: int, idx: int) -> list[tuple[int, 
     ]
 
 
-def _sets(n: int, masks: Iterable[int]) -> list[ElementSet]:
-    return [ElementSet._from_bits(n, bits) for bits in masks]
+def _family_bits(case: int | tuple[int, ...]) -> tuple[int, ...]:
+    """The masks of a case's theorem family: a mask's one set, a partition's classes."""
+    return (case,) if type(case) is int else _class_bits(case)
 
 
 def _family(n: int, case: int | tuple[int, ...]) -> list[ElementSet]:
-    """The theorem family of a case: a mask's one set, a partition's classes."""
-    return _sets(n, (case,) if type(case) is int else _class_bits(case))
+    return [ElementSet._from_bits(n, bits) for bits in _family_bits(case)]
 
 
-def _identity_report(T: FiniteSemigroup, _) -> CheckReport:
-    witness = find_permutation_identity(T, _IDENTITY_LENGTH)
-    if witness is None:
+def _identity_report(ident: PermutationIdentity | None) -> CheckReport:
+    if ident is None:
         return unmet("permutation-identity", f"no identity found up to length {_IDENTITY_LENGTH}")
-    return passed("permutation-identity", f"n={witness.length} {format_permutation(witness)}")
+    return passed("permutation-identity", f"n={ident.length} {format_permutation(ident)}")
 
 
-def _lemma4_report(T: FiniteSemigroup, _) -> CheckReport:
+def _lemma4_report(T: FiniteSemigroup) -> CheckReport:
     res = lemma4_minimal_k(T)
     if res.k is not None:
         return passed("lemma4", f"k={res.k}")
@@ -207,56 +204,153 @@ def _lemma4_report(T: FiniteSemigroup, _) -> CheckReport:
                   "no exponent works along the whole power chain")
 
 
-def _identity(T: FiniteSemigroup) -> PermutationIdentity | None:
-    """The permutation identity that T's permutation-identity report names."""
-    rep = _answer(T, ("permutation-identity", None))
-    return parse_permutation(rep.detail.partition(" ")[2]) if rep.status == PASS else None
-
-
-# Each check the sweep asks, as a function of a table and a case: a
-# subset's mask, a partition's class_of, or None for a whole-table check.
+# Each check the sweep asks, as a function of a table, a case and the
+# table's permutation identity (None where none was found).  A case is
+# a subset's mask, a partition's class_of, or None for a whole-table
+# check.
 _CHECKS = {
-    "lemma1": lambda T, bits: check_lemma1(T, ElementSet._from_bits(T.order, bits)),
-    "lemma2": lambda T, bits: check_lemma2(T, ElementSet._from_bits(T.order, bits)),
-    "lemma3": lambda T, bits: check_lemma3(T, ElementSet._from_bits(T.order, bits)),
-    "corollary1": lambda T, bits: verify_corollary1(T, ElementSet._from_bits(T.order, bits)),
-    "theorem1-forward": lambda T, case: verify_theorem1_forward(T, _family(T.order, case)),
-    "theorem1-converse": lambda T, cls: verify_theorem1_converse(
+    "lemma1": lambda T, bits, _: check_lemma1(T, ElementSet._from_bits(T.order, bits)),
+    "lemma2": lambda T, bits, _: check_lemma2(T, ElementSet._from_bits(T.order, bits)),
+    "lemma3": lambda T, bits, _: check_lemma3(T, ElementSet._from_bits(T.order, bits)),
+    "corollary1": lambda T, bits, _: verify_corollary1(T, ElementSet._from_bits(T.order, bits)),
+    "theorem1-forward": lambda T, case, _: verify_theorem1_forward(T, _family(T.order, case)),
+    "theorem1-converse": lambda T, cls, _: verify_theorem1_converse(
         T, Congruence._from_rgs(T.order, cls)),
-    "permutation-identity": _identity_report,
-    "lemma4": _lemma4_report,
-    "theorem2-forward": lambda T, case: verify_theorem2_forward(
-        T, _family(T.order, case), _identity(T)),
-    "theorem2-converse": lambda T, cls: verify_theorem2_converse(
-        T, Congruence._from_rgs(T.order, cls), _identity(T)),
-    "corollary2": lambda T, bits: verify_corollary2(
-        T, ElementSet._from_bits(T.order, bits), _identity(T)),
+    "permutation-identity": lambda T, _, ident: _identity_report(ident),
+    "lemma4": lambda T, _, ident: _lemma4_report(T),
+    "theorem2-forward": lambda T, case, ident: _theorem2_forward(T, _family_bits(case), ident),
+    "theorem2-converse": lambda T, cls, ident: verify_theorem2_converse(
+        T, Congruence._from_rgs(T.order, cls), ident),
+    "corollary2": lambda T, bits, ident: verify_corollary2(
+        T, ElementSet._from_bits(T.order, bits), ident),
 }
 
 
-@memoized("answer")
-def _answer(R: FiniteSemigroup, key: tuple[str, int | tuple[int, ...] | None]) -> CheckReport:
-    """R's report for a (check, case) key."""
-    check, case = key
-    return _CHECKS[check](R, case)
+class _Rendered(NamedTuple):
+    """One check's records on a class representative R, one per key of
+    its span, in R's key order (see _plan)."""
+
+    check: str
+    # Each record's text from "check=" on, with its newline.
+    texts: list[str]
+    # The keys whose report has no witness but subset literals in its detail.
+    pushes: list[int]
+    # The keys whose report has a witness, each with R's status.
+    asks: dict[int, str]
 
 
-# A subset literal in a report's detail, as _format_mask writes it.
+class _Plan(NamedTuple):
+    """A class representative's rendered records for one theorem group.
+
+    steps are the group's checks in record order, each as a span and
+    the checks rendered over it, whose records interleave case by case;
+    None marks where the random families go.  counts are the (check,
+    status) counts over every record but the random families', which
+    every labeled copy of the class shares.
+    """
+
+    steps: list[tuple[str, list[_Rendered]] | None]
+    counts: Counter
+    congruences: list[tuple[int, ...]]
+    identity: PermutationIdentity | None
+
+
+@memoized("plan")
+def _plan(R: FiniteSemigroup, group: str) -> _Plan:
+    """Ask R every check of a theorem group once and render each record.
+
+    A span is the keys a check runs over: "subsets" (every mask),
+    "congruences" (R's congruences by enumeration index j), "families"
+    (every mask, then key 2**n + j for congruence j) and "table" (the
+    one key 0 of a whole-table check).
+    """
+    wants = (group,) if group != "all" else THEOREM_GROUPS
+    subsets = range(1 << R.order)
+    congruences = ([sigma.class_of for sigma in enumerate_congruences(R)]
+                   if "1" in wants or "2" in wants else [])
+    identity = (find_permutation_identity(R, _IDENTITY_LENGTH)
+                if "2" in wants or "cor2" in wants else None)
+    cases = {"subsets": subsets, "congruences": congruences,
+             "families": [*subsets, *congruences], "table": [None]}
+    steps: list = []
+    counts: Counter = Counter()
+
+    def render(span: str, *checks: str) -> None:
+        rendered = []
+        for check in checks:
+            texts, pushes, asks = [], [], {}
+            for key, case in enumerate(cases[span]):
+                rep = _CHECKS[check](R, case, identity)
+                if rep.witness is not None:
+                    asks[key] = rep.status
+                elif "{" in rep.detail:
+                    pushes.append(key)
+                texts.append(rep.record() + "\n")
+                counts[check, rep.status] += 1
+            rendered.append(_Rendered(check, texts, pushes, asks))
+        steps.append((span, rendered))
+
+    if "lemmas" in wants:
+        render("subsets", "lemma1", "lemma2", "lemma3")
+    if "cor1" in wants:
+        render("subsets", "corollary1")
+    if "1" in wants:
+        render("families", "theorem1-forward")
+        render("congruences", "theorem1-converse")
+    if "2" in wants or "cor2" in wants:
+        render("table", "permutation-identity")
+        if identity is not None and "2" in wants:
+            render("table", "lemma4")
+            render("families", "theorem2-forward")
+            steps.append(None)
+            render("congruences", "theorem2-converse")
+        if identity is not None and "cor2" in wants:
+            render("subsets", "corollary2")
+    return _Plan(steps, counts, congruences, identity)
+
+
+@lru_cache(maxsize=1 << 12)
+def _pushed_partition(class_of: tuple[int, ...], q: Sequence[int]) -> tuple[int, ...]:
+    """The class_of of the partition ``class_of`` of R on the table that
+    relabeling q makes of R, as in _Copy; built once per partition and q."""
+    return _first_appearance([class_of[x] for x in q])
+
+
+@lru_cache(maxsize=1 << 12)
+def _partition_literal(class_of: tuple[int, ...]) -> str:
+    """The literal "{0};{1,2}" of a canonical class_of, built once per partition."""
+    return Congruence._from_rgs(len(class_of), class_of).literal()
+
+
+# A subset literal in a record's detail, as _format_mask writes it.
 _MASK_LITERAL = re.compile(r"\{[\d,]*\}")
 
 
+class _Span(NamedTuple):
+    """A labeled table's cases of one span, in its own order: the
+    representative's key of each, its literal and record head, the
+    position of each representative key, and the table's own case."""
+
+    keys: list[int]
+    literals: list[str]
+    heads: list[str]
+    where: list[int]
+    cases: Sequence
+
+
 class _Copy:
-    """A labeled table S, asked through its class representative R.
+    """A labeled table S, answered through its class representative R.
 
     q is the relabeling that makes S of R: S labels i the element q[i]
     of R.  A case of S, a subset's mask or a partition, is pulled back
-    through q, and R answers it once per class through its memo.  Every
-    notion the checks test is defined up to relabeling, so a report
-    without a witness holds for S as it stands once each subset literal
-    in its detail is pushed forward to S's labels.  A witness is the
-    lexicographically first, which a relabeling does not keep, so a
-    report with a witness is asked of S itself.  With R = S and q the
-    identity nothing moves, and nothing is asked twice.
+    through q to R's key, and S's record is R's rendered one for that
+    key.  Every notion the checks test is defined up to relabeling, so
+    a report without a witness holds for S as it stands once each
+    subset literal in its detail is pushed forward to S's labels.  A
+    witness is the lexicographically first, which a relabeling does not
+    keep, so a report with a witness is asked of S itself, and must keep
+    R's status, which the sweep counts for every copy.  With R = S and q
+    the identity nothing moves, and nothing is asked twice.
     """
 
     def __init__(self, S: FiniteSemigroup, R: FiniteSemigroup, q: Sequence[int]):
@@ -267,46 +361,83 @@ class _Copy:
             low = b & -b
             pull[b] = pull[b ^ low] | 1 << q[low.bit_length() - 1]
         self.pull = pull
-        self.literals = {_format_mask(r): _format_mask(b) for b, r in enumerate(pull)}
-        self.details: dict[str, str] = {}
+        self.moves: dict[str, str] = {}
 
-    def pushed_partition(self, class_of: tuple[int, ...]) -> tuple[int, ...]:
-        """S's class_of of R's partition ``class_of``."""
-        return _first_appearance([class_of[x] for x in self.q])
+    @cached_property
+    def literals(self) -> dict[str, str]:
+        """S's literal of each of R's subset literals."""
+        return {_format_mask(r): _format_mask(b) for b, r in enumerate(self.pull)}
 
-    def answers(self, check: str, cases: Sequence[tuple]) -> list[CheckReport]:
-        """S's reports for ``check`` at each (S's case, R's key) of ``cases``."""
-        R, S = self.R, self.S
-        reps = [_answer(R, (check, key)) for _, key in cases]
-        if S is not R:
-            for i, rep in enumerate(reps):
-                if rep.witness is not None:
-                    reps[i] = _CHECKS[check](S, cases[i][0])
-                elif "{" in rep.detail:
-                    reps[i] = self.pushed(rep)
-        return reps
-
-    def pushed(self, rep: CheckReport) -> CheckReport:
-        """R's witness-free report as S's: its subset literals moved."""
-        detail = rep.detail
-        if "{" not in detail or self.S is self.R:
-            return rep
-        moved = self.details.get(detail)
+    def moved(self, text: str) -> str:
+        """R's witness-free record text as S's: its subset literals moved."""
+        if "{" not in text or self.S is self.R:
+            return text
+        moved = self.moves.get(text)
         if moved is None:
-            moved = self.details[detail] = _MASK_LITERAL.sub(
-                lambda m: self.literals[m[0]], detail)
-        return _report(rep.check, rep.status, None, moved)
+            literals = self.literals
+            moved = self.moves[text] = _MASK_LITERAL.sub(lambda m: literals[m[0]], text)
+        return moved
+
+    def lines(self, rendered: _Rendered, span: _Span,
+              identity: PermutationIdentity | None) -> list[str]:
+        """S's record lines of one rendered check, in S's case order."""
+        texts, heads, where = rendered.texts, span.heads, span.where
+        out = [h + texts[k] for h, k in zip(heads, span.keys)]
+        if self.S is self.R:
+            return out
+        for k in rendered.pushes:
+            i = where[k]
+            out[i] = heads[i] + self.moved(texts[k])
+        for k, status in rendered.asks.items():
+            i = where[k]
+            rep = _CHECKS[rendered.check](self.S, span.cases[i], identity)
+            if rep.status != status:
+                raise StatusNotInvariant(_table_hash(self.S), rendered.check, span.literals[i],
+                                         status, rep.status)
+            out[i] = heads[i] + rep.record() + "\n"
+        return out
 
 
-def _instance_checks(
+def _spans(copy: _Copy, prefix: str, plan: _Plan) -> dict[str, _Span]:
+    """S's spans, each case beside its record head and R's key."""
+    pull = copy.pull
+    base = len(pull)
+    # S's congruences are R's pushed forward, in S's enumeration (RGS)
+    # order, each beside its index in R's.
+    congruences = sorted((_pushed_partition(cls, copy.q), j)
+                         for j, cls in enumerate(plan.congruences))
+    cong_cases = [cls for cls, _ in congruences]
+    cong_keys = [j for _, j in congruences]
+    push = [0] * base
+    for b, r in enumerate(pull):
+        push[r] = b
+    cong_where = [0] * len(cong_keys)
+    for i, j in enumerate(cong_keys):
+        cong_where[j] = i
+    subset_literals = list(map(_format_mask, range(base)))
+    cong_literals = list(map(_partition_literal, cong_cases))
+    subset_heads = [f"{prefix}{lit} " for lit in subset_literals]
+    cong_heads = [f"{prefix}{lit} " for lit in cong_literals]
+    return {
+        "subsets": _Span(pull, subset_literals, subset_heads, push, range(base)),
+        "congruences": _Span(cong_keys, cong_literals, cong_heads, cong_where, cong_cases),
+        "families": _Span(pull + [base + j for j in cong_keys],
+                          subset_literals + cong_literals, subset_heads + cong_heads,
+                          push + [base + i for i in cong_where], [*range(base), *cong_cases]),
+        "table": _Span([0], ["-"], [f"{prefix}- "], [0], [None]),
+    }
+
+
+def _instance(
     cfg: SweepConfig,
     order: int,
     idx: int,
     S: FiniteSemigroup,
     R: FiniteSemigroup | None = None,
     q: Sequence[int] | None = None,
-) -> list[tuple[str, CheckReport]]:
-    """All (case, report) pairs for one catalog instance, in a fixed order.
+) -> Instance:
+    """One catalog instance's record text, (check, status) counts and
+    fail lines.
 
     R is S's class representative and q the relabeling that makes S of
     it, as in _Copy; left out, R is S and q the identity.  The cases,
@@ -314,53 +445,49 @@ def _instance_checks(
     """
     if R is None:
         R, q = S, range(order)
+    plan = _plan(R, cfg.theorem)
     copy = _Copy(S, R, q)
-    answers, pull = copy.answers, copy.pull
-    out: list[tuple[str, CheckReport]] = []
-    # Each case as (S's case, R's key), beside its literals.
-    subsets = list(enumerate(pull))
-    literals = list(map(_format_mask, range(len(pull))))
+    prefix = f"order={order} table={_table_hash(S)} case="
+    spans = _spans(copy, prefix, plan)
+    counts = Counter(plan.counts)
+    lines: list[str] = []
+    for step in plan.steps:
+        if step is None:
+            lines += _random_lines(cfg, order, idx, copy, prefix, plan.identity, counts)
+            continue
+        span, rendered = step
+        columns = [copy.lines(r, spans[span], plan.identity) for r in rendered]
+        if len(columns) == 1:
+            lines += columns[0]
+        else:
+            for row in zip(*columns):
+                lines += row
+    fails = []
+    if any(status == FAIL for _, status in counts):
+        # A case literal holds no space, so the fifth field is the status.
+        fails = [line[:-1] for line in lines if line.split(" ", 5)[4] == f"status={FAIL}"]
+    return "".join(lines), counts, fails
 
-    if _wants(cfg, "lemmas"):
-        for case, *reps in zip(literals, *(answers(check, subsets)
-                                           for check in ("lemma1", "lemma2", "lemma3"))):
-            out += [(case, rep) for rep in reps]
 
-    if _wants(cfg, "cor1"):
-        out += zip(literals, answers("corollary1", subsets))
+def _random_lines(cfg: SweepConfig, order: int, idx: int, copy: _Copy, prefix: str,
+                  identity: PermutationIdentity, counts: Counter) -> list[str]:
+    """S's theorem 2 forward records on its random families, counted into counts.
 
-    if _wants(cfg, "1") or _wants(cfg, "2"):
-        # S's congruences are R's pushed forward, in S's enumeration
-        # (RGS) order.  The theorem families: singletons, then each
-        # congruence's classes.
-        congruences = sorted((copy.pushed_partition(sigma.class_of), sigma.class_of)
-                             for sigma in enumerate_congruences(R))
-        families = subsets + congruences
-        literals += [Congruence._from_rgs(order, cls).literal() for cls, _ in congruences]
-
-    if _wants(cfg, "1"):
-        out += zip(literals, answers("theorem1-forward", families))
-        out += zip(literals[len(subsets):], answers("theorem1-converse", congruences))
-
-    if _wants(cfg, "2") or _wants(cfg, "cor2"):
-        out.append(("-", answers("permutation-identity", [(None, None)])[0]))
-        witness = _identity(R)
-        if witness is not None and _wants(cfg, "2"):
-            out.append(("-", answers("lemma4", [(None, None)])[0]))
-            out += zip(literals, answers("theorem2-forward", families))
-            # Each random family is asked of R once, past the memo.
-            for masks in _random_families(cfg, order, idx):
-                rep = verify_theorem2_forward(R, _sets(order, map(pull.__getitem__, masks)),
-                                              witness)
-                if rep.witness is None:
-                    rep = copy.pushed(rep)
-                elif S is not R:
-                    rep = verify_theorem2_forward(S, _sets(order, masks), witness)
-                out.append((";".join(map(_format_mask, masks)), rep))
-            out += zip(literals[len(subsets):], answers("theorem2-converse", congruences))
-        if witness is not None and _wants(cfg, "cor2"):
-            out += zip(literals, answers("corollary2", subsets))
-
+    Each family is asked of R once, at its masks pulled back, and not
+    stored; a report with a witness is asked of S itself.
+    """
+    R, S, pull = copy.R, copy.S, copy.pull
+    out = []
+    for masks in _random_families(cfg, order, idx):
+        rep = _theorem2_forward(R, [pull[m] for m in masks], identity)
+        if rep.witness is None:
+            text = copy.moved(rep.record())
+        else:
+            if S is not R:
+                rep = _theorem2_forward(S, masks, identity)
+            text = rep.record()
+        counts[rep.check, rep.status] += 1
+        out.append(f"{prefix}{';'.join(map(_format_mask, masks))} {text}\n")
     return out
 
 
@@ -369,12 +496,7 @@ def _instance_worker(item: tuple[SweepConfig, int, int, FiniteSemigroup, int]) -
     # relabeling that makes S of it.
     cfg, order, idx, R, k = item
     S, q = _relabeling(R, k)
-    prefix = f"order={order} table={_table_hash(S)} case="
-    checks = _instance_checks(cfg, order, idx, S, R, q)
-    lines = [f"{prefix}{case} {rep.record()}\n" for case, rep in checks]
-    counts = Counter((rep.check, rep.status) for _, rep in checks)
-    fails = [line[:-1] for line, (_, rep) in zip(lines, checks) if rep.status == FAIL]
-    return "".join(lines), counts, fails
+    return _instance(cfg, order, idx, S, R, q)
 
 
 def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
@@ -392,8 +514,12 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
     orders = range(cfg.min_order, cfg.max_order + 1)
     tables = sum(map(_labeled_count, orders))
     _within_budget(f"the sweep of {tables:,} labeled tables", tables * _INSTANCE_SECONDS)
-    items = [(cfg, order, idx, R, k)
-             for order in orders for idx, (_, R, k) in enumerate(_orbits(order))]
+    items = []
+    for order in orders:
+        classes, index = _orbit_index(order)
+        # Fresh representatives, so their memos last only this sweep.
+        reps = [validate(t) for t in classes]
+        items += [(cfg, order, idx, reps[i], k) for idx, (i, k) in enumerate(index)]
     chunks = [items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK)]
     workers = min(cfg.parallelism, _usable_cpus(), len(chunks))
     # Where there is no fork (Windows), the sweep runs in this process.

@@ -161,6 +161,17 @@ def test_orbits_list_each_labeled_table_once_beside_its_representative(n):
     assert sum(sizes.values()) == (1, 8, 113, 3492)[n - 1]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_index_is_the_orbits_by_representative_position(n):
+    # The sweep's index, built once per order, names each labeled table's
+    # representative by position among the class representatives, in
+    # the order the class generator yields them, beside the same k.
+    tables, index = catalog._orbit_index(n)
+    assert catalog._orbit_index(n) is catalog._orbit_index(n)
+    assert tables == tuple(catalog._backtrack(n))
+    assert [(tables[i], k) for i, k in index] == [(R.table, k) for _, R, k in catalog._orbits(n)]
+
+
 def test_order_five_classes_add_up_to_the_labeled_count():
     # An independent count gate: the 1915 classes of order 5 (OEIS
     # A001423) are their own canonical forms, and their orbit sizes

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from sglab import (
 )
 from sglab import congruences, core, subsets, sweep
 from sglab.subsets import _np_mask
-from sglab.sweep import _instance_checks, _random_families
+from sglab.sweep import _instance, _random_families
 
 
 def eset(ambient, *members):
@@ -499,29 +500,31 @@ class TestMemo:
         # group runs on it, random multi-set families included.
         S = next(enumerate_semigroups(4))
         cfg = SweepConfig(random_families=20)
-        assert any(rep.check == "theorem2-forward" for _, rep in _instance_checks(cfg, 4, 0, S))
+        records = {group: _instance(replace(cfg, theorem=group), 4, 0, S)[0].splitlines()
+                   for group in sweep.THEOREM_GROUPS}
+        assert any("check=theorem2-forward" in line for line in records["2"])
         bell4 = 15
         subset_kinds = {"separator", "medial", "profile", "subsemigroup", "unitary", "reflexive"}
         partition_kinds = {"congruence", "quotient"}
         # Every kind the sweep asks is listed here, so a new one cannot go
         # unchecked: the nine analyses of the table, its word tensors and
-        # the sweep's own reports.  A partition's class masks never read
-        # the table, so none is here.
+        # the sweep's own rendered records.  A partition's class masks
+        # never read the table, so none is here.
         kinds = dict(S._memo)
-        assert set(kinds) == subset_kinds | partition_kinds | {"identity", "word_tensor", "answer"}
-        # The sweep's reports, keyed by (check, case): a case is a mask, a
-        # partition or None (a whole-table check), never a random family.
-        answers = kinds.pop("answer")
-        assert {check for check, _ in answers} == set(sweep._CHECKS)
-        assert len(answers) <= len(sweep._CHECKS) * (2**4 + bell4)
-        for check, case in answers:
-            assert (
-                case is None
-                or type(case) is int and 0 <= case < 2**4
-                or type(case) is tuple and len(case) == 4 and case[0] == 0
-                and all(type(c) is int and c <= max(case[:i], default=0) + 1
-                        for i, c in enumerate(case))
-            ), (check, case)
+        assert set(kinds) == subset_kinds | partition_kinds | {"identity", "word_tensor", "plan"}
+        # One plan per theorem group, each check rendered once per mask,
+        # partition or whole table: every record of the instance but its
+        # random families.
+        plans = kinds.pop("plan")
+        assert set(plans) == set(sweep.THEOREM_GROUPS)
+        for group, plan in plans.items():
+            rendered = [r for step in plan.steps if step is not None for r in step[1]]
+            assert all(len(r.texts) <= 2**4 + bell4 for r in rendered), group
+            randoms = cfg.random_families if group in ("all", "2") else 0
+            assert sum(plan.counts.values()) == sum(len(r.texts) for r in rendered)
+            assert sum(plan.counts.values()) == len(records[group]) - randoms, group
+        assert {r.check for step in plans["all"].steps if step is not None
+                for r in step[1]} == set(sweep._CHECKS)
         for kind, entries in kinds.items():
             assert entries, f"the sweep never asked {kind}"
             if kind in subset_kinds:

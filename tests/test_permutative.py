@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sglab import (
+    AmbientMismatch,
     ElementSet,
     PermutationIdentity,
     all_subsets,
@@ -26,7 +27,7 @@ from sglab import (
     WorkBudgetExceeded,
 )
 from sglab import core
-from sglab.permutative import _search_seconds
+from sglab.permutative import _search_seconds, _theorem2_forward
 
 
 def pi(*images):
@@ -222,6 +223,23 @@ class TestTheorem2Forward:
             for A in all_subsets(S.order):
                 rep = verify_theorem2_forward(S, [A], w)
                 assert rep.status in ("pass", "precondition-unmet"), rep
+
+
+    def test_masks_route_answers_as_the_sets_route(self, catalog3):
+        # The sweep asks theorem 2 forward on its families' masks; the
+        # public function checks the sets' ambient order and then gives
+        # the same report on every two-set family of these tables.
+        for S in catalog3[::7]:
+            w = find_permutation_identity(S, 4)
+            if w is None:
+                continue
+            subsets = list(all_subsets(S.order))
+            for A in subsets:
+                for B in subsets:
+                    assert verify_theorem2_forward(S, [A, B], w) == _theorem2_forward(
+                        S, [A.bits, B.bits], w)
+        with pytest.raises(AmbientMismatch):
+            verify_theorem2_forward(S, [eset(2, 0)], w)
 
 
 class TestTheorem2Converse:

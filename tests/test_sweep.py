@@ -13,6 +13,7 @@ from sglab import (
     ElementSet,
     FiniteSemigroup,
     NotACongruence,
+    StatusNotInvariant,
     SweepConfig,
     WorkBudgetExceeded,
     WorkerDied,
@@ -32,7 +33,14 @@ from sglab import (
     validate,
 )
 from sglab import catalog, cli, sweep
-from sglab.sweep import _instance_checks, _random_families
+from sglab.reports import failed
+from sglab.sweep import _instance, _random_families
+
+
+def fields(text):
+    """The (case, check, status) of each record line in text."""
+    return [tuple(f.partition("=")[2] for f in line.split(" ")[2:5])
+            for line in text.splitlines()]
 
 
 def eset(ambient, *members):
@@ -133,8 +141,7 @@ def test_every_check_agrees_on_a_table_and_its_transpose():
     for n in range(1, 5):
         for S in enumerate_semigroups(n, up_to_iso=True):
             op = validate([list(col) for col in zip(*S.table)])
-            checks = [_instance_checks(cfg, n, 0, T) for T in (S, op)]
-            mine, theirs = (sorted((c, r.check, r.status) for c, r in out) for out in checks)
+            mine, theirs = (sorted(fields(_instance(cfg, n, 0, T)[0])) for T in (S, op))
             assert mine == theirs, S.table
             representatives += 1
     assert representatives == 218
@@ -151,9 +158,9 @@ def test_theorem_families_are_every_subset_then_every_class_family():
         subsets = [format_subset(ElementSet.of(n, [e for e in range(n) if bits >> e & 1]))
                    for bits in range(1 << n)]
         for idx, S in enumerate(enumerate_semigroups(n)):
-            checks = _instance_checks(cfg, n, idx, S)
+            checks = fields(_instance(cfg, n, idx, S)[0])
             families = subsets + [sigma.literal() for sigma in enumerate_congruences(S)]
-            assert [c for c, r in checks if r.check == "theorem1-forward"] == families
+            assert [c for c, check, _ in checks if check == "theorem1-forward"] == families
             randoms = [";".join(format_subset(ElementSet._from_bits(n, bits)) for bits in masks)
                        for masks in _random_families(cfg, n, idx)]
             assert len(randoms) == cfg.random_families
@@ -161,7 +168,7 @@ def test_theorem_families_are_every_subset_then_every_class_family():
                 families = randoms = []
             else:
                 permutative += 1
-            assert [c for c, r in checks if r.check == "theorem2-forward"] == families + randoms
+            assert [c for c, check, _ in checks if check == "theorem2-forward"] == families + randoms
     assert permutative == 116
 
 
@@ -177,9 +184,7 @@ def test_records_through_the_representative_equal_the_direct_ones():
         for idx, S in enumerate(enumerate_semigroups(n)):
             T = validate(S.table)
             moved += canonical_form(T) != T.table
-            prefix = f"order={n} table={sweep._table_hash(T)} case="
-            direct += [f"{prefix}{case} {rep.record()}"
-                       for case, rep in _instance_checks(cfg, n, idx, T)]
+            direct += _instance(cfg, n, idx, T)[0].splitlines()
     assert run_sweep(cfg).records == direct
     assert moved == 122 - 30
 
@@ -204,6 +209,63 @@ def test_a_moved_table_keeps_its_own_first_witness():
         f"order=3 table={h} case={{1}} check=theorem1-forward status=precondition-unmet"
         " witness=x=0,a=1,b=2,y=0 detail=set 0 not medial",
     ]
+
+
+@pytest.mark.parametrize("group", sweep.THEOREM_GROUPS)
+def test_each_group_through_the_representative_equals_the_direct_route(group):
+    # A class's records are rendered once per theorem group, so each
+    # group's sweep of orders 1-3 must give the records and the summary
+    # that asking every table as its own representative gives.
+    cfg = SweepConfig(max_order=3, theorem=group, parallelism=1)
+    direct = sweep.SweepReport()
+    for n in range(1, 4):
+        for idx, S in enumerate(enumerate_semigroups(n)):
+            direct.records += direct.add(_instance(cfg, n, idx, validate(S.table))).splitlines()
+    rep = run_sweep(cfg)
+    assert rep.records == direct.records
+    assert rep.summary_lines() == direct.summary_lines()
+
+
+def test_a_report_asked_of_a_copy_must_keep_its_class_status(monkeypatch):
+    # Every table of a class is counted with its representative's
+    # statuses.  A report with a witness is asked of the labeled table
+    # itself, so one that came out with another status would be counted
+    # wrong: it is an error that names the table, the check and the case.
+    check = sweep._CHECKS["corollary1"]
+
+    def flipped(T, bits, ident):
+        rep = check(T, bits, ident)
+        if rep.witness is None or canonical_form(T) == T.table:
+            return rep
+        return failed(rep.check, rep.witness, rep.detail)
+
+    monkeypatch.setitem(sweep._CHECKS, "corollary1", flipped)
+    with pytest.raises(StatusNotInvariant,
+                       match=r"^table=[0-9a-f]{12} case=\{[\d,]+\} check=corollary1: status fail, "
+                       "but its class representative's is precondition-unmet$"):
+        run_sweep(SweepConfig(min_order=3, max_order=3, parallelism=1))
+
+
+def test_each_sweep_asks_its_own_representatives(monkeypatch):
+    # The catalog index is built once per process, but every sweep
+    # builds its own class representatives, so no answer on one
+    # outlives its sweep.
+    seen = []
+    worker = sweep._instance_worker
+
+    def recording(item):
+        seen.append(item[3])
+        return worker(item)
+
+    monkeypatch.setattr(sweep, "_instance_worker", recording)
+    cfg = SweepConfig(max_order=3, theorem="cor1", parallelism=1)
+    run_sweep(cfg)
+    first = {id(R) for R in seen}
+    run_sweep(cfg)
+    # seen holds every representative, so no id is reused.
+    second = {id(R) for R in seen[len(seen) // 2:]}
+    assert len(first) == len(second) == 1 + 4 + 25
+    assert not first & second
 
 
 def test_no_class_without_a_short_identity_has_a_longer_one():
