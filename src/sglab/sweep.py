@@ -68,10 +68,10 @@ THEOREM_GROUPS = ("all", "1", "2", "cor1", "cor2", "lemmas")
 # its per-(check, status) counts and its fail lines.
 Instance = tuple[str, Counter, list[str]]
 
-# Instances per claim and per message from a worker process: 8 to 32
-# run the order-4 sweep equally fast, a larger chunk holds more records
-# in the parent's reorder window (32: about 1 MiB more at peak), and 16
-# starts no worker for the 9 tables of orders 1-2.
+# Instances per message from a worker process: 8 to 32 run the order-4
+# sweep equally fast, a larger chunk holds more records in the parent,
+# which holds one chunk per worker, and 16 starts no worker for the 9
+# tables of orders 1-2.
 _CHUNK = 16
 
 # Measured cost of the default sweep per labeled table: 0.75 ms
@@ -260,18 +260,16 @@ def _plan(R: FiniteSemigroup, group: str) -> _Plan:
     """Ask R every check of a theorem group once and render each record.
 
     A span is the keys a check runs over: "subsets" (every mask),
-    "congruences" (R's congruences by enumeration index j), "families"
-    (every mask, then key 2**n + j for congruence j) and "table" (the
-    one key 0 of a whole-table check).
+    "congruences" (R's congruences by enumeration index j) and "table"
+    (the one key 0 of a whole-table check).  A forward theorem runs over
+    every subset's one-set family, then every congruence's classes.
     """
     wants = (group,) if group != "all" else THEOREM_GROUPS
-    subsets = range(1 << R.order)
     congruences = ([sigma.class_of for sigma in enumerate_congruences(R)]
                    if "1" in wants or "2" in wants else [])
     identity = (find_permutation_identity(R, _IDENTITY_LENGTH)
                 if "2" in wants or "cor2" in wants else None)
-    cases = {"subsets": subsets, "congruences": congruences,
-             "families": [*subsets, *congruences], "table": [None]}
+    cases = {"subsets": range(1 << R.order), "congruences": congruences, "table": [None]}
     steps: list = []
     counts: Counter = Counter()
 
@@ -295,13 +293,15 @@ def _plan(R: FiniteSemigroup, group: str) -> _Plan:
     if "cor1" in wants:
         render("subsets", "corollary1")
     if "1" in wants:
-        render("families", "theorem1-forward")
+        render("subsets", "theorem1-forward")
+        render("congruences", "theorem1-forward")
         render("congruences", "theorem1-converse")
     if "2" in wants or "cor2" in wants:
         render("table", "permutation-identity")
         if identity is not None and "2" in wants:
             render("table", "lemma4")
-            render("families", "theorem2-forward")
+            render("subsets", "theorem2-forward")
+            render("congruences", "theorem2-forward")
             steps.append(None)
             render("congruences", "theorem2-converse")
         if identity is not None and "cor2" in wants:
@@ -421,9 +421,6 @@ def _spans(copy: _Copy, prefix: str, plan: _Plan) -> dict[str, _Span]:
     return {
         "subsets": _Span(pull, subset_literals, subset_heads, push, range(base)),
         "congruences": _Span(cong_keys, cong_literals, cong_heads, cong_where, cong_cases),
-        "families": _Span(pull + [base + j for j in cong_keys],
-                          subset_literals + cong_literals, subset_heads + cong_heads,
-                          push + [base + i for i in cong_where], [*range(base), *cong_cases]),
         "table": _Span([0], ["-"], [f"{prefix}- "], [0], [None]),
     }
 
@@ -474,20 +471,25 @@ def _random_lines(cfg: SweepConfig, order: int, idx: int, copy: _Copy, prefix: s
     """S's theorem 2 forward records on its random families, counted into counts.
 
     Each family is asked of R once, at its masks pulled back, and not
-    stored; a report with a witness is asked of S itself.
+    stored; a report with a witness is asked of S itself and must keep
+    R's status, as in _Copy.
     """
     R, S, pull = copy.R, copy.S, copy.pull
     out = []
     for masks in _random_families(cfg, order, idx):
+        literal = ";".join(map(_format_mask, masks))
         rep = _theorem2_forward(R, [pull[m] for m in masks], identity)
         if rep.witness is None:
             text = copy.moved(rep.record())
         else:
             if S is not R:
-                rep = _theorem2_forward(S, masks, identity)
+                status, rep = rep.status, _theorem2_forward(S, masks, identity)
+                if rep.status != status:
+                    raise StatusNotInvariant(_table_hash(S), rep.check, literal,
+                                             status, rep.status)
             text = rep.record()
         counts[rep.check, rep.status] += 1
-        out.append(f"{prefix}{';'.join(map(_format_mask, masks))} {text}\n")
+        out.append(f"{prefix}{literal} {text}\n")
     return out
 
 
@@ -514,85 +516,64 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
     orders = range(cfg.min_order, cfg.max_order + 1)
     tables = sum(map(_labeled_count, orders))
     _within_budget(f"the sweep of {tables:,} labeled tables", tables * _INSTANCE_SECONDS)
-    items = []
+    items, classes = [], []
     for order in orders:
-        classes, index = _orbit_index(order)
+        canonical, index = _orbit_index(order)
         # Fresh representatives, so their memos last only this sweep.
-        reps = [validate(t) for t in classes]
+        reps = [validate(t) for t in canonical]
         items += [(cfg, order, idx, reps[i], k) for idx, (i, k) in enumerate(index)]
-    chunks = [items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK)]
-    workers = min(cfg.parallelism, _usable_cpus(), len(chunks))
+        classes += [i for i, _ in index]
+    chunks = -(-len(items) // _CHUNK)
+    workers = min(cfg.parallelism, _usable_cpus(), chunks)
     # Where there is no fork (Windows), the sweep runs in this process.
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        return _forked(chunks, workers)
+        return _forked(items, [i % workers for i in classes], workers)
     return (_instance_worker(item) for item in items)
 
 
-def _forked(chunks: list[list], workers: int) -> Iterator[Instance]:
-    # A free worker claims the next chunk by reading its index from one
-    # shared claims pipe, and sends back (index, error, instances) down
-    # its own result pipe.  The parent reads whichever result pipe is
-    # ready, holds early chunks, and yields strictly in catalog order.
-    # It writes an index into the claims pipe only once the chunk
-    # 2 * workers places before it has been yielded, so no more than
-    # that many chunks are ever claimed and not yet yielded.  Fork, not
-    # spawn: the workers inherit the chunks, so nothing is pickled on the
-    # way out, and the parent runs no thread that a fork could catch
-    # mid-operation.
-
-    # Imported here, as ctx.Pipe imports it, so that a program that
-    # only imports sglab does not load it and the subprocess module.
-    from multiprocessing.connection import wait
-
+def _forked(items: list, owners: list[int], workers: int) -> Iterator[Instance]:
+    # Each class belongs to one worker (owners[pos] is the worker of
+    # item pos), so its plan is built once.  Worker w sweeps only its
+    # own items, in catalog order, and sends them _CHUNK instances per
+    # message down its own pipe.  The parent walks the catalog and takes
+    # each instance from its owner's current chunk, reading the owner's
+    # next message only once that chunk is used up; a worker whose pipe
+    # is full waits in send, so the parent holds at most one chunk per
+    # worker.  Fork, not spawn: the workers inherit their items, so
+    # nothing is pickled on the way out, and the parent runs no thread
+    # that a fork could catch mid-operation.
     ctx = multiprocessing.get_context("fork")
-    window = 2 * workers
-    # The parent keeps the claims pipe's read end as well, so a write to
-    # it cannot fail, even once every worker is gone.
-    claims, handout = os.pipe()
     readers, procs = [], []
-    early = {}  # chunk index -> (error, instances), for chunks not yet yielded
 
-    def receive(timeout: float | None) -> None:
-        for reader in wait(readers, timeout):
+    def received(w: int) -> Iterator[Instance]:
+        while True:
             try:
-                i, error, instances = reader.recv()
+                error, instances = readers[w].recv()
             except (EOFError, OSError):
-                # The claims pipe stays open until the sweep is done, so
-                # no worker runs out of work before then: any end of file
-                # is a death, whatever the exit code.
-                k = readers.index(reader)
-                procs[k].join(timeout=5)
-                raise WorkerDied(k, procs[k].exitcode) from None
-            early[i] = error, instances
+                # The parent reads only while worker w owes it an
+                # instance: any end of file is a death, whatever the
+                # exit code.
+                procs[w].join(timeout=5)
+                raise WorkerDied(w, procs[w].exitcode) from None
+            if error is not None:
+                raise error
+            yield from instances
 
     try:
-        for k in range(workers):
+        for w in range(workers):
             reader, writer = ctx.Pipe(duplex=False)
             readers.append(reader)
-            proc = ctx.Process(target=_work, args=(chunks, claims, handout, writer, readers),
-                               daemon=True)
+            mine = [item for item, owner in zip(items, owners) if owner == w]
+            proc = ctx.Process(target=_work, args=(mine, writer, readers), daemon=True)
             proc.start()
             procs.append(proc)
             # Only the worker may hold the write end, or its death
             # would never reach the reader as end of file.
             writer.close()
-        for i in range(min(window, len(chunks))):
-            os.write(handout, i.to_bytes(4, "little"))
-        for pos in range(len(chunks)):
-            # Take in whatever has arrived, so a finished worker is not
-            # held in send while this chunk is yielded.
-            receive(0)
-            while pos not in early:
-                receive(None)
-            error, instances = early.pop(pos)
-            if error is not None:
-                raise error
-            yield from instances
-            if pos + window < len(chunks):
-                os.write(handout, (pos + window).to_bytes(4, "little"))
+        streams = [received(w) for w in range(workers)]
+        for w in owners:
+            yield next(streams[w])
     finally:
-        os.close(handout)
-        os.close(claims)
         for proc in procs:
             proc.terminate()
             proc.join()
@@ -600,24 +581,18 @@ def _forked(chunks: list[list], workers: int) -> Iterator[Instance]:
             reader.close()
 
 
-def _work(chunks: list[list], claims: int, handout: int, writer, readers) -> None:
-    # A worker holds only the claims pipe's read end and its own result
-    # pipe's write end, so it can block only where a dead parent wakes
-    # it: the claims pipe then reads end of file and a send raises
-    # BrokenPipeError, and either ends the worker quietly.  Ctrl-C is
-    # the parent's to handle.
-    os.close(handout)
+def _work(items: list, writer, readers) -> None:
+    # A worker holds only its own pipe's write end, so it can block only
+    # in send, where a dead parent wakes it with BrokenPipeError, which
+    # ends the worker quietly.  Ctrl-C is the parent's to handle.
     for reader in readers:
         reader.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Each 4-byte index is one write, under the pipe's atomic size, so
-    # two workers never split one.
-    while claim := os.read(claims, 4):
-        i = int.from_bytes(claim, "little")
+    for i in range(0, len(items), _CHUNK):
         try:
-            message = i, None, [_instance_worker(item) for item in chunks[i]]
+            message = None, [_instance_worker(item) for item in items[i:i + _CHUNK]]
         except Exception as e:  # raised again in the parent, in catalog order
-            message = i, e, None
+            message = e, None
         try:
             writer.send(message)
         except BrokenPipeError:

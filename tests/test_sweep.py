@@ -246,6 +246,32 @@ def test_a_report_asked_of_a_copy_must_keep_its_class_status(monkeypatch):
         run_sweep(SweepConfig(min_order=3, max_order=3, parallelism=1))
 
 
+def test_a_random_family_asked_of_a_copy_must_keep_its_class_status(monkeypatch):
+    # A random family whose report on the representative has a witness
+    # is asked of the labeled table itself, and must keep the status
+    # too.  Here the representative's report is planted: it fails with
+    # a witness on every random family (2-3 sets that cover less than
+    # the whole table, so never a congruence's classes), while the
+    # copy's own report keeps its real status.
+    forward = sweep._theorem2_forward
+
+    def planted(T, masks, ident):
+        rep = forward(T, masks, ident)
+        covered = 0
+        for m in masks:
+            covered |= m
+        if len(masks) > 1 and covered != (1 << T.order) - 1 and canonical_form(T) == T.table:
+            return failed(rep.check, (("a", 0),), "planted")
+        return rep
+
+    monkeypatch.setattr(sweep, "_theorem2_forward", planted)
+    with pytest.raises(StatusNotInvariant,
+                       match=r"^table=[0-9a-f]{12} case=\{[\d,]*\}(;\{[\d,]*\})+ "
+                       r"check=theorem2-forward: status (pass|precondition-unmet), "
+                       "but its class representative's is fail$"):
+        run_sweep(SweepConfig(min_order=3, max_order=3, theorem="2", parallelism=1))
+
+
 def test_each_sweep_asks_its_own_representatives(monkeypatch):
     # The catalog index is built once per process, but every sweep
     # builds its own class representatives, so no answer on one
@@ -374,12 +400,12 @@ class TestRunSweep:
 @pytest.fixture
 def started_workers(monkeypatch):
     """Replaces the forking starter with a recorder of worker counts that
-    runs the chunks in this process, so no worker is ever started."""
+    runs the items in this process, so no worker is ever started."""
     counts = []
 
-    def recorder(chunks, workers):
+    def recorder(items, owners, workers):
         counts.append(workers)
-        return (sweep._instance_worker(item) for chunk in chunks for item in chunk)
+        return (sweep._instance_worker(item) for item in items)
 
     monkeypatch.setattr(sweep, "_forked", recorder)
     return counts
@@ -453,19 +479,16 @@ class TestWorkers:
     @pytest.fixture
     def logging_items(self, monkeypatch, tmp_path):
         """Makes the worker function log (pid, order, idx) of each item
-        it starts, after a 20 ms sleep on the (order, idx) pairs in
-        ``slow``; returns a reader of the log."""
+        it starts; returns a reader of the log."""
         log = tmp_path / "started"
         worker = sweep._instance_worker
 
-        def plant(slow=()):
+        def plant():
             log.touch()
 
             def patched(item):
                 with open(log, "a") as f:
                     f.write(f"{os.getpid()} {item[1]} {item[2]}\n")
-                if item[1:3] in slow:
-                    time.sleep(0.02)
                 return worker(item)
 
             monkeypatch.setattr(sweep, "_instance_worker", patched)
@@ -473,24 +496,34 @@ class TestWorkers:
 
         return plant
 
-    def test_a_slow_chunk_does_not_hold_back_the_next_ones(self, logging_items):
-        serial = run_sweep(replace(self.CFG, parallelism=1))
-        items = [(n, idx) for n in range(1, 4) for idx, _ in enumerate(enumerate_semigroups(n))]
-        chunk = lambda c: items[c * sweep._CHUNK:(c + 1) * sweep._CHUNK]
-        started = logging_items(slow=set(chunk(0)))
+    def test_no_class_is_planned_in_two_workers(self, monkeypatch, tmp_path):
+        # Each class belongs to one worker, so its plan is built once,
+        # whichever labeled copy of it comes first.
+        log = tmp_path / "planned"
+        log.touch()
+        plan = sweep._plan
+
+        def logging(R, group):
+            if group not in R._memo["plan"]:
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {R.table}\n")
+            return plan(R, group)
+
+        monkeypatch.setattr(sweep, "_plan", logging)
         with deadline(30):
-            parallel = run_sweep(self.CFG)
-        assert parallel.records == serial.records
-        assert parallel.counts == serial.counts and parallel.fails == serial.fails
-        # While one worker sleeps through chunk 0 (about 0.3 s), the
-        # other claims chunks 1, 2 and 3.
-        pid = {(n, idx): p for p, n, idx in started()}
-        assert {pid[item] for item in chunk(0)}.isdisjoint(pid[item] for item in chunk(2))
+            run_sweep(SweepConfig(max_order=3, theorem="cor1", parallelism=2))
+        planned = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        pids = {}
+        for pid, table in planned:
+            pids.setdefault(table, set()).add(pid)
+        assert len(pids) == 1 + 5 + 24
+        assert all(len(p) == 1 for p in pids.values())
+        assert len({pid for pid, _ in planned}) == 2
         assert multiprocessing.active_children() == []
 
-    def test_more_workers_than_cpus_claim_each_chunk_once(self, logging_items, monkeypatch):
-        # Six workers share the 8 chunks of orders 1-3 and their claims
-        # pipe, whatever this machine's CPUs.
+    def test_more_workers_than_cpus_run_every_item_once(self, logging_items, monkeypatch):
+        # Six workers share the 122 tables of orders 1-3, whatever this
+        # machine's CPUs.
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 6)
         serial = run_sweep(replace(self.CFG, parallelism=1))
         started = logging_items()
@@ -501,12 +534,15 @@ class TestWorkers:
         assert sorted(items) == sorted(set(items)) and len(items) == serial.instances
         assert multiprocessing.active_children() == []
 
-    def test_claims_stop_a_window_ahead_of_the_reader(self, logging_items):
-        # Corollary 1 on the 122 tables of orders 1-3 takes well under
-        # the pause, and its chunks (about 13 KB each) all fit in the
-        # result pipes, so without the window every table would start.
+    def test_a_stalled_reader_holds_each_worker_at_its_pipe(self, logging_items):
+        # The full checks on orders 1-3 make chunks larger than a 64 KiB
+        # pipe, so a worker is held in send once the parent holds one
+        # of its chunks and stops reading: at most two chunks per worker
+        # start.  Corollary 1 alone would not show this: its chunks
+        # (about 13 KB each) all fit in the pipes, and every table
+        # starts.
         started = logging_items()
-        instances = sweep.iter_sweep(SweepConfig(max_order=3, theorem="cor1", parallelism=2))
+        instances = sweep.iter_sweep(SweepConfig(max_order=3, parallelism=2))
         next(instances)
         time.sleep(1)
         assert len(started()) <= 2 * 2 * sweep._CHUNK
@@ -514,9 +550,9 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
     def test_a_killed_parent_leaves_no_worker(self):
-        # The parent stalls on a full stdout with the window claimed;
-        # once it is killed, each worker finds its pipes closed and
-        # exits without a traceback.
+        # The parent stalls on a full stdout with each worker held in
+        # send; once it is killed, each worker finds its pipe closed
+        # and exits without a traceback.
         proc = subprocess.Popen(
             [sys.executable, "-m", "sglab.cli", "verify", "--max-order", "4", "--structured"],
             stdout=subprocess.PIPE,
@@ -573,9 +609,8 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
     def test_early_close_stops_the_workers(self):
-        # The window holds the workers' claims to four of the eight
-        # chunks ahead of the reader, and a worker waits for its next
-        # claim until the sweep is closed, so both are alive here.
+        # Each worker's chunks exceed its pipe, so a worker is held in
+        # send until the sweep is closed, and both are alive here.
         instances = sweep.iter_sweep(SweepConfig(max_order=3, parallelism=2))
         next(instances)
         assert len(multiprocessing.active_children()) == 2
