@@ -24,7 +24,6 @@ from .congruences import (
     _induces_itself,
     _monoid_congruence,
     _quotient_stages,
-    _sep_common,
     _separator_structure,
 )
 from .core import (
@@ -204,21 +203,60 @@ def verify_theorem2_forward(
     by a different route than the monoid structure itself.
     """
     _check_ambient(S, *family)
-    return _theorem2_forward(S, [X.bits for X in family], permutation_witness)
+    return _theorem2_forward(S, [[X.bits for X in family]], permutation_witness)[0]
 
 
 def _theorem2_forward(
-    S: FiniteSemigroup, masks: Sequence[int], permutation_witness: PermutationIdentity
-) -> CheckReport:
-    """verify_theorem2_forward on a family given as the bit masks of its
-    sets, each known to lie in S."""
+    S: FiniteSemigroup,
+    families: Sequence[Sequence[int]],
+    permutation_witness: PermutationIdentity,
+) -> list[CheckReport]:
+    """verify_theorem2_forward on each family of a list, one report per
+    family, each family given as the bit masks of its sets, each known
+    to lie in S.
+
+    The identity is checked once and each distinct set's separator read
+    once.  Reports are frozen, so equal answers share one object: every
+    family with an empty separator intersection gets the same unmet
+    report, and every pass with the same identity class the same report.
+    """
     check = "theorem2-forward"
+    if not families:
+        return []
     bad = _witness_holds(check, S, permutation_witness)
     if bad is not None:
-        return bad
-    common = _sep_common(S, masks)
-    if not common:
-        return unmet(check, "intersection of separators is empty")
+        return [bad] * len(families)
+    full = (1 << S.order) - 1
+    separators: dict[int, int] = {}
+    passes: dict[int, CheckReport] = {}
+    empty = None
+    reports = []
+    for masks in families:
+        common = full
+        for bits in masks:
+            sep = separators.get(bits)
+            if sep is None:
+                sep = separators[bits] = _separator(S, bits)
+            common &= sep
+        if not common:
+            if empty is None:
+                empty = unmet(check, "intersection of separators is empty")
+            reports.append(empty)
+            continue
+        rep = _separated_family(check, S, masks, common)
+        if rep is None:
+            rep = passes.get(common)
+            if rep is None:
+                rep = passes[common] = passed(check, f"identity class {_format_mask(common)}")
+        reports.append(rep)
+    return reports
+
+
+def _separated_family(
+    check: str, S: FiniteSemigroup, masks: Sequence[int], common: int
+) -> CheckReport | None:
+    """Theorem 2's conclusion on a family whose separators meet in
+    ``common``, which is nonempty: a failed report, or None."""
     # Every set is separated: each separator contains the intersection.
     for i, bits in enumerate(masks):
         ok, w = _medial(S, bits)
@@ -228,12 +266,11 @@ def _theorem2_forward(
                 (("i", i),) + tuple(zip("xaby", w)),
                 f"set {i} has a nonempty separator but is not medial",
             )
-    bad = _quotient_stages(
+    return _quotient_stages(
         check, S, _context_class_of(S, masks), common,
         "quotient monoid not commutative; commutativity asserted beyond the monoid claim",
         name_pair=False,
     )
-    return bad or passed(check, f"identity class {_format_mask(common)}")
 
 
 def verify_theorem2_converse(

@@ -21,9 +21,11 @@ import os
 import random
 import re
 import signal
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
 from .catalog import _labeled_count, _orbit_index, _relabeling, catalog_line
@@ -50,7 +52,7 @@ from .permutative import (
     verify_corollary2,
     verify_theorem2_converse,
 )
-from .reports import FAIL, CheckReport, failed, passed, unmet
+from .reports import FAIL, PASS, UNMET, CheckReport, failed, passed, unmet
 
 __all__ = [
     "SweepConfig",
@@ -65,8 +67,9 @@ __all__ = [
 THEOREM_GROUPS = ("all", "1", "2", "cor1", "cor2", "lemmas")
 
 # One instance's output: its record lines, each ending in a newline,
-# its per-(check, status) counts and its fail lines.
-Instance = tuple[str, Counter, list[str]]
+# its per-(check, status) counts as a tally (see _TALLY) and its fail
+# lines.
+Instance = tuple[str, tuple[int, ...], list[str]]
 
 # Instances per message from a worker process: 8 to 32 run the order-4
 # sweep equally fast, a larger chunk holds more records in the parent,
@@ -74,16 +77,22 @@ Instance = tuple[str, Counter, list[str]]
 # tables of orders 1-2.
 _CHUNK = 16
 
-# Measured cost of the default sweep per labeled table: 0.75 ms
-# (verify-o4, 1.89-2.72 s end to end over the 3614 tables of orders 1-4
-# in 5 runs; 2-vCPU Xeon VM, Python 3.11, serial).  Each class is
-# answered and rendered once and its copies assembled from that, so the
-# cost is an average over the 218 classes and their copies.  Orders 1-4
-# are estimated at 2.7 s and accepted; a range that includes order 5
-# (138 s for its tables alone) is refused.  The estimate stays serial,
-# whatever the CPU count, so whether a sweep is refused never depends on
-# the machine.
-_INSTANCE_SECONDS = 0.75e-3
+# Measured cost of the sweep per labeled table, and per random family of
+# a permutative instance, on a 2-vCPU Xeon VM with Python 3.11, serial:
+# the sweep of the 3614 tables of orders 1-4 with no random families
+# takes 0.94-1.10 s end to end (0.26-0.30 ms per table, 5 runs), and each
+# family adds 2.9-3.0 us per permutative instance (3024 at orders 1-4;
+# in-process sweeps with 0, 100 and 1000 families, 5 runs each).  Each
+# class is answered and rendered once and its copies assembled from that,
+# so the table cost is an average over the 218 classes and their copies.
+# The estimate counts the families on every table, permutative or not.
+# Orders 1-4 are estimated at 1.3 s with the default 20 families and at
+# 2.2 s with 100, and accepted; a range that includes order 5 (55 s for
+# its tables alone) is refused, and so are more than about 820 families
+# at orders 1-4.  The estimate stays serial, whatever the CPU count, so
+# whether a sweep is refused never depends on the machine.
+_INSTANCE_SECONDS = 0.3e-3
+_FAMILY_SECONDS = 3e-6
 
 # The longest permutation identity the sweep searches for.  A longer
 # search changes no verdict at the orders the sweep accepts: of the
@@ -141,26 +150,32 @@ class SweepReport:
     def __init__(self):
         self.instances = 0
         self.records: list[str] = []
-        self.counts: Counter[tuple[str, str]] = Counter()
+        self._tally = (0,) * len(_TALLY)
         self.fails: list[str] = []
 
     def add(self, instance: Instance) -> str:
         """Count one instance and return its record text."""
-        text, counts, fails = instance
+        text, tally, fails = instance
         self.instances += 1
-        self.counts.update(counts)
+        self._tally = tuple(map(add, self._tally, tally))
         self.fails += fails
         return text
 
+    @property
+    def counts(self) -> Counter[tuple[str, str]]:
+        """The (check, status) counts that are not zero."""
+        return Counter({key: v for key, v in zip(_TALLY, self._tally) if v})
+
     def summary_lines(self) -> list[str]:
-        n_pass = sum(v for (_, st), v in self.counts.items() if st == "pass")
-        n_unmet = sum(v for (_, st), v in self.counts.items() if st == "precondition-unmet")
+        counts = self.counts
+        n_pass = sum(v for (_, st), v in counts.items() if st == PASS)
+        n_unmet = sum(v for (_, st), v in counts.items() if st == UNMET)
         n_fail = len(self.fails)
         lines = [
             f"instances: {self.instances}",
             f"checks: pass={n_pass} precondition-unmet={n_unmet} fail={n_fail}",
         ]
-        for (check, status), v in sorted(self.counts.items()):
+        for (check, status), v in sorted(counts.items()):
             lines.append(f"  {check}: {status}={v}")
         return lines
 
@@ -170,14 +185,46 @@ def _table_hash(S: FiniteSemigroup) -> str:
 
 
 def _random_families(cfg: SweepConfig, order: int, idx: int) -> list[tuple[int, ...]]:
-    # Each family as the bit masks of its 2-3 sets.  One generator per
-    # instance, keyed by seed, order, and catalog position, so results
-    # never depend on worker scheduling.
+    """The instance's random families, each as the bit masks of its 2-3
+    sets: what ``[tuple(rng.randrange(1 << order) for _ in
+    range(rng.randint(2, 3))) for _ in range(cfg.random_families)]``
+    draws.  One generator per instance, keyed by seed, order, and catalog
+    position, so results never depend on worker scheduling.
+
+    The draw decodes the generator's 32-bit outputs (Matsumoto and
+    Nishimura, "Mersenne Twister", ACM TOMACS 1998), taken in bulk, as
+    CPython's randint(2, 3) and randrange(1 << order) consume them (its
+    _randbelow_with_getrandbits, 3.8-3.13): each try takes one output
+    and keeps its top 2 bits for the set count, its top order + 1 for a
+    mask, and is tried again when the first of those is set.  So the
+    tries that are kept are the outputs below 2**31, in order, and each
+    is read as the mask ``output >> (31 - order)``, whose top bit is the
+    count's (0 for 2 sets, 1 for 3).  A mask of more than 31 elements
+    would take more than one output; the sweep stops at order 4.
+    """
     rng = random.Random(f"{cfg.seed}:{order}:{idx}")
-    return [
-        tuple(rng.randrange(1 << order) for _ in range(rng.randint(2, 3)))
-        for _ in range(cfg.random_families)
-    ]
+    wanted, shift, top = cfg.random_families, 31 - order, order - 1
+    kept: list[int] = []
+    families: list[tuple[int, ...]] = []
+    at = 0
+    while len(families) < wanted:
+        # A family takes at most 4 kept outputs, and about 7 outputs
+        # are drawn per family kept.
+        while at + 4 > len(kept):
+            kept = kept[at:] + _kept_outputs(rng, 7 * (wanted - len(families)) + 8, shift)
+            at = 0
+        end = at + 3 + (kept[at] >> top)
+        families.append(tuple(kept[at + 1:end]))
+        at = end
+    return families
+
+
+def _kept_outputs(rng: random.Random, m: int, shift: int) -> list[int]:
+    """Of rng's next m outputs, those below 2**31, each shifted right by
+    shift.  getrandbits(32 * m) holds m outputs, the i-th in bits 32i to
+    32i + 31, on every platform."""
+    words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+    return [w >> shift for w in words if w < 0x80000000]
 
 
 def _family_bits(case: int | tuple[int, ...]) -> tuple[int, ...]:
@@ -218,12 +265,19 @@ _CHECKS = {
         T, Congruence._from_rgs(T.order, cls)),
     "permutation-identity": lambda T, _, ident: _identity_report(ident),
     "lemma4": lambda T, _, ident: _lemma4_report(T),
-    "theorem2-forward": lambda T, case, ident: _theorem2_forward(T, _family_bits(case), ident),
+    "theorem2-forward": lambda T, case, ident: _theorem2_forward(T, [_family_bits(case)], ident)[0],
     "theorem2-converse": lambda T, cls, ident: verify_theorem2_converse(
         T, Congruence._from_rgs(T.order, cls), ident),
     "corollary2": lambda T, bits, ident: verify_corollary2(
         T, ElementSet._from_bits(T.order, bits), ident),
 }
+
+# Every (check, status) pair, in a fixed order.  An instance's counts
+# travel as a tally, one int per pair, which is summed and pickled at
+# less cost than a Counter.
+_TALLY = tuple((check, status) for check in _CHECKS for status in (PASS, UNMET, FAIL))
+_SLOT = {key: i for i, key in enumerate(_TALLY)}
+_FAIL_SLOTS = [_SLOT[check, FAIL] for check in _CHECKS]
 
 
 class _Rendered(NamedTuple):
@@ -246,11 +300,13 @@ class _Plan(NamedTuple):
     the checks rendered over it, whose records interleave case by case;
     None marks where the random families go.  counts are the (check,
     status) counts over every record but the random families', which
-    every labeled copy of the class shares.
+    every labeled copy of the class shares, and tally the same as a
+    tally (see _TALLY).
     """
 
     steps: list[tuple[str, list[_Rendered]] | None]
     counts: Counter
+    tally: tuple[int, ...]
     congruences: list[tuple[int, ...]]
     identity: PermutationIdentity | None
 
@@ -306,7 +362,7 @@ def _plan(R: FiniteSemigroup, group: str) -> _Plan:
             render("congruences", "theorem2-converse")
         if identity is not None and "cor2" in wants:
             render("subsets", "corollary2")
-    return _Plan(steps, counts, congruences, identity)
+    return _Plan(steps, counts, tuple(counts[key] for key in _TALLY), congruences, identity)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -322,8 +378,41 @@ def _partition_literal(class_of: tuple[int, ...]) -> str:
     return Congruence._from_rgs(len(class_of), class_of).literal()
 
 
+@lru_cache(maxsize=None)
+def _subset_literals(order: int) -> list[str]:
+    """The literal of every subset of an order-n table, by mask."""
+    return list(map(_format_mask, range(1 << order)))
+
+
 # A subset literal in a record's detail, as _format_mask writes it.
 _MASK_LITERAL = re.compile(r"\{[\d,]*\}")
+
+
+class _RelabelingMaps(NamedTuple):
+    """What a relabeling q moves, whatever the class: pull[b] is R's mask
+    of the subset with mask b of the table q makes of R, and push the
+    inverse; literals maps R's subset literals to that table's, and
+    moves R's record texts to that table's (see _Copy.moved)."""
+
+    pull: list[int]
+    push: list[int]
+    literals: dict[str, str]
+    moves: dict[str, str]
+
+
+@lru_cache(maxsize=None)
+def _relabeling_maps(q: tuple[int, ...]) -> _RelabelingMaps:
+    """The subset maps of relabeling q, built once per q; the sweep's
+    orders 1-4 have 33 relabelings in all."""
+    pull = [0] * (1 << len(q))
+    for b in range(1, len(pull)):
+        low = b & -b
+        pull[b] = pull[b ^ low] | 1 << q[low.bit_length() - 1]
+    push = [0] * len(pull)
+    for b, r in enumerate(pull):
+        push[r] = b
+    literals = _subset_literals(len(q))
+    return _RelabelingMaps(pull, push, {literals[r]: literals[b] for b, r in enumerate(pull)}, {})
 
 
 class _Span(NamedTuple):
@@ -353,29 +442,19 @@ class _Copy:
     the identity nothing moves, and nothing is asked twice.
     """
 
-    def __init__(self, S: FiniteSemigroup, R: FiniteSemigroup, q: Sequence[int]):
+    def __init__(self, S: FiniteSemigroup, R: FiniteSemigroup, q: tuple[int, ...]):
         self.S, self.R, self.q = S, R, q
-        # pull[b] is R's mask of S's subset with mask b.
-        pull = [0] * (1 << S.order)
-        for b in range(1, len(pull)):
-            low = b & -b
-            pull[b] = pull[b ^ low] | 1 << q[low.bit_length() - 1]
-        self.pull = pull
-        self.moves: dict[str, str] = {}
-
-    @cached_property
-    def literals(self) -> dict[str, str]:
-        """S's literal of each of R's subset literals."""
-        return {_format_mask(r): _format_mask(b) for b, r in enumerate(self.pull)}
+        self.maps = _relabeling_maps(q)
 
     def moved(self, text: str) -> str:
         """R's witness-free record text as S's: its subset literals moved."""
         if "{" not in text or self.S is self.R:
             return text
-        moved = self.moves.get(text)
+        moves = self.maps.moves
+        moved = moves.get(text)
         if moved is None:
-            literals = self.literals
-            moved = self.moves[text] = _MASK_LITERAL.sub(lambda m: literals[m[0]], text)
+            literals = self.maps.literals
+            moved = moves[text] = _MASK_LITERAL.sub(lambda m: literals[m[0]], text)
         return moved
 
     def lines(self, rendered: _Rendered, span: _Span,
@@ -400,7 +479,7 @@ class _Copy:
 
 def _spans(copy: _Copy, prefix: str, plan: _Plan) -> dict[str, _Span]:
     """S's spans, each case beside its record head and R's key."""
-    pull = copy.pull
+    pull = copy.maps.pull
     base = len(pull)
     # S's congruences are R's pushed forward, in S's enumeration (RGS)
     # order, each beside its index in R's.
@@ -408,18 +487,15 @@ def _spans(copy: _Copy, prefix: str, plan: _Plan) -> dict[str, _Span]:
                          for j, cls in enumerate(plan.congruences))
     cong_cases = [cls for cls, _ in congruences]
     cong_keys = [j for _, j in congruences]
-    push = [0] * base
-    for b, r in enumerate(pull):
-        push[r] = b
     cong_where = [0] * len(cong_keys)
     for i, j in enumerate(cong_keys):
         cong_where[j] = i
-    subset_literals = list(map(_format_mask, range(base)))
+    subset_literals = _subset_literals(copy.S.order)
     cong_literals = list(map(_partition_literal, cong_cases))
     subset_heads = [f"{prefix}{lit} " for lit in subset_literals]
     cong_heads = [f"{prefix}{lit} " for lit in cong_literals]
     return {
-        "subsets": _Span(pull, subset_literals, subset_heads, push, range(base)),
+        "subsets": _Span(pull, subset_literals, subset_heads, copy.maps.push, range(base)),
         "congruences": _Span(cong_keys, cong_literals, cong_heads, cong_where, cong_cases),
         "table": _Span([0], ["-"], [f"{prefix}- "], [0], [None]),
     }
@@ -431,9 +507,9 @@ def _instance(
     idx: int,
     S: FiniteSemigroup,
     R: FiniteSemigroup | None = None,
-    q: Sequence[int] | None = None,
+    q: tuple[int, ...] | None = None,
 ) -> Instance:
-    """One catalog instance's record text, (check, status) counts and
+    """One catalog instance's record text, (check, status) tally and
     fail lines.
 
     R is S's class representative and q the relabeling that makes S of
@@ -441,16 +517,17 @@ def _instance(
     their literals and their order are S's own.
     """
     if R is None:
-        R, q = S, range(order)
+        R, q = S, tuple(range(order))
     plan = _plan(R, cfg.theorem)
     copy = _Copy(S, R, q)
     prefix = f"order={order} table={_table_hash(S)} case="
     spans = _spans(copy, prefix, plan)
-    counts = Counter(plan.counts)
+    tally = plan.tally
     lines: list[str] = []
     for step in plan.steps:
         if step is None:
-            lines += _random_lines(cfg, order, idx, copy, prefix, plan.identity, counts)
+            randoms, tally = _random_lines(cfg, order, idx, copy, prefix, plan.identity, tally)
+            lines += randoms
             continue
         span, rendered = step
         columns = [copy.lines(r, spans[span], plan.identity) for r in rendered]
@@ -460,37 +537,48 @@ def _instance(
             for row in zip(*columns):
                 lines += row
     fails = []
-    if any(status == FAIL for _, status in counts):
+    if any(tally[i] for i in _FAIL_SLOTS):
         # A case literal holds no space, so the fifth field is the status.
         fails = [line[:-1] for line in lines if line.split(" ", 5)[4] == f"status={FAIL}"]
-    return "".join(lines), counts, fails
+    return "".join(lines), tally, fails
 
 
 def _random_lines(cfg: SweepConfig, order: int, idx: int, copy: _Copy, prefix: str,
-                  identity: PermutationIdentity, counts: Counter) -> list[str]:
-    """S's theorem 2 forward records on its random families, counted into counts.
+                  identity: PermutationIdentity, tally: tuple[int, ...],
+                  ) -> tuple[list[str], tuple[int, ...]]:
+    """S's theorem 2 forward records on its random families, and tally
+    with them counted in.
 
-    Each family is asked of R once, at its masks pulled back, and not
-    stored; a report with a witness is asked of S itself and must keep
-    R's status, as in _Copy.
+    The families are asked of R in one call, at their masks pulled
+    back, and not stored; each distinct report is rendered once.  The
+    families whose report has a witness are asked of S itself, in one
+    more call, and must keep R's status, as in _Copy.
     """
-    R, S, pull = copy.R, copy.S, copy.pull
-    out = []
-    for masks in _random_families(cfg, order, idx):
-        literal = ";".join(map(_format_mask, masks))
-        rep = _theorem2_forward(R, [pull[m] for m in masks], identity)
-        if rep.witness is None:
-            text = copy.moved(rep.record())
-        else:
-            if S is not R:
-                status, rep = rep.status, _theorem2_forward(S, masks, identity)
-                if rep.status != status:
-                    raise StatusNotInvariant(_table_hash(S), rep.check, literal,
-                                             status, rep.status)
-            text = rep.record()
-        counts[rep.check, rep.status] += 1
-        out.append(f"{prefix}{literal} {text}\n")
-    return out
+    R, S, pull = copy.R, copy.S, copy.maps.pull
+    families = _random_families(cfg, order, idx)
+    reports = _theorem2_forward(R, [[pull[m] for m in masks] for masks in families], identity)
+    literals = _subset_literals(order)
+    names = [";".join([literals[m] for m in masks]) for masks in families]
+    # Each distinct report by its id, which stays its own while reports
+    # holds it, and its text as S's; a report with a witness has none.
+    distinct = {id(rep): rep for rep in reports}
+    texts = {key: None if rep.witness is not None else copy.moved(rep.record())
+             for key, rep in distinct.items()}
+    out = [f"{prefix}{name} {texts[id(rep)]}\n" for name, rep in zip(names, reports)]
+    if None in texts.values():
+        asks = [i for i, rep in enumerate(reports) if rep.witness is not None]
+        mine = (_theorem2_forward(S, [families[i] for i in asks], identity)
+                if S is not R else [reports[i] for i in asks])
+        for i, rep in zip(asks, mine):
+            status = reports[i].status
+            if rep.status != status:
+                raise StatusNotInvariant(_table_hash(S), rep.check, names[i], status, rep.status)
+            out[i] = f"{prefix}{names[i]} {rep.record()}\n"
+    tally = list(tally)
+    for key, n in Counter(map(id, reports)).items():
+        rep = distinct[key]
+        tally[_SLOT[rep.check, rep.status]] += n
+    return out, tuple(tally)
 
 
 def _instance_worker(item: tuple[SweepConfig, int, int, FiniteSemigroup, int]) -> Instance:
@@ -508,14 +596,18 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
     Instances come as they are done, so a consumer that writes and
     drops them holds a few instances' records at a time.  The bytes
     are the same for every parallelism.  A sweep whose labeled tables
-    are estimated over ten seconds (any that includes order 5) raises
-    WorkBudgetExceeded from this call, before any table is built.  No
+    are estimated over ten seconds (any that includes order 5, or asks
+    for more than about 820 random families per table at orders 1-4)
+    raises WorkBudgetExceeded from this call, before any table is built.  No
     more worker processes start than there are usable CPUs or chunks of
     instances; close the iterator to stop a parallel sweep early.
     """
     orders = range(cfg.min_order, cfg.max_order + 1)
     tables = sum(map(_labeled_count, orders))
-    _within_budget(f"the sweep of {tables:,} labeled tables", tables * _INSTANCE_SECONDS)
+    what = f"the sweep of {tables:,} labeled tables"
+    if cfg.random_families:
+        what += f" with up to {cfg.random_families:,} random families each"
+    _within_budget(what, tables * (_INSTANCE_SECONDS + cfg.random_families * _FAMILY_SECONDS))
     items, classes = [], []
     for order in orders:
         canonical, index = _orbit_index(order)

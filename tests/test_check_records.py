@@ -10,6 +10,8 @@ the partition's canonical ``class_of``), so a seeded entry stands in for
 a faulty analysis.
 """
 
+from itertools import product
+
 import pytest
 
 from sglab import (
@@ -30,6 +32,7 @@ from sglab import (
     verify_theorem2_converse,
     verify_theorem2_forward,
 )
+from sglab.permutative import _theorem2_forward
 
 Z2 = [[0, 1], [1, 0]]  # the group of order 2
 MIN2 = [[0, 0], [0, 1]]  # the two-element semilattice: 0 is a zero, 1 the identity
@@ -292,6 +295,36 @@ def test_every_check_and_status_is_covered():
     for check in checks:
         assert (f"check={check}", "status=pass") in seen, check
         assert (f"check={check}", "status=fail") in seen, check
+
+
+def test_a_theorem2_batch_answers_each_family_as_it_is_asked_alone():
+    # The sweep asks theorem 2 forward on many families in one call.  On
+    # each table the forward cases above plant, planted the same way,
+    # and on the left-zero band with its full set planted not medial,
+    # one batch of every family of 0-3 subsets under either identity
+    # gives each family the record it gets when it is asked alone, of a
+    # second table planted alike.  The batches mix passing, failing and
+    # empty-intersection families, and some claim an identity that does
+    # not hold.
+    forced = [(table, plant) for case, (table, plant, _, _) in CASES.items()
+              if case.startswith("t2f-")]
+    forced.append((LZ2, seed("medial", 0b11, (False, (0, 0, 1, 0)))))
+    mixes = set()
+    for table, plant in forced:
+        for ident in (SWAP, MIDDLE):
+            S, T = validate(table), validate(table)
+            if plant is not None:
+                plant(S)
+                plant(T)
+            n = S.order
+            families = [f for k in range(4) for f in product(range(1 << n), repeat=k)]
+            batch = _theorem2_forward(S, families, ident)
+            alone = [verify_theorem2_forward(T, [ElementSet._from_bits(n, b) for b in f], ident)
+                     for f in families]
+            assert [r.record() for r in batch] == [r.record() for r in alone], (table, ident)
+            mixes.add(frozenset(r.status for r in batch))
+    assert frozenset({"pass", "fail", "precondition-unmet"}) in mixes
+    assert frozenset({"precondition-unmet"}) in mixes
 
 
 # Each check handed an argument over 3 elements while S has 2.

@@ -275,6 +275,17 @@ class TestVerify:
             assert code == 2 and out == "", argv
             assert "labeled tables" in err and "over the budget of 10 s" in err, argv
 
+    def test_random_families_over_the_budget_are_refused(self, capsys, monkeypatch):
+        # Random families count toward the sweep's estimate: ten million
+        # of them on the order-2 tables exit 2 before any table is built.
+        def indexed(n):
+            raise AssertionError(f"the order-{n} catalog index was read")
+
+        monkeypatch.setattr(sweep, "_orbit_index", indexed)
+        code, out, err = run(capsys, "verify", "--order", "2", "--random-families", "10000000")
+        assert code == 2 and out == ""
+        assert "10,000,000 random families" in err and "over the budget of 10 s" in err
+
     # Frozen stdout of `sglab verify --max-order 3 --structured --seed N`:
     # (line count, sha256).  Any change to a record's bytes, order or
     # count breaks it.

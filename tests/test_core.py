@@ -139,7 +139,10 @@ class TestValidate:
             "the canonical form of an order-3 table": lambda: canonical_form(chain3),
             "the congruence search of an order-3 table": lambda: enumerate_congruences(chain3),
             "the order-1 catalog": lambda: enumerate_semigroups(1, up_to_iso=True),
-            "the sweep of 9 labeled tables": lambda: iter_sweep(SweepConfig(max_order=2)),
+            "the sweep of 9 labeled tables": lambda: iter_sweep(
+                SweepConfig(max_order=2, random_families=0)),
+            "the sweep of 9 labeled tables with up to 20 random families each": lambda: iter_sweep(
+                SweepConfig(max_order=2)),
         }
         for what, search in searches.items():
             with pytest.raises(WorkBudgetExceeded) as e:

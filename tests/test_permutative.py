@@ -1,4 +1,5 @@
 import pickle
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sglab import (
     ElementSet,
     PermutationIdentity,
     all_subsets,
+    enumerate_semigroups,
     find_permutation_identity,
     format_permutation,
     identity_congruence,
@@ -225,19 +227,33 @@ class TestTheorem2Forward:
                 assert rep.status in ("pass", "precondition-unmet"), rep
 
 
-    def test_masks_route_answers_as_the_sets_route(self, catalog3):
-        # The sweep asks theorem 2 forward on its families' masks; the
-        # public function checks the sets' ambient order and then gives
-        # the same report on every two-set family of these tables.
-        for S in catalog3[::7]:
-            w = find_permutation_identity(S, 4)
-            if w is None:
-                continue
-            subsets = list(all_subsets(S.order))
-            for A in subsets:
-                for B in subsets:
-                    assert verify_theorem2_forward(S, [A, B], w) == _theorem2_forward(
-                        S, [A.bits, B.bits], w)
+    def test_masks_route_answers_as_the_sets_route(self):
+        # The sweep asks theorem 2 forward on its families' masks, many
+        # families per call; the public function checks the sets' ambient
+        # order and asks one family alone.  Every family of 0-3 subsets of
+        # every table of orders 1-3 that has an identity, asked in one
+        # batch per table, which mixes families whose separators miss
+        # each other with passing ones, gets the record (status, witness
+        # and detail) the public function gives it on a fresh copy of the
+        # table.  Equal answers share one report object.
+        tables = mixed = 0
+        for n in range(1, 4):
+            for S in enumerate_semigroups(n):
+                w = find_permutation_identity(S, 4)
+                if w is None:
+                    continue
+                families = [f for k in range(4) for f in product(range(1 << n), repeat=k)]
+                batch = _theorem2_forward(S, families, w)
+                T = validate(S.table)
+                alone = [verify_theorem2_forward(T, [ElementSet._from_bits(n, b) for b in f], w)
+                         for f in families]
+                assert [r.record() for r in batch] == [r.record() for r in alone], S.table
+                for status in ("pass", "precondition-unmet"):
+                    answers = {r.record() for r in batch if r.status == status}
+                    assert len({id(r) for r in batch if r.status == status}) == len(answers)
+                mixed += {r.status for r in batch} == {"pass", "precondition-unmet"}
+                tables += 1
+        assert tables == 116 and mixed > 0, mixed
         with pytest.raises(AmbientMismatch):
             verify_theorem2_forward(S, [eset(2, 0)], w)
 

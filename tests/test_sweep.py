@@ -249,20 +249,27 @@ def test_a_report_asked_of_a_copy_must_keep_its_class_status(monkeypatch):
 def test_a_random_family_asked_of_a_copy_must_keep_its_class_status(monkeypatch):
     # A random family whose report on the representative has a witness
     # is asked of the labeled table itself, and must keep the status
-    # too.  Here the representative's report is planted: it fails with
-    # a witness on every random family (2-3 sets that cover less than
-    # the whole table, so never a congruence's classes), while the
-    # copy's own report keeps its real status.
+    # too.  Here the representative's reports are planted, in the one
+    # batched call that answers all of its random families: each fails
+    # with a witness on every random family (2-3 sets that cover less
+    # than the whole table, so never a congruence's classes), while the
+    # copy's own reports keep their real status.
     forward = sweep._theorem2_forward
 
-    def planted(T, masks, ident):
-        rep = forward(T, masks, ident)
-        covered = 0
-        for m in masks:
-            covered |= m
-        if len(masks) > 1 and covered != (1 << T.order) - 1 and canonical_form(T) == T.table:
-            return failed(rep.check, (("a", 0),), "planted")
-        return rep
+    def planted(T, families, ident):
+        reports = forward(T, families, ident)
+        if canonical_form(T) != T.table:
+            return reports
+        full = (1 << T.order) - 1
+        out = []
+        for masks, rep in zip(families, reports):
+            covered = 0
+            for m in masks:
+                covered |= m
+            if len(masks) > 1 and covered != full:
+                rep = failed(rep.check, (("a", 0),), "planted")
+            out.append(rep)
+        return out
 
     monkeypatch.setattr(sweep, "_theorem2_forward", planted)
     with pytest.raises(StatusNotInvariant,
@@ -376,6 +383,27 @@ class TestRunSweep:
             sweep.iter_sweep(SweepConfig(max_order=5))
         with pytest.raises(WorkBudgetExceeded, match="the sweep of 183,732 labeled tables"):
             sweep.iter_sweep(SweepConfig(min_order=5, max_order=5))
+
+    def test_random_families_count_toward_the_budget(self, monkeypatch):
+        # Each table is estimated with its random families.  The
+        # acceptance sweep's 100 families at orders 1-4 stay well inside
+        # the budget; ten million families on the 8 order-2 tables are
+        # refused before the catalog index is read.
+        est = lambda tables, families: tables * (
+            sweep._INSTANCE_SECONDS + families * sweep._FAMILY_SECONDS)
+        assert est(3614, 100) < 5 < 10 < est(3614, 1000) < est(8, 10_000_000)
+        sweep.iter_sweep(SweepConfig(max_order=4, random_families=100, parallelism=1)).close()
+
+        def indexed(n):
+            raise AssertionError(f"the order-{n} catalog index was read")
+
+        monkeypatch.setattr(sweep, "_orbit_index", indexed)
+        with pytest.raises(WorkBudgetExceeded,
+                           match="the sweep of 8 labeled tables with up to 10,000,000 random "
+                                 "families each needs about 240 s"):
+            sweep.iter_sweep(SweepConfig(min_order=2, max_order=2, random_families=10_000_000))
+        with pytest.raises(WorkBudgetExceeded, match="with up to 1,000 random families each"):
+            sweep.iter_sweep(SweepConfig(max_order=4, random_families=1000))
 
     def test_summary_lines(self):
         rep = run_sweep(SweepConfig(max_order=2, theorem="lemmas"))
