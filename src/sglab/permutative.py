@@ -215,10 +215,11 @@ def _theorem2_forward(
     family, each family given as the bit masks of its sets, each known
     to lie in S.
 
-    The identity is checked once and each distinct set's separator read
-    once.  Reports are frozen, so equal answers share one object: every
-    family with an empty separator intersection gets the same unmet
-    report, and every pass with the same identity class the same report.
+    The identity is checked once, and each set's separator is read from
+    the table's memo.  Reports are frozen, so equal answers share one
+    object: every family with an empty separator intersection gets the
+    same unmet report, and every pass with the same identity class the
+    same report.
     """
     check = "theorem2-forward"
     if not families:
@@ -227,17 +228,13 @@ def _theorem2_forward(
     if bad is not None:
         return [bad] * len(families)
     full = (1 << S.order) - 1
-    separators: dict[int, int] = {}
     passes: dict[int, CheckReport] = {}
     empty = None
     reports = []
     for masks in families:
         common = full
         for bits in masks:
-            sep = separators.get(bits)
-            if sep is None:
-                sep = separators[bits] = _separator(S, bits)
-            common &= sep
+            common &= _separator(S, bits)
         if not common:
             if empty is None:
                 empty = unmet(check, "intersection of separators is empty")

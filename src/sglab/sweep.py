@@ -16,7 +16,6 @@ runs and across worker counts.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import random
 import re
@@ -184,10 +183,10 @@ def _table_hash(S: FiniteSemigroup) -> str:
     return hashlib.sha256(catalog_line(S).encode()).hexdigest()[:12]
 
 
-def _random_families(cfg: SweepConfig, order: int, idx: int) -> list[tuple[int, ...]]:
-    """The instance's random families, each as the bit masks of its 2-3
-    sets: what ``[tuple(rng.randrange(1 << order) for _ in
-    range(rng.randint(2, 3))) for _ in range(cfg.random_families)]``
+def _random_families(cfg: SweepConfig, order: int, idx: int) -> list[list[int]]:
+    """The instance's random families, each as the list of the bit masks
+    of its 2-3 sets: what ``[[rng.randrange(1 << order) for _ in
+    range(rng.randint(2, 3))] for _ in range(cfg.random_families)]``
     draws.  One generator per instance, keyed by seed, order, and catalog
     position, so results never depend on worker scheduling.
 
@@ -205,7 +204,7 @@ def _random_families(cfg: SweepConfig, order: int, idx: int) -> list[tuple[int, 
     rng = random.Random(f"{cfg.seed}:{order}:{idx}")
     wanted, shift, top = cfg.random_families, 31 - order, order - 1
     kept: list[int] = []
-    families: list[tuple[int, ...]] = []
+    families: list[list[int]] = []
     at = 0
     while len(families) < wanted:
         # A family takes at most 4 kept outputs, and about 7 outputs
@@ -214,7 +213,7 @@ def _random_families(cfg: SweepConfig, order: int, idx: int) -> list[tuple[int, 
             kept = kept[at:] + _kept_outputs(rng, 7 * (wanted - len(families)) + 8, shift)
             at = 0
         end = at + 3 + (kept[at] >> top)
-        families.append(tuple(kept[at + 1:end]))
+        families.append(kept[at + 1:end])
         at = end
     return families
 
@@ -227,12 +226,17 @@ def _kept_outputs(rng: random.Random, m: int, shift: int) -> list[int]:
     return [w >> shift for w in words if w < 0x80000000]
 
 
-def _family_bits(case: int | tuple[int, ...]) -> tuple[int, ...]:
-    """The masks of a case's theorem family: a mask's one set, a partition's classes."""
-    return (case,) if type(case) is int else _class_bits(case)
+def _family_bits(case: int | list[int] | tuple[int, ...]) -> Sequence[int]:
+    """The masks of a case's theorem family: a mask's one set, a random
+    family's own masks (a list), a partition's classes (its class_of, a
+    tuple).  The tuple (0, 1) is both an order-2 class_of and a 2-set
+    family, so only a list is read as a family."""
+    if type(case) is int:
+        return (case,)
+    return case if type(case) is list else _class_bits(case)
 
 
-def _family(n: int, case: int | tuple[int, ...]) -> list[ElementSet]:
+def _family(n: int, case: int | list[int] | tuple[int, ...]) -> list[ElementSet]:
     return [ElementSet._from_bits(n, bits) for bits in _family_bits(case)]
 
 
@@ -253,8 +257,8 @@ def _lemma4_report(T: FiniteSemigroup) -> CheckReport:
 
 # Each check the sweep asks, as a function of a table, a case and the
 # table's permutation identity (None where none was found).  A case is
-# a subset's mask, a partition's class_of, or None for a whole-table
-# check.
+# a subset's mask, a partition's class_of, a random family's list of
+# masks, or None for a whole-table check.
 _CHECKS = {
     "lemma1": lambda T, bits, _: check_lemma1(T, ElementSet._from_bits(T.order, bits)),
     "lemma2": lambda T, bits, _: check_lemma2(T, ElementSet._from_bits(T.order, bits)),
@@ -282,7 +286,7 @@ _FAIL_SLOTS = [_SLOT[check, FAIL] for check in _CHECKS]
 
 class _Rendered(NamedTuple):
     """One check's records on a class representative R, one per key of
-    its span, in R's key order (see _plan)."""
+    its span, in R's key order (see _render)."""
 
     check: str
     # Each record's text from "check=" on, with its newline.
@@ -293,19 +297,37 @@ class _Rendered(NamedTuple):
     asks: dict[int, str]
 
 
+def _render(check: str, reports: Sequence[CheckReport], tally: list[int]) -> _Rendered:
+    """One check's records of reports, one per key, each distinct report
+    rendered once, and each report's status counted into tally (see
+    _TALLY).  A report is known by its id, which stays its own while
+    reports holds it."""
+    texts, pushes, asks = [], [], {}
+    rendered: dict[int, str] = {}
+    for key, rep in enumerate(reports):
+        text = rendered.get(id(rep))
+        if text is None:
+            text = rendered[id(rep)] = rep.record() + "\n"
+        texts.append(text)
+        if rep.witness is not None:
+            asks[key] = rep.status
+        elif "{" in rep.detail:
+            pushes.append(key)
+        tally[_SLOT[check, rep.status]] += 1
+    return _Rendered(check, texts, pushes, asks)
+
+
 class _Plan(NamedTuple):
     """A class representative's rendered records for one theorem group.
 
     steps are the group's checks in record order, each as a span and
     the checks rendered over it, whose records interleave case by case;
-    None marks where the random families go.  counts are the (check,
+    None marks where the random families go.  tally holds the (check,
     status) counts over every record but the random families', which
-    every labeled copy of the class shares, and tally the same as a
-    tally (see _TALLY).
+    every labeled copy of the class shares (see _TALLY).
     """
 
     steps: list[tuple[str, list[_Rendered]] | None]
-    counts: Counter
     tally: tuple[int, ...]
     congruences: list[tuple[int, ...]]
     identity: PermutationIdentity | None
@@ -327,22 +349,12 @@ def _plan(R: FiniteSemigroup, group: str) -> _Plan:
                 if "2" in wants or "cor2" in wants else None)
     cases = {"subsets": range(1 << R.order), "congruences": congruences, "table": [None]}
     steps: list = []
-    counts: Counter = Counter()
+    tally = [0] * len(_TALLY)
 
     def render(span: str, *checks: str) -> None:
-        rendered = []
-        for check in checks:
-            texts, pushes, asks = [], [], {}
-            for key, case in enumerate(cases[span]):
-                rep = _CHECKS[check](R, case, identity)
-                if rep.witness is not None:
-                    asks[key] = rep.status
-                elif "{" in rep.detail:
-                    pushes.append(key)
-                texts.append(rep.record() + "\n")
-                counts[check, rep.status] += 1
-            rendered.append(_Rendered(check, texts, pushes, asks))
-        steps.append((span, rendered))
+        steps.append((span, [_render(check, [_CHECKS[check](R, case, identity)
+                                             for case in cases[span]], tally)
+                             for check in checks]))
 
     if "lemmas" in wants:
         render("subsets", "lemma1", "lemma2", "lemma3")
@@ -362,7 +374,7 @@ def _plan(R: FiniteSemigroup, group: str) -> _Plan:
             render("congruences", "theorem2-converse")
         if identity is not None and "cor2" in wants:
             render("subsets", "corollary2")
-    return _Plan(steps, counts, tuple(counts[key] for key in _TALLY), congruences, identity)
+    return _Plan(steps, tuple(tally), congruences, identity)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -420,10 +432,10 @@ class _Span(NamedTuple):
     representative's key of each, its literal and record head, the
     position of each representative key, and the table's own case."""
 
-    keys: list[int]
+    keys: Sequence[int]
     literals: list[str]
     heads: list[str]
-    where: list[int]
+    where: Sequence[int]
     cases: Sequence
 
 
@@ -431,15 +443,16 @@ class _Copy:
     """A labeled table S, answered through its class representative R.
 
     q is the relabeling that makes S of R: S labels i the element q[i]
-    of R.  A case of S, a subset's mask or a partition, is pulled back
-    through q to R's key, and S's record is R's rendered one for that
-    key.  Every notion the checks test is defined up to relabeling, so
-    a report without a witness holds for S as it stands once each
-    subset literal in its detail is pushed forward to S's labels.  A
-    witness is the lexicographically first, which a relabeling does not
-    keep, so a report with a witness is asked of S itself, and must keep
-    R's status, which the sweep counts for every copy.  With R = S and q
-    the identity nothing moves, and nothing is asked twice.
+    of R.  A case of S, a subset's mask, a partition or a random family,
+    is pulled back through q to R's key, and S's record is R's rendered
+    one for that key.  Every notion the checks test is defined up to
+    relabeling, so a report without a witness holds for S as it stands
+    once each subset literal in its detail is pushed forward to S's
+    labels.  A witness is the lexicographically first, which a
+    relabeling does not keep, so a report with a witness is asked of S
+    itself, and must keep R's status, which the sweep counts for every
+    copy.  With R = S and q the identity nothing moves, and nothing is
+    asked twice.
     """
 
     def __init__(self, S: FiniteSemigroup, R: FiniteSemigroup, q: tuple[int, ...]):
@@ -447,9 +460,9 @@ class _Copy:
         self.maps = _relabeling_maps(q)
 
     def moved(self, text: str) -> str:
-        """R's witness-free record text as S's: its subset literals moved."""
-        if "{" not in text or self.S is self.R:
-            return text
+        """R's witness-free record text as S's, its subset literals
+        moved; lines asks it only of a text with some, of a copy S that
+        is not R."""
         moves = self.maps.moves
         moved = moves.get(text)
         if moved is None:
@@ -501,23 +514,15 @@ def _spans(copy: _Copy, prefix: str, plan: _Plan) -> dict[str, _Span]:
     }
 
 
-def _instance(
-    cfg: SweepConfig,
-    order: int,
-    idx: int,
-    S: FiniteSemigroup,
-    R: FiniteSemigroup | None = None,
-    q: tuple[int, ...] | None = None,
-) -> Instance:
+def _instance(cfg: SweepConfig, order: int, idx: int, R: FiniteSemigroup, k: int = 0) -> Instance:
     """One catalog instance's record text, (check, status) tally and
     fail lines.
 
-    R is S's class representative and q the relabeling that makes S of
-    it, as in _Copy; left out, R is S and q the identity.  The cases,
-    their literals and their order are S's own.
+    The instance is the labeled table S that relabeling k makes of its
+    class representative R, as in _Copy; relabeling 0 gives back R.  The
+    cases, their literals and their order are S's own.
     """
-    if R is None:
-        R, q = S, tuple(range(order))
+    S, q = _relabeling(R, k)
     plan = _plan(R, cfg.theorem)
     copy = _Copy(S, R, q)
     prefix = f"order={order} table={_table_hash(S)} case="
@@ -526,11 +531,10 @@ def _instance(
     lines: list[str] = []
     for step in plan.steps:
         if step is None:
-            randoms, tally = _random_lines(cfg, order, idx, copy, prefix, plan.identity, tally)
-            lines += randoms
-            continue
-        span, rendered = step
-        columns = [copy.lines(r, spans[span], plan.identity) for r in rendered]
+            span, rendered, tally = _random_step(cfg, order, idx, copy, prefix, plan, tally)
+        else:
+            span, rendered = spans[step[0]], step[1]
+        columns = [copy.lines(r, span, plan.identity) for r in rendered]
         if len(columns) == 1:
             lines += columns[0]
         else:
@@ -543,50 +547,31 @@ def _instance(
     return "".join(lines), tally, fails
 
 
-def _random_lines(cfg: SweepConfig, order: int, idx: int, copy: _Copy, prefix: str,
-                  identity: PermutationIdentity, tally: tuple[int, ...],
-                  ) -> tuple[list[str], tuple[int, ...]]:
-    """S's theorem 2 forward records on its random families, and tally
-    with them counted in.
+def _random_step(cfg: SweepConfig, order: int, idx: int, copy: _Copy, prefix: str, plan: _Plan,
+                 tally: tuple[int, ...]) -> tuple[_Span, list[_Rendered], tuple[int, ...]]:
+    """S's random families as a span, theorem 2 forward on them rendered
+    on R, and tally with them counted in.
 
     The families are asked of R in one call, at their masks pulled
-    back, and not stored; each distinct report is rendered once.  The
-    families whose report has a witness are asked of S itself, in one
-    more call, and must keep R's status, as in _Copy.
+    back; R's key of S's i-th family is i.
     """
-    R, S, pull = copy.R, copy.S, copy.maps.pull
+    pull = copy.maps.pull
     families = _random_families(cfg, order, idx)
-    reports = _theorem2_forward(R, [[pull[m] for m in masks] for masks in families], identity)
+    reports = _theorem2_forward(copy.R, [[pull[m] for m in masks] for masks in families],
+                                plan.identity)
     literals = _subset_literals(order)
     names = [";".join([literals[m] for m in masks]) for masks in families]
-    # Each distinct report by its id, which stays its own while reports
-    # holds it, and its text as S's; a report with a witness has none.
-    distinct = {id(rep): rep for rep in reports}
-    texts = {key: None if rep.witness is not None else copy.moved(rep.record())
-             for key, rep in distinct.items()}
-    out = [f"{prefix}{name} {texts[id(rep)]}\n" for name, rep in zip(names, reports)]
-    if None in texts.values():
-        asks = [i for i, rep in enumerate(reports) if rep.witness is not None]
-        mine = (_theorem2_forward(S, [families[i] for i in asks], identity)
-                if S is not R else [reports[i] for i in asks])
-        for i, rep in zip(asks, mine):
-            status = reports[i].status
-            if rep.status != status:
-                raise StatusNotInvariant(_table_hash(S), rep.check, names[i], status, rep.status)
-            out[i] = f"{prefix}{names[i]} {rep.record()}\n"
-    tally = list(tally)
-    for key, n in Counter(map(id, reports)).items():
-        rep = distinct[key]
-        tally[_SLOT[rep.check, rep.status]] += n
-    return out, tuple(tally)
+    keys = range(len(families))
+    span = _Span(keys, names, [f"{prefix}{name} " for name in names], keys, families)
+    counted = list(tally)
+    rendered = _render("theorem2-forward", reports, counted)
+    return span, [rendered], tuple(counted)
 
 
 def _instance_worker(item: tuple[SweepConfig, int, int, FiniteSemigroup, int]) -> Instance:
     # The item carries S's class representative and the index of the
     # relabeling that makes S of it.
-    cfg, order, idx, R, k = item
-    S, q = _relabeling(R, k)
-    return _instance(cfg, order, idx, S, R, q)
+    return _instance(*item)
 
 
 def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
@@ -617,9 +602,13 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
         classes += [i for i, _ in index]
     chunks = -(-len(items) // _CHUNK)
     workers = min(cfg.parallelism, _usable_cpus(), chunks)
-    # Where there is no fork (Windows), the sweep runs in this process.
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        return _forked(items, [i % workers for i in classes], workers)
+    if workers > 1:
+        # Imported here, so a serial sweep and the CLI's start never load it.
+        import multiprocessing
+
+        # Where there is no fork (Windows), the sweep runs in this process.
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _forked(items, [i % workers for i in classes], workers)
     return (_instance_worker(item) for item in items)
 
 
@@ -634,6 +623,8 @@ def _forked(items: list, owners: list[int], workers: int) -> Iterator[Instance]:
     # worker.  Fork, not spawn: the workers inherit their items, so
     # nothing is pickled on the way out, and the parent runs no thread
     # that a fork could catch mid-operation.
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     readers, procs = [], []
 

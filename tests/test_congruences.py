@@ -521,8 +521,8 @@ class TestMemo:
             rendered = [r for step in plan.steps if step is not None for r in step[1]]
             assert all(len(r.texts) <= 2**4 + bell4 for r in rendered), group
             randoms = cfg.random_families if group in ("all", "2") else 0
-            assert sum(plan.counts.values()) == sum(len(r.texts) for r in rendered)
-            assert sum(plan.counts.values()) == len(records[group]) - randoms, group
+            assert sum(plan.tally) == sum(len(r.texts) for r in rendered)
+            assert sum(plan.tally) == len(records[group]) - randoms, group
         assert {r.check for step in plans["all"].steps if step is not None
                 for r in step[1]} == set(sweep._CHECKS)
         for kind, entries in kinds.items():

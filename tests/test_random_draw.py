@@ -19,7 +19,7 @@ from sglab.sweep import SweepConfig, _random_families
 def reference(seed, order, idx, count):
     rng = random.Random(f"{seed}:{order}:{idx}")
     return [
-        tuple(rng.randrange(1 << order) for _ in range(rng.randint(2, 3)))
+        [rng.randrange(1 << order) for _ in range(rng.randint(2, 3))]
         for _ in range(count)
     ]
 

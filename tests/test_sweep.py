@@ -9,7 +9,10 @@ from dataclasses import replace
 
 import pytest
 
+from collections import Counter
+
 from sglab import (
+    Congruence,
     ElementSet,
     FiniteSemigroup,
     NotACongruence,
@@ -31,6 +34,7 @@ from sglab import (
     run_sweep,
     separator,
     validate,
+    verify_theorem2_forward,
 )
 from sglab import catalog, cli, sweep
 from sglab.reports import failed
@@ -252,8 +256,9 @@ def test_a_random_family_asked_of_a_copy_must_keep_its_class_status(monkeypatch)
     # too.  Here the representative's reports are planted, in the one
     # batched call that answers all of its random families: each fails
     # with a witness on every random family (2-3 sets that cover less
-    # than the whole table, so never a congruence's classes), while the
-    # copy's own reports keep their real status.
+    # than the whole table, so never a congruence's classes).  The copy
+    # is asked through sweep._CHECKS, one family at a time, so its own
+    # reports keep their real status.
     forward = sweep._theorem2_forward
 
     def planted(T, families, ident):
@@ -315,6 +320,30 @@ def test_no_class_without_a_short_identity_has_a_longer_one():
     assert (searched.count(3), searched.count(4), len(searched)) == (2, 34, 36)
 
 
+def test_a_random_family_is_a_list_and_a_partition_a_tuple():
+    # The sweep's theorem 2 case is a random family's own masks when it
+    # is a list and a partition's class_of when it is a tuple: (0, 1) is
+    # both an order-2 class_of and a 2-set family.  On (0, 0, 1) the two
+    # readings give different reports on some permutative tables.
+    check = sweep._CHECKS["theorem2-forward"]
+    told_apart = 0
+    for n, masks in ((2, [0, 1]), (3, [0, 1, 1]), (3, [0, 0, 1])):
+        for S in enumerate_semigroups(n, up_to_iso=True):
+            ident = find_permutation_identity(S, sweep._IDENTITY_LENGTH)
+            if ident is None:
+                continue
+            family = [ElementSet._from_bits(n, m) for m in masks]
+            classes = Congruence._from_rgs(n, tuple(masks)).classes()
+            as_family = check(S, list(masks), ident)
+            as_partition = check(S, tuple(masks), ident)
+            assert as_family == verify_theorem2_forward(S, family, ident), S.table
+            assert as_partition == verify_theorem2_forward(S, classes, ident), S.table
+            told_apart += as_family != as_partition
+    assert told_apart
+    with pytest.raises(TypeError):
+        sweep._class_bits([0, 1])
+
+
 class TestRunSweep:
     def test_small_catalog_counts_and_zero_fails(self):
         rep = run_sweep(SweepConfig(max_order=2, random_families=3))
@@ -322,6 +351,11 @@ class TestRunSweep:
         assert rep.fails == []
         assert all(st != "fail" for (_, st) in rep.counts)
         assert sum(rep.counts.values()) == len(rep.records)
+        # Every (check, status) count, random families and labeled copies
+        # included, is the number of records that carry it.
+        rep = run_sweep(SweepConfig(max_order=3, random_families=50, seed=3, parallelism=1))
+        assert rep.counts == Counter(tuple(f.partition("=")[2] for f in line.split(" ")[3:5])
+                                     for line in rep.records)
 
     def test_single_order_selection(self):
         rep = run_sweep(SweepConfig(min_order=2, max_order=2, theorem="lemmas"))
