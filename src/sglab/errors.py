@@ -7,72 +7,74 @@ worker process to its parent.
 
 
 class SglabError(ValueError):
-    """Base class for all structured errors raised by sglab."""
+    """Base class for all structured errors raised by sglab.
+
+    A subclass names its constructor arguments in ``fields``, in order,
+    and its text in ``message``, a ``str.format`` template over them.
+    Each argument may be given by position or by name; all of them go,
+    in order, to ``args`` and each one also to the attribute of its name.
+    """
+
+    fields: tuple[str, ...] = ()
+    message = ""
+
+    def __init__(self, *args: object, **named: object):
+        given = dict(zip(self.fields, args))
+        # A name is unknown, or doubled, unless it is a field not given by position.
+        unknown = set(named) - set(self.fields[len(given):])
+        if len(args) > len(self.fields) or unknown or len(given) + len(named) < len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes ({', '.join(self.fields)}), got "
+                            f"{len(args)} by position and {sorted(named)} by name")
+        given.update(named)
+        super().__init__(*(given[name] for name in self.fields))
+        self.__dict__.update(zip(self.fields, self.args))
+
+    def __str__(self) -> str:
+        # Only the template is parsed: braces inside a value print as they are.
+        return self.message.format_map(self.__dict__)
 
 
 class OutOfRangeEntry(SglabError):
     """A Cayley-table cell holds something other than an element index."""
 
-    def __init__(self, row: int, col: int, value: object):
-        super().__init__(row, col, value)
-        self.row = row
-        self.col = col
-        self.value = value
-
-    def __str__(self) -> str:
-        return f"table[{self.row}][{self.col}] = {self.value!r} is not an index in [0, n)"
+    fields = ("row", "col", "value")
+    message = "table[{row}][{col}] = {value!r} is not an index in [0, n)"
 
 
 class NotAssociative(SglabError):
     """The table violates associativity; carries the first bad triple."""
 
-    def __init__(self, a: int, b: int, c: int):
-        super().__init__(a, b, c)
-        self.triple = (a, b, c)
+    fields = ("a", "b", "c")
+    message = "(a*b)*c != a*(b*c) for (a, b, c) = ({a}, {b}, {c})"
 
-    def __str__(self) -> str:
-        return "(a*b)*c != a*(b*c) for (a, b, c) = ({}, {}, {})".format(*self.triple)
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        return self.args
 
 
 class DuplicateLabel(SglabError):
-    def __init__(self, label: str):
-        super().__init__(label)
-        self.label = label
-
-    def __str__(self) -> str:
-        return f"duplicate label {self.label!r}"
+    fields = ("label",)
+    message = "duplicate label {label!r}"
 
 
 class EmptyWord(SglabError):
-    def __init__(self):
-        super().__init__()
-
-    def __str__(self) -> str:
-        return "cannot multiply an empty word"
+    message = "cannot multiply an empty word"
 
 
 class IndexOutOfRange(SglabError):
-    def __init__(self, value: object, ambient: int):
-        super().__init__(value, ambient)
-        self.value = value
-        self.ambient = ambient
-
-    def __str__(self) -> str:
-        return f"{self.value!r} is not an element index in [0, {self.ambient})"
+    fields = ("value", "ambient")
+    message = "{value!r} is not an element index in [0, {ambient})"
 
 
 class AmbientMismatch(SglabError):
     """A subset or congruence lives over another number of elements than
     the semigroup it is asked about; ``kind`` names which it is."""
 
+    fields = ("expected", "got", "kind")
+    message = "{kind} lives over {got} elements, semigroup has {expected}"
+
     def __init__(self, expected: int, got: int, kind: str = "subset"):
         super().__init__(expected, got, kind)
-        self.expected = expected
-        self.got = got
-        self.kind = kind
-
-    def __str__(self) -> str:
-        return f"{self.kind} lives over {self.got} elements, semigroup has {self.expected}"
 
 
 class WorkBudgetExceeded(SglabError):
@@ -81,37 +83,22 @@ class WorkBudgetExceeded(SglabError):
     ``need`` and ``budget`` are display strings with their units.
     """
 
-    def __init__(self, what: str, need: str, budget: str):
-        super().__init__(what, need, budget)
-        self.what = what
-        self.need = need
-        self.budget = budget
-
-    def __str__(self) -> str:
-        return f"{self.what} needs {self.need}, over the budget of {self.budget}"
+    fields = ("what", "need", "budget")
+    message = "{what} needs {need}, over the budget of {budget}"
 
 
 class NotACongruence(SglabError):
     """Quotient construction hit an ill-defined product cell."""
 
-    def __init__(self, detail: str):
-        super().__init__(detail)
-        self.detail = detail
-
-    def __str__(self) -> str:
-        return str(self.detail)
+    fields = ("detail",)
+    message = "{detail}"
 
 
 class SgFormatError(SglabError):
     """Malformed .sg file; carries the offending line number."""
 
-    def __init__(self, lineno: int, detail: str):
-        super().__init__(lineno, detail)
-        self.lineno = lineno
-        self.detail = detail
-
-    def __str__(self) -> str:
-        return f"line {self.lineno}: {self.detail}"
+    fields = ("lineno", "detail")
+    message = "line {lineno}: {detail}"
 
 
 class WorkerDied(SglabError):
@@ -121,13 +108,8 @@ class WorkerDied(SglabError):
     that killed it, None if it still had not ended after a short wait.
     """
 
-    def __init__(self, worker: int, exitcode: int | None):
-        super().__init__(worker, exitcode)
-        self.worker = worker
-        self.exitcode = exitcode
-
-    def __str__(self) -> str:
-        return f"sweep worker {self.worker} ended with exit code {self.exitcode} before it was done"
+    fields = ("worker", "exitcode")
+    message = "sweep worker {worker} ended with exit code {exitcode} before it was done"
 
 
 class StatusNotInvariant(SglabError):
@@ -136,14 +118,6 @@ class StatusNotInvariant(SglabError):
     representative's status for every table of the class.  ``table`` is
     the table's record hash and ``case`` its case literal."""
 
-    def __init__(self, table: str, check: str, case: str, expected: str, got: str):
-        super().__init__(table, check, case, expected, got)
-        self.table = table
-        self.check = check
-        self.case = case
-        self.expected = expected
-        self.got = got
-
-    def __str__(self) -> str:
-        return (f"table={self.table} case={self.case} check={self.check}: status {self.got}, "
-                f"but its class representative's is {self.expected}")
+    fields = ("table", "check", "case", "expected", "got")
+    message = ("table={table} case={case} check={check}: status {got}, "
+               "but its class representative's is {expected}")

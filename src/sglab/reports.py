@@ -61,8 +61,10 @@ class CheckReport:
 
 def _report(check: str, status: str, witness, detail: str) -> CheckReport:
     # The factories below build a valid report by construction, so they
-    # skip the dataclass __init__ and __post_init__, which cost about
-    # three times as much as this on the sweep's half a million reports.
+    # skip the dataclass __init__ and __post_init__: 0.31 us here against
+    # 0.78 us for CheckReport(...) (timeit, best of 5 x 100,000, 2 vCPUs,
+    # Python 3.11).  The serial default order-4 sweep makes 43,292 calls,
+    # so this saves about 20 ms of its CPU time.
     rep = object.__new__(CheckReport)
     fields = rep.__dict__
     fields["check"] = check

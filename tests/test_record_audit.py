@@ -54,6 +54,12 @@ def least_swap_exponent(t):
     return None
 
 
+def labeled_tables():
+    """Every labeled table of orders 1-3 by its record hash."""
+    return {hashlib.sha256(catalog_line(S).encode()).hexdigest()[:12]: S.table
+            for n in range(1, 4) for S in enumerate_semigroups(n)}
+
+
 def expected_records(t, longest):
     """(check, status, detail) of the instance checks, by definition."""
     found = first_identity(t, longest)
@@ -73,10 +79,7 @@ def expected_records(t, longest):
 def test_identity_and_lemma4_records_match_the_definitions():
     # Every labeled table of orders 1-3: the sweep's permutation-identity
     # and lemma 4 records agree with the brute force in status and detail.
-    tables = {}
-    for n in range(1, 4):
-        for S in enumerate_semigroups(n):
-            tables[hashlib.sha256(catalog_line(S).encode()).hexdigest()[:12]] = S.table
+    tables = labeled_tables()
     rep = run_sweep(SweepConfig(max_order=3, theorem="2", parallelism=1))
     seen = {}
     for line in rep.records:
@@ -165,12 +168,10 @@ def lemma_records(t, A):
     return out
 
 
-def corollary1_record(t, A, T):
-    """(check, status, witness, detail) of corollary 1 on the subset A,
-    whose separator is T, by definition."""
-    check = "corollary1"
-    if (w := not_medial(t, A)) is not None:
-        return (check, "precondition-unmet", witness_field(zip("xaby", w)), "subset not medial")
+def separator_structure(check, t, T):
+    """The corollaries' shared stages on the separator T, by definition:
+    the pass record when T is empty, a fail record when it is not a
+    reflexive unitary subsemigroup, else None."""
     if not T:
         return (check, "pass", "-", "separator empty")
     if (w := not_closed(t, T)) is not None:
@@ -182,6 +183,17 @@ def corollary1_record(t, A, T):
         return (check, "fail", witness_field(zip("ab", w)), "separator not reflexive")
     if (w := not_unitary(t, T)) is not None:
         return (check, "fail", witness_field(zip("ab", w)), "separator not unitary")
+    return None
+
+
+def corollary1_record(t, A, T):
+    """(check, status, witness, detail) of corollary 1 on the subset A,
+    whose separator is T, by definition."""
+    check = "corollary1"
+    if (w := not_medial(t, A)) is not None:
+        return (check, "precondition-unmet", witness_field(zip("xaby", w)), "subset not medial")
+    if (rec := separator_structure(check, t, T)) is not None:
+        return rec
     T2 = separator(t, T)
     if T2 != T:
         return (check, "fail", witness_field([("x", min(T2 ^ T))]),
@@ -189,15 +201,21 @@ def corollary1_record(t, A, T):
     return (check, "pass", "-", f"separator {literal(T)}")
 
 
+def corollary2_record(t, A):
+    """(check, status, witness, detail) of corollary 2 on the subset A of
+    a table with a permutation identity, by definition: no mediality
+    stage, and no second separator."""
+    T = separator(t, A)
+    return (separator_structure("corollary2", t, T)
+            or ("corollary2", "pass", "-", f"separator {literal(T)}"))
+
+
 @pytest.mark.parametrize("theorem", ["lemmas", "cor1"])
 def test_lemma_and_corollary1_records_match_the_definitions(theorem):
     # Every labeled table of orders 1-3 and every subset: the sweep's
     # lemma 1-3 and corollary 1 records agree with the brute force in
     # status, witness and detail.
-    tables = {}
-    for n in range(1, 4):
-        for S in enumerate_semigroups(n):
-            tables[hashlib.sha256(catalog_line(S).encode()).hexdigest()[:12]] = S.table
+    tables = labeled_tables()
     rep = run_sweep(SweepConfig(max_order=3, theorem=theorem, parallelism=1))
     seen = {}
     for line in rep.records:
@@ -217,3 +235,33 @@ def test_lemma_and_corollary1_records_match_the_definitions(theorem):
             assert cases[literal(A)] == want, (t, A)
             records += len(want)
     assert records == len(rep.records) == {"lemmas": 3, "cor1": 1}[theorem] * (2 + 4 * 8 + 8 * 113)
+
+
+def test_corollary2_records_match_the_definitions():
+    # Every labeled table of orders 1-3 with a permutation identity, and
+    # every subset: the sweep's corollary 2 records agree with the brute
+    # force in status, witness and detail.  A table with no identity has
+    # no corollary 2 record.
+    tables = labeled_tables()
+    rep = run_sweep(SweepConfig(max_order=3, theorem="cor2", parallelism=1))
+    seen = {key: {} for key in tables}
+    records = 0
+    for line in rep.records:
+        head, _, detail = line.partition(" detail=")
+        fields = dict(f.split("=", 1) for f in head.split())
+        if fields["check"] == "corollary2":
+            seen[fields["table"]].setdefault(fields["case"], []).append(
+                (fields["check"], fields["status"], fields["witness"], detail))
+            records += 1
+    audited = 0
+    for key, t in tables.items():
+        n = len(t)
+        if first_identity(t, 4) is None:
+            assert seen[key] == {}, t
+            continue
+        assert len(seen[key]) == 2**n
+        for bits in range(2**n):
+            A = {e for e in range(n) if bits >> e & 1}
+            assert seen[key][literal(A)] == [corollary2_record(t, A)], (t, A)
+            audited += 1
+    assert audited == records == 890
