@@ -1,9 +1,12 @@
 """Command-line front end.
 
-One subcommand per operation plus the batch verifier.  Exit codes: 0 for
-answered queries and all-pass verification, 1 when a verified property
-actually fails (bad table under validate, non-congruence under quotient,
-any failing check under verify), 2 for usage, parse, and I/O problems.
+One subcommand per operation plus the batch verifier.  The nine table
+queries share one runner: it reads the .sg file, writes the query's
+answer lines and turns the errors the query declares a false verdict
+into exit 1.  Exit codes: 0 for answered queries and all-pass
+verification, 1 when a verified property actually fails (bad table under
+validate, non-congruence under quotient, any failing check under
+verify), 2 for usage, parse, and I/O problems.
 """
 
 from __future__ import annotations
@@ -54,79 +57,71 @@ def _write_lines(lines: Iterable[str]) -> None:
         sys.stdout.write("\n".join(chunk) + "\n")
 
 
-def cmd_validate(args) -> int:
-    try:
-        S = read_sg(args.file)
-    except (NotAssociative, DuplicateLabel) as e:
-        print(f"invalid: {e}")
-        return 1
-    print(f"valid: order {S.order}")
-    return 0
-
-
-def cmd_subset(args) -> int:
-    # sep and idealizer: args.op maps the table and the set to a set.
-    S = read_sg(args.file)
-    print(format_subset(args.op(S, parse_subset(args.set, S.order))))
-    return 0
-
-
-def cmd_medial(args) -> int:
-    S = read_sg(args.file)
+def _medial_lines(S, args) -> list[str]:
     ok, w = is_medial(S, parse_subset(args.set, S.order))
     if ok:
-        print("true")
-    else:
-        x, a, b, y = w
-        print(f"false witness x={x} a={a} b={b} y={y}")
-    return 0
+        return ["true"]
+    x, a, b, y = w
+    return [f"false witness x={x} a={a} b={b} y={y}"]
 
 
-def cmd_pcong(args) -> int:
-    S = read_sg(args.file)
-    family = _parse_family(args.family, S.order)
-    print(p_congruence(S, family).literal())
-    return 0
+def _quotient_lines(S, args) -> list[str]:
+    Q = quotient(S, _parse_partition(args.partition, S.order))
+    return ["# projection " + " ".join(str(c) for c in Q.projection),
+            *format_sg(Q.quotient).splitlines()]
 
 
-def cmd_quotient(args) -> int:
-    S = read_sg(args.file)
-    part = _parse_partition(args.partition, S.order)
-    try:
-        Q = quotient(S, part)
-    except NotACongruence as e:
-        print(f"not a congruence: {e}")
-        return 1
-    print("# projection " + " ".join(str(c) for c in Q.projection))
-    sys.stdout.write(format_sg(Q.quotient))
-    return 0
-
-
-def cmd_congruences(args) -> int:
-    S = read_sg(args.file)
-    _write_lines(c.literal() for c in enumerate_congruences(S))
-    return 0
-
-
-def cmd_permid(args) -> int:
-    S = read_sg(args.file)
+def _permid_lines(S, args) -> list[str]:
     found = find_permutation_identity(S, args.max_n)
     if found is None:
-        print(f"none found up to n={args.max_n}")
-    else:
-        print(f"n={found.length} {format_permutation(found)}")
-    return 0
+        return [f"none found up to n={args.max_n}"]
+    return [f"n={found.length} {format_permutation(found)}"]
 
 
-def cmd_lemma4(args) -> int:
-    S = read_sg(args.file)
+def _lemma4_lines(S, args) -> list[str]:
     res = lemma4_minimal_k(S)
     if res.k is not None:
-        print(f"k={res.k}")
-    else:
-        print("absent")
-        for k, (u, x, y, v) in res.counterexamples:
-            print(f"k={k} counterexample u={u} x={x} y={y} v={v}")
+        return [f"k={res.k}"]
+    return ["absent"] + [f"k={k} counterexample u={u} x={x} y={y} v={v}"
+                         for k, (u, x, y, v) in res.counterexamples]
+
+
+# The table queries, in the order --help lists them: the name, the help,
+# the arguments after the file (a name or flag and its add_argument
+# options each), the answer (the table and the parsed arguments to the
+# output lines), and the errors that are a false verdict with its word.
+_QUERIES = (
+    ("validate", "check a Cayley table file for the semigroup axioms", (),
+     lambda S, args: [f"valid: order {S.order}"], (NotAssociative, DuplicateLabel), "invalid"),
+    ("sep", "separator of a subset", (("set", {"help": "subset literal, e.g. '{0,2}'"}),),
+     lambda S, args: [format_subset(separator(S, parse_subset(args.set, S.order)))], (), ""),
+    ("idealizer", "idealizer of a subset", (("set", {}),),
+     lambda S, args: [format_subset(idealizer(S, parse_subset(args.set, S.order)))], (), ""),
+    ("medial", "test whether a subset is medial", (("set", {}),), _medial_lines, (), ""),
+    ("pcong", "congruence induced by a subset family",
+     (("family", {"help": "semicolon-separated subsets, e.g. '{0};{1,2}'"}),),
+     lambda S, args: [p_congruence(S, _parse_family(args.family, S.order)).literal()], (), ""),
+    ("quotient", "quotient table by a congruence partition",
+     (("partition", {"help": "partition literal, e.g. '{0,1};{2}'"}),),
+     _quotient_lines, NotACongruence, "not a congruence"),
+    ("congruences", "list all congruences of a small semigroup", (),
+     lambda S, args: (c.literal() for c in enumerate_congruences(S)), (), ""),
+    ("permid", "search for a permutation identity",
+     (("--max-n", {"type": int, "default": 4, "dest": "max_n"}),), _permid_lines, (), ""),
+    ("lemma4", "least k making middles swap between S^k contexts", (), _lemma4_lines, (), ""),
+)
+
+
+def _run_query(args) -> int:
+    # The answer's lines all go out through one write path; an error the
+    # query declares a false verdict exits 1, any other reaches
+    # run_command.  A query with a verdict answers in full before it
+    # returns, so a false verdict's line is the only one written.
+    try:
+        _write_lines(args.answer(read_sg(args.file), args))
+    except args.refusals as e:
+        print(f"{args.verdict}: {e}")
+        return 1
     return 0
 
 
@@ -174,47 +169,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("validate", help="check a Cayley table file for the semigroup axioms")
-    q.add_argument("file")
-    q.set_defaults(fn=cmd_validate)
-
-    q = sub.add_parser("sep", help="separator of a subset")
-    q.add_argument("file")
-    q.add_argument("set", help="subset literal, e.g. '{0,2}'")
-    q.set_defaults(fn=cmd_subset, op=separator)
-
-    q = sub.add_parser("idealizer", help="idealizer of a subset")
-    q.add_argument("file")
-    q.add_argument("set")
-    q.set_defaults(fn=cmd_subset, op=idealizer)
-
-    q = sub.add_parser("medial", help="test whether a subset is medial")
-    q.add_argument("file")
-    q.add_argument("set")
-    q.set_defaults(fn=cmd_medial)
-
-    q = sub.add_parser("pcong", help="congruence induced by a subset family")
-    q.add_argument("file")
-    q.add_argument("family", help="semicolon-separated subsets, e.g. '{0};{1,2}'")
-    q.set_defaults(fn=cmd_pcong)
-
-    q = sub.add_parser("quotient", help="quotient table by a congruence partition")
-    q.add_argument("file")
-    q.add_argument("partition", help="partition literal, e.g. '{0,1};{2}'")
-    q.set_defaults(fn=cmd_quotient)
-
-    q = sub.add_parser("congruences", help="list all congruences of a small semigroup")
-    q.add_argument("file")
-    q.set_defaults(fn=cmd_congruences)
-
-    q = sub.add_parser("permid", help="search for a permutation identity")
-    q.add_argument("file")
-    q.add_argument("--max-n", type=int, default=4, dest="max_n")
-    q.set_defaults(fn=cmd_permid)
-
-    q = sub.add_parser("lemma4", help="least k making middles swap between S^k contexts")
-    q.add_argument("file")
-    q.set_defaults(fn=cmd_lemma4)
+    for name, summary, arguments, answer, refusals, verdict in _QUERIES:
+        q = sub.add_parser(name, help=summary)
+        q.add_argument("file")
+        for flag, options in arguments:
+            q.add_argument(flag, **options)
+        q.set_defaults(fn=_run_query, answer=answer, refusals=refusals, verdict=verdict)
 
     q = sub.add_parser("enumerate", help="stream all semigroups of one order")
     q.add_argument("n", type=int)

@@ -84,7 +84,8 @@ _CHUNK = 16
 # in-process sweeps with 0, 100 and 1000 families, 5 runs each).  Each
 # class is answered and rendered once and its copies assembled from that,
 # so the table cost is an average over the 218 classes and their copies.
-# The estimate counts the families on every table, permutative or not.
+# The estimate counts the families on every table, permutative or not,
+# but only where the group checks theorem 2 and so draws them.
 # Orders 1-4 are estimated at 1.3 s with the default 20 families and at
 # 2.2 s with 100, and accepted; a range that includes order 5 (55 s for
 # its tables alone) is refused, and so are more than about 820 families
@@ -581,18 +582,21 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[Instance]:
     Instances come as they are done, so a consumer that writes and
     drops them holds a few instances' records at a time.  The bytes
     are the same for every parallelism.  A sweep whose labeled tables
-    are estimated over ten seconds (any that includes order 5, or asks
-    for more than about 820 random families per table at orders 1-4)
-    raises WorkBudgetExceeded from this call, before any table is built.  No
-    more worker processes start than there are usable CPUs or chunks of
-    instances; close the iterator to stop a parallel sweep early.
+    are estimated over ten seconds (any that includes order 5, or checks
+    theorem 2 with more than about 820 random families per table at
+    orders 1-4) raises WorkBudgetExceeded from this call, before any
+    table is built.  No more worker processes start than there are
+    usable CPUs or chunks of instances; close the iterator to stop a
+    parallel sweep early.
     """
     orders = range(cfg.min_order, cfg.max_order + 1)
     tables = sum(map(_labeled_count, orders))
+    # Only a group that checks theorem 2 draws the random families.
+    families = cfg.random_families if cfg.theorem in ("all", "2") else 0
     what = f"the sweep of {tables:,} labeled tables"
-    if cfg.random_families:
-        what += f" with up to {cfg.random_families:,} random families each"
-    _within_budget(what, tables * (_INSTANCE_SECONDS + cfg.random_families * _FAMILY_SECONDS))
+    if families:
+        what += f" with up to {families:,} random families each"
+    _within_budget(what, tables * (_INSTANCE_SECONDS + families * _FAMILY_SECONDS))
     items, classes = [], []
     for order in orders:
         canonical, index = _orbit_index(order)

@@ -2,16 +2,18 @@
 
 The sweep never reaches a fail exit on a valid table, so its frozen
 digests cannot see a changed fail record.  This table covers every
-pass, precondition-unmet and fail exit of the nine checks.  Exits no
-valid table reaches are forced by seeding the table's memo with a wrong
+pass, precondition-unmet and fail exit of the nine checks, and the
+pass and fail exits of the sweep's lemma 4 record.  Exits no valid
+table reaches are forced by seeding the table's memo with a wrong
 answer before the check runs: the verifiers read their analyses from
-``S._memo`` (one dict per analysis kind, keyed by the subset's mask or
-the partition's canonical ``class_of``), so a seeded entry stands in for
-a faulty analysis.
+``S._memo`` (one dict per analysis kind, keyed by the subset's mask,
+the partition's canonical ``class_of`` or the word length), so a seeded
+entry stands in for a faulty analysis.
 """
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from sglab import (
@@ -33,6 +35,7 @@ from sglab import (
     verify_theorem2_forward,
 )
 from sglab.permutative import _theorem2_forward
+from sglab.sweep import _lemma4_report
 
 Z2 = [[0, 1], [1, 0]]  # the group of order 2
 MIN2 = [[0, 0], [0, 1]]  # the two-element semilattice: 0 is a zero, 1 the identity
@@ -276,6 +279,14 @@ CASES = {
     "cor2-fail-not-unitary": (
         Z2, NOT_UNITARY, lambda S: verify_corollary2(S, s(2, 0), SWAP),
         "check=corollary2 status=fail witness=a=0,b=1 detail=separator not unitary"),
+    # lemma 4, the sweep's record of lemma4_minimal_k.  The fail exit is
+    # forced by a length-4 word tensor whose cells are all distinct, so
+    # no exponent lets any middle pair swap.
+    "lemma4-pass": (Z2, None, _lemma4_report, "check=lemma4 status=pass witness=- detail=k=1"),
+    "lemma4-fail": (
+        Z2, seed("word_tensor", 4, np.arange(16).reshape(2, 2, 2, 2)), _lemma4_report,
+        "check=lemma4 status=fail witness=k=1,u=0,x=0,y=1,v=0 "
+        "detail=no exponent works along the whole power chain"),
 }
 
 
@@ -291,7 +302,7 @@ def test_record(case):
 def test_every_check_and_status_is_covered():
     seen = {(e.split()[0], e.split()[1]) for *_, e in CASES.values()}
     checks = ("theorem1-forward", "theorem1-converse", "corollary1", "lemma1", "lemma2",
-              "lemma3", "theorem2-forward", "theorem2-converse", "corollary2")
+              "lemma3", "theorem2-forward", "theorem2-converse", "corollary2", "lemma4")
     for check in checks:
         assert (f"check={check}", "status=pass") in seen, check
         assert (f"check={check}", "status=fail") in seen, check

@@ -265,3 +265,162 @@ def test_corollary2_records_match_the_definitions():
             assert seen[key][literal(A)] == [corollary2_record(t, A)], (t, A)
             audited += 1
     assert audited == records == 890
+
+
+def partitions(n):
+    """Every partition of range(n) as its class ids, numbered by first
+    appearance, in lexicographic order."""
+    def grow(head):
+        if len(head) == n:
+            yield head
+            return
+        for v in range(max(head, default=-1) + 2):
+            yield from grow(head + (v,))
+
+    return list(grow(()))
+
+
+def classes_of(class_of):
+    """The classes of a partition, by class id."""
+    return [{x for x, c in enumerate(class_of) if c == i} for i in range(max(class_of) + 1)]
+
+
+def induced(t, family):
+    """The partition the family induces: a and b share a class iff, for
+    every set A of the family and all x, y, x*a*y is in A exactly when
+    x*b*y is."""
+    n = len(t)
+    ids = {}
+    return tuple(ids.setdefault(tuple(t[t[x][a]][y] in A for A in family
+                                      for x in range(n) for y in range(n)), len(ids))
+                 for a in range(n))
+
+
+def not_compatible(t, class_of):
+    """The first (a, b, c) with a < b in one class and a*c, b*c or c*a,
+    c*b in two."""
+    n = len(t)
+    return next(((a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)
+                 if class_of[a] == class_of[b]
+                 and (class_of[t[a][c]] != class_of[t[b][c]]
+                      or class_of[t[c][a]] != class_of[t[c][b]])), None)
+
+
+def quotient_shape(t, class_of):
+    """(identity class id or None, first pair of class ids that do not
+    commute or None) of the quotient by a congruence."""
+    reps = [min(C) for C in classes_of(class_of)]
+    k = len(reps)
+    q = [[class_of[t[r][s]] for s in reps] for r in reps]
+    e = next((e for e in range(k) if all(q[e][c] == c == q[c][e] for c in range(k))), None)
+    pair = next(((a, b) for a in range(k) for b in range(k) if q[a][b] != q[b][a]), None)
+    return e, pair
+
+
+def common_separator(t, family):
+    common = set(range(len(t)))
+    for A in family:
+        common &= separator(t, A)
+    return common
+
+
+def theorem1_forward_record(t, family):
+    """(check, status, witness, detail) of theorem 1 forward on a family
+    of subsets, by definition."""
+    check = "theorem1-forward"
+    for i, A in enumerate(family):
+        if (w := not_medial(t, A)) is not None:
+            return (check, "precondition-unmet", witness_field(zip("xaby", w)),
+                    f"set {i} not medial")
+    common = common_separator(t, family)
+    if not common:
+        return (check, "precondition-unmet", "-", "intersection of separators is empty")
+    class_of = induced(t, family)
+    if (w := not_compatible(t, class_of)) is not None:
+        return (check, "fail", witness_field(zip("abc", w)), "induced relation is not a congruence")
+    e, pair = quotient_shape(t, class_of)
+    if e is None:
+        return (check, "fail", "-", "quotient has no identity element")
+    if pair is not None:
+        return (check, "fail", witness_field(zip("ab", pair)),
+                "quotient not commutative (class ids)")
+    ident = classes_of(class_of)[e]
+    if ident != common:
+        return (check, "fail", witness_field([("x", min(ident ^ common))]),
+                f"separator intersection {literal(common)} is not the identity class "
+                f"{literal(ident)}")
+    for i, A in enumerate(family):
+        split = next(((a, b) for a in sorted(A) for b in range(len(t))
+                      if b not in A and class_of[a] == class_of[b]), None)
+        if split is not None:
+            return (check, "fail", witness_field(zip("iab", (i, *split))),
+                    f"set {i} splits a congruence class")
+    return (check, "pass", "-", f"identity class {literal(common)}")
+
+
+def theorem1_converse_record(t, class_of):
+    """(check, status, witness, detail) of theorem 1 converse on a
+    partition, by definition."""
+    check = "theorem1-converse"
+    if (w := not_compatible(t, class_of)) is not None:
+        return (check, "precondition-unmet", witness_field(zip("abc", w)), "not a congruence")
+    e, pair = quotient_shape(t, class_of)
+    if e is None:
+        return (check, "precondition-unmet", "-", "quotient is not a monoid")
+    if pair is not None:
+        return (check, "precondition-unmet", "-", "quotient is not commutative")
+    classes = classes_of(class_of)
+    for i, C in enumerate(classes):
+        if (w := not_medial(t, C)) is not None:
+            return (check, "fail", witness_field(zip("ixaby", (i, *w))), f"class {i} not medial")
+    common, ident = common_separator(t, classes), classes[e]
+    if common != ident:
+        return (check, "fail", "-", f"separator intersection {literal(common)} differs from "
+                f"identity class {literal(ident)}")
+    back = induced(t, classes)
+    if back != class_of:
+        n = len(t)
+        a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                    if (back[a] == back[b]) != (class_of[a] == class_of[b]))
+        return (check, "fail", witness_field(zip("ab", (a, b))),
+                "induced congruence differs from input")
+    return (check, "pass", "-", "")
+
+
+def test_theorem1_records_match_the_definitions():
+    # Every labeled table of orders 1-3: the sweep's theorem 1 records
+    # agree with the brute force in order, status, witness and detail.
+    # Forward runs over each subset's one-set family, then over each
+    # congruence's classes; the converse over each congruence.  The
+    # congruences are the compatible partitions, in lexicographic order
+    # of their class ids.  Some forward unmet records carry a mediality
+    # witness that a labeled copy asks of itself, so the copies' ask
+    # path is audited too.
+    tables = labeled_tables()
+    rep = run_sweep(SweepConfig(max_order=3, theorem="1", parallelism=1))
+    seen = {key: [] for key in tables}
+    for line in rep.records:
+        head, _, detail = line.partition(" detail=")
+        fields = dict(f.split("=", 1) for f in head.split())
+        seen[fields["table"]].append(
+            (fields["case"], fields["check"], fields["status"], fields["witness"], detail))
+    counts = {}
+    for key, t in tables.items():
+        n = len(t)
+        subsets = [{e for e in range(n) if bits >> e & 1} for bits in range(2**n)]
+        congruences = [p for p in partitions(n) if not_compatible(t, p) is None]
+        cases = [(literal(A), theorem1_forward_record(t, [A])) for A in subsets]
+        cases += [(";".join(map(literal, classes_of(p))), theorem1_forward_record(t, classes_of(p)))
+                  for p in congruences]
+        cases += [(";".join(map(literal, classes_of(p))), theorem1_converse_record(t, p))
+                  for p in congruences]
+        assert seen[key] == [(case, *record) for case, record in cases], t
+        for _, (check, status, _, _) in cases:
+            counts[check, status] = counts.get((check, status), 0) + 1
+    assert counts == {
+        ("theorem1-forward", "pass"): 801,
+        ("theorem1-forward", "precondition-unmet"): 563,
+        ("theorem1-converse", "pass"): 255,
+        ("theorem1-converse", "precondition-unmet"): 171,
+    }
+    assert sum(counts.values()) == len(rep.records) == 1790

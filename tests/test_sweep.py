@@ -419,14 +419,19 @@ class TestRunSweep:
             sweep.iter_sweep(SweepConfig(min_order=5, max_order=5))
 
     def test_random_families_count_toward_the_budget(self, monkeypatch):
-        # Each table is estimated with its random families.  The
-        # acceptance sweep's 100 families at orders 1-4 stay well inside
-        # the budget; ten million families on the 8 order-2 tables are
-        # refused before the catalog index is read.
+        # Each table is estimated with its random families where the
+        # group checks theorem 2.  The acceptance sweep's 100 families at
+        # orders 1-4 stay well inside the budget; ten million families on
+        # the 8 order-2 tables are refused before the catalog index is
+        # read.  The groups without theorem 2 never draw the families, so
+        # 1000 of them cost those groups nothing.
         est = lambda tables, families: tables * (
             sweep._INSTANCE_SECONDS + families * sweep._FAMILY_SECONDS)
         assert est(3614, 100) < 5 < 10 < est(3614, 1000) < est(8, 10_000_000)
         sweep.iter_sweep(SweepConfig(max_order=4, random_families=100, parallelism=1)).close()
+        for group in ("lemmas", "1", "cor1", "cor2"):
+            sweep.iter_sweep(SweepConfig(max_order=4, random_families=1000, theorem=group,
+                                         parallelism=1)).close()
 
         def indexed(n):
             raise AssertionError(f"the order-{n} catalog index was read")
@@ -436,8 +441,11 @@ class TestRunSweep:
                            match="the sweep of 8 labeled tables with up to 10,000,000 random "
                                  "families each needs about 240 s"):
             sweep.iter_sweep(SweepConfig(min_order=2, max_order=2, random_families=10_000_000))
-        with pytest.raises(WorkBudgetExceeded, match="with up to 1,000 random families each"):
-            sweep.iter_sweep(SweepConfig(max_order=4, random_families=1000))
+        for group in ("2", "all"):
+            with pytest.raises(WorkBudgetExceeded,
+                               match="the sweep of 3,614 labeled tables with up to 1,000 random "
+                                     "families each needs about 11.9 s"):
+                sweep.iter_sweep(SweepConfig(max_order=4, random_families=1000, theorem=group))
 
     def test_summary_lines(self):
         rep = run_sweep(SweepConfig(max_order=2, theorem="lemmas"))
