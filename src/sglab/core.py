@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ __all__ = [
 # Most cells a word tensor may hold: 2**26 intp cells are 512 MiB.  The
 # callers' peaks scale with it: at order 64 (a 128 MiB length-4 tensor)
 # is_medial grew the resident set by 162 MiB and lemma4_minimal_k by
-# 289 MiB, so at the limit they need about 0.65 and 1.2 GiB.
+# 146 MiB, so at the limit they need about 0.65 and 0.6 GiB.
 _WORD_TENSOR_CELLS = 1 << 26
 
 # Most dimensions a numpy array may have, so the longest word tensor:
@@ -65,10 +66,13 @@ _WORD_LENGTH_MAX = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 # estimate is over it.
 _BUDGET_SECONDS = 10.0
 
-# Measured cost of one associativity triple in validation: 40 ns (the
-# fastest of repeated runs at orders 150-250 on a 2-vCPU Xeon VM, Python
-# 3.11; up to 70 ns while the machine is busy), so order 629 passes and
-# 630 is refused.
+# Cost of one associativity triple in validation, as budgeted: 40 ns, so
+# order 629 passes and 630 is refused.  Orders up to 256 are screened a
+# row at a time over bytes, at about 1.3 ns a triple (11-20 ms at orders
+# 200-256); only a larger table, or one the screen rejects, runs the
+# triple loop, measured at 30 ns a triple (the fastest of repeated runs
+# at orders 300 and 360 on a 2-vCPU Xeon VM, Python 3.11; up to 70 ns
+# while the machine is busy).
 _TRIPLE_SECONDS = 40e-9
 
 # The types an element index may have: a float, string or other number
@@ -147,21 +151,28 @@ class FiniteSemigroup:
         if any(len(row) != n for row in rows):
             raise ValueError("table must be square")
         _within_budget(f"the associativity check of an order-{n} table", n**3 * _TRIPLE_SECONDS)
-        for a, row in enumerate(rows):
-            for b, v in enumerate(row):
-                if not isinstance(v, _INDEX_TYPES) or not 0 <= v < n:
-                    raise OutOfRangeEntry(a, b, v)
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        cells = tuple(chain.from_iterable(rows))
+        # One pass over the cells' types and one over their range decide
+        # every table of exact ints in [0, n); any other table takes the
+        # row-major loop, which names the first bad cell or converts.
+        if set(map(type, cells)) != {int} or min(cells) < 0 or max(cells) >= n:
+            for a, row in enumerate(rows):
+                for b, v in enumerate(row):
+                    if not isinstance(v, _INDEX_TYPES) or not 0 <= v < n:
+                        raise OutOfRangeEntry(a, b, v)
+            rows = tuple(tuple(map(int, row)) for row in rows)
         object.__setattr__(self, "table", rows)
-        for a in range(n):
-            ra = rows[a]
-            for b in range(n):
-                ab = ra[b]
-                rab = rows[ab]
-                rb = rows[b]
-                for c in range(n):
-                    if rab[c] != rows[a][rb[c]]:
-                        raise NotAssociative(a, b, c)
+        first = _first_nonassociative_row(rows)
+        if first is not None:
+            for a in range(first, n):
+                ra = rows[a]
+                for b in range(n):
+                    ab = ra[b]
+                    rab = rows[ab]
+                    rb = rows[b]
+                    for c in range(n):
+                        if rab[c] != ra[rb[c]]:
+                            raise NotAssociative(a, b, c)
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != n:
@@ -236,6 +247,27 @@ class FiniteSemigroup:
         return tuple(
             int.from_bytes(rows[i : i + width], "little") for i in range(0, len(rows), width)
         )
+
+
+def _first_nonassociative_row(rows: tuple[tuple[int, ...], ...]) -> int | None:
+    """The least a with (a*b)*c != a*(b*c) for some b, c, or None, judged
+    one row a at a time over bytes; 0 for an order over 256, whose
+    elements a byte cannot hold, so its every row is left to the triple
+    loop.
+
+    With ``flat`` the table's bytes row by row, (a*b)*c over all (b, c)
+    is the rows a*b joined in b order, and a*(b*c) is ``flat`` mapped
+    through row a.
+    """
+    if len(rows) > 256:
+        return 0
+    row_bytes = list(map(bytes, rows))
+    flat = b"".join(row_bytes)
+    pad = bytes(256 - len(rows))
+    for a, row in enumerate(row_bytes):
+        if b"".join(map(row_bytes.__getitem__, row)) != flat.translate(row + pad):
+            return a
+    return None
 
 
 def validate(
@@ -429,6 +461,12 @@ def identity_element(S: FiniteSemigroup) -> int | None:
 # rejected at parse time.
 
 
+@lru_cache(maxsize=64)
+def _entries(n: int) -> dict[str, int]:
+    """The entries of an order-n table by their plain decimal tokens."""
+    return {str(v): v for v in range(n)}
+
+
 def parse_sg(text: str) -> FiniteSemigroup:
     payload: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -448,17 +486,23 @@ def parse_sg(text: str) -> FiniteSemigroup:
     if len(payload) < 1 + n:
         raise SgFormatError(payload[-1][0], f"expected {n} table rows")
     rows: list[tuple[int, ...]] = []
+    entries = _entries(n)
     for lineno, line in payload[1 : 1 + n]:
         parts = line.split()
         if len(parts) != n:
             raise SgFormatError(lineno, f"expected {n} entries, got {len(parts)}")
         try:
-            row = tuple(int(p) for p in parts)
-        except ValueError:
-            raise SgFormatError(lineno, f"non-integer entry in {line!r}") from None
-        for v in row:
-            if not 0 <= v < n:
-                raise SgFormatError(lineno, f"entry {v} out of range [0, {n})")
+            row = tuple(map(entries.__getitem__, parts))
+        except KeyError:
+            # A token outside "0".."n-1" is read as int() reads it, so
+            # "01" and "+1" are entries and the errors name the line.
+            try:
+                row = tuple(int(p) for p in parts)
+            except ValueError:
+                raise SgFormatError(lineno, f"non-integer entry in {line!r}") from None
+            for v in row:
+                if not 0 <= v < n:
+                    raise SgFormatError(lineno, f"entry {v} out of range [0, {n})")
         rows.append(row)
     labels: tuple[str, ...] | None = None
     rest = payload[1 + n :]

@@ -12,6 +12,7 @@ variants of the quotient theorem and the separator corollary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, permutations
 from math import factorial
 from typing import NamedTuple, Sequence
@@ -105,11 +106,13 @@ def _identity(S: FiniteSemigroup, perm: tuple[int, ...]) -> tuple[bool, tuple[in
     return False, _first_true(bad)
 
 
-# Measured cost of one permutation comparison in the identity search:
-# about 7 us plus 2.2 ns per word-tensor cell (2-vCPU Xeon VM, Python
-# 3.11, numpy 2.4; 7.1 us at 243 cells, 14 us at 2187, 92 us at 46656,
-# 0.83 ms at 390625).  A length whose n! - 1 comparisons are estimated
-# over the time budget is refused rather than started.
+# Cost of one permutation comparison in the identity search, as
+# budgeted: 7 us plus 2.2 ns per word-tensor cell.  Compared one at a
+# time it was measured at 5.4 us at 243 cells, 12 us at 2187, 88 us at
+# 46656 and 0.87 ms at 390625 (2-vCPU Xeon VM, Python 3.11, numpy 2.4);
+# in one gather, 0.4-3 us per permutation at 2.2 ns per cell.  A length
+# whose n! - 1 comparisons are estimated over the time budget is refused
+# rather than started.
 _PERMUTATION_SECONDS = 7e-6
 _CELL_SECONDS = 2.2e-9
 
@@ -117,6 +120,31 @@ _CELL_SECONDS = 2.2e-9
 def _search_seconds(order: int, n: int) -> float:
     """Estimated time of the length-n identity search at this order."""
     return (factorial(n) - 1) * (_PERMUTATION_SECONDS + order**n * _CELL_SECONDS)
+
+
+# Most cells one gather of the identity search may hold.  A length whose
+# n! - 1 transposed tensors fit is judged in one gather through an index
+# cached per order and length; a longer one compares the transposed
+# views one permutation at a time, allocating no index.
+_GATHER_CELLS = 1 << 16
+
+
+def _non_identity(n: int):
+    """The non-identity permutations of 1..n in lexicographic order: all
+    but the first."""
+    return islice(permutations(range(1, n + 1)), 1, None)
+
+
+@lru_cache(maxsize=32)
+def _transposed_index(order: int, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The non-identity permutations of length n, in lexicographic
+    order, and per permutation the flat positions that read an order-
+    ``order`` length-n tensor with its axes shuffled by it, one row each."""
+    perms = tuple(_non_identity(n))
+    cells = np.arange(order**n).reshape((order,) * n)
+    index = np.stack([cells.transpose(tuple(p - 1 for p in perm)).ravel() for perm in perms])
+    index.flags.writeable = False
+    return perms, index
 
 
 def find_permutation_identity(
@@ -135,10 +163,16 @@ def find_permutation_identity(
     for n in range(2, n_max + 1):
         _within_budget(f"the length-{n} identity search", _search_seconds(S.order, n))
         w = S.word_tensor(n)
-        # The first permutation in lexicographic order is the identity.
-        for perm in islice(permutations(range(1, n + 1)), 1, None):
-            if np.array_equal(w, w.transpose(tuple(p - 1 for p in perm))):
-                return PermutationIdentity(n, perm)
+        if (factorial(n) - 1) * w.size <= _GATHER_CELLS:
+            perms, index = _transposed_index(S.order, n)
+            flat = w.ravel()
+            ok = (flat[index] == flat).all(axis=1)
+            found = perms[ok.argmax()] if ok.any() else None
+        else:
+            found = next((perm for perm in _non_identity(n)
+                          if (w == w.transpose(tuple(p - 1 for p in perm))).all()), None)
+        if found is not None:
+            return PermutationIdentity(n, found)
     return None
 
 
@@ -169,7 +203,8 @@ def lemma4_minimal_k(S: FiniteSemigroup) -> Lemma4Result:
     counterexamples = []
     for k, sk in enumerate(chain.sets, start=1):
         idx = np.fromiter(sk, dtype=np.intp)
-        sub = w4[np.ix_(idx, all_idx, all_idx, idx)]
+        # S^1 is S, so the first power needs no gather.
+        sub = w4 if k == 1 else w4[np.ix_(idx, all_idx, all_idx, idx)]
         bad = sub != sub.swapaxes(1, 2)
         if not bad.any():
             return Lemma4Result(k, chain, tuple(counterexamples))

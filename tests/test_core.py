@@ -1,4 +1,5 @@
 import ast
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,49 @@ from sglab import core
 from sglab.core import _WORD_TENSOR_CELLS, memoized
 
 
+def triple_loop(table):
+    """What validate raises, by its definition: the first cell, in
+    row-major order, that is not an integer index in [0, n), else the
+    lexicographically first non-associative triple; None for a
+    semigroup."""
+    n = len(table)
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+                return OutOfRangeEntry(a, b, v)
+    t = [[int(v) for v in row] for row in table]
+    for a, b, c in product(range(n), repeat=3):
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            return NotAssociative(a, b, c)
+    return None
+
+
+def first_bad_triple(table):
+    """The lexicographically first non-associative triple, row a by row a
+    in numpy."""
+    T = np.array(table)
+    for a in range(len(T)):
+        bad = T[T[a]] != T[a][T]
+        if bad.any():
+            b, c = np.unravel_index(bad.argmax(), bad.shape)
+            return a, int(b), int(c)
+    return None
+
+
+def raised(table):
+    try:
+        validate(table)
+    except (OutOfRangeEntry, NotAssociative) as e:
+        return e
+    return None
+
+
+def same_error(got, want):
+    if want is None:
+        return got is None
+    return type(got) is type(want) and got.args == want.args and str(got) == str(want)
+
+
 class TestValidate:
     def test_min2_valid(self, min2):
         assert min2.order == 2
@@ -57,6 +101,14 @@ class TestValidate:
             ([["1", 0], [0, 1]], (0, 0, "1")),
             ([[0, 0], [0, 1.0]], (1, 1, 1.0)),
             ([[0, 0], [2, 0.5]], (1, 0, 2)),
+            # bool and numpy integers are indices; the first cell that is
+            # not, in row-major order, is named.
+            ([[True, np.int64(1)], [0, -1]], (1, 1, -1)),
+            ([[np.int64(0), True], [2.0, "1"]], (1, 0, 2.0)),
+            ([[False, "0"], [-1, 0]], (0, 1, "0")),
+            ([[0, -1], [0.5, True]], (0, 1, -1)),
+            ([[True, 1], [np.int64(2), 0]], (1, 0, 2)),
+            ([[0, np.int64(-1)], [True, 1.5]], (0, 1, -1)),
         ],
     )
     def test_non_integer_entry_is_refused_not_truncated(self, table, cell):
@@ -68,6 +120,30 @@ class TestValidate:
         S = validate(np.array([[0, 1], [1, 0]]))
         assert S.table == ((0, 1), (1, 0))
         assert all(type(v) is int for row in S.table for v in row)
+
+    def test_bool_and_numpy_entries_mixed_with_ints_become_ints(self):
+        # A bool hashes and compares as 0 or 1, so it must be seen by its
+        # type, not by its value, even where a plain int of that value
+        # comes first.
+        S = validate([[0, np.int64(0)], [False, True]])
+        assert S.table == ((0, 0), (0, 1))
+        assert all(type(v) is int for row in S.table for v in row)
+        S = validate([[0, 1], [1, True]])
+        assert S.table == ((0, 1), (1, 1))
+        assert all(type(v) is int for row in S.table for v in row)
+
+    def test_order_300_takes_the_triple_loop(self):
+        # Past 256 elements a byte cannot hold an element, so the byte
+        # screen leaves every row to the triple loop, which alone decides
+        # and names the first bad triple.
+        n = 300
+        chain = [[max(a, b) for b in range(n)] for a in range(n)]
+        assert core._first_nonassociative_row(tuple(map(tuple, chain))) == 0
+        assert validate(chain).order == n
+        chain[5][7] = 3
+        with pytest.raises(NotAssociative) as e:
+            validate(chain)
+        assert e.value.triple == first_bad_triple(chain)
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -163,6 +239,50 @@ def test_only_core_raises_the_work_budget():
             if name == "WorkBudgetExceeded":
                 raising.add(path.name)
     assert raising == {"core.py"}
+
+
+def odd_cells(n):
+    """Cells that are not plain ints in [0, n), or are only by value."""
+    return st.sampled_from([-1, n, True, False, np.int64(0), np.int64(n - 1), np.int64(n),
+                            1.0, 0.5, "0", None])
+
+
+def check_against_the_triple_loop(table):
+    want = triple_loop(table)
+    assert same_error(raised(table), want), table
+    if want is None:
+        S = validate(table)
+        assert S.table == tuple(tuple(int(v) for v in row) for row in table)
+        assert all(type(v) is int for row in S.table for v in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validate_raises_what_the_triple_loop_raises(data):
+    # Random tables of orders 1-7, a few with cells of other types or out
+    # of range: the same error with the same cell or triple, or the same
+    # table of plain ints.
+    n = data.draw(st.integers(1, 7))
+    cell = st.integers(0, n - 1)
+    if data.draw(st.booleans()):
+        cell = st.one_of(cell, odd_cells(n))
+    table = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    check_against_the_triple_loop(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validate_on_a_semigroup_with_one_cell_changed(
+    catalog2, catalog3, catalog4, order5, order6, order7, data
+):
+    # Semigroups of orders 1-7 with one cell changed, where a violation
+    # can sit anywhere in the triple order, not only near its start.
+    S = data.draw(st.sampled_from(catalog2 + catalog3 + catalog4 + order5 + order6 + order7))
+    n = S.order
+    table = [list(row) for row in S.table]
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    table[a][b] = data.draw(st.one_of(st.integers(0, n - 1), odd_cells(n)))
+    check_against_the_triple_loop(table)
 
 
 class TestWordProduct:
@@ -485,6 +605,66 @@ class TestSgFormat:
     def test_nonassociative_table_raises_through(self):
         with pytest.raises(NotAssociative):
             parse_sg("2\n1 1\n0 0\n")
+
+    @pytest.mark.parametrize(
+        "text,lineno,message",
+        [
+            ("", 1, "line 1: no content"),
+            ("\n\n  \n", 1, "line 1: no content"),
+            ("# only a comment\n", 1, "line 1: no content"),
+            ("x\n", 1, "line 1: expected the order, got 'x'"),
+            ("2.0\n", 1, "line 1: expected the order, got '2.0'"),
+            ("0\n", 1, "line 1: order must be positive, got 0"),
+            ("-3\n", 1, "line 1: order must be positive, got -3"),
+            ("2\n0 1\n", 2, "line 2: expected 2 table rows"),
+            ("# c\n2\n\n0 1\n# c\n", 4, "line 4: expected 2 table rows"),
+            ("2\n0 1 1\n1 0\n", 2, "line 2: expected 2 entries, got 3"),
+            ("2\n0\n1 0\n", 2, "line 2: expected 2 entries, got 1"),
+            ("2\n0 1\n1 2\n", 3, "line 3: entry 2 out of range [0, 2)"),
+            ("2\n0 1\n-1 0\n", 3, "line 3: entry -1 out of range [0, 2)"),
+            ("2\n0 x\n1 0\n", 2, "line 2: non-integer entry in '0 x'"),
+            ("2\n0 1\n1 1.0\n", 3, "line 3: non-integer entry in '1 1.0'"),
+            ("2\n0 7\n1 x\n", 2, "line 2: entry 7 out of range [0, 2)"),
+            ("2\n1 x\n0 7\n", 2, "line 2: non-integer entry in '1 x'"),
+            ("3\n0 0 0\n0 0 3\n0 0 0\n", 3, "line 3: entry 3 out of range [0, 3)"),
+            ("2\n0 1\n1 0\njunk\n", 4, "line 4: unexpected trailing content 'junk'"),
+            ("2\n0 1\n1 0\nlabels: a\n", 4, "line 4: expected 2 labels, got 1"),
+            ("2\n0 1\n1 0\nlabels: a b c\n", 4, "line 4: expected 2 labels, got 3"),
+            ("2\n0 1\n1 0\nlabels: a b\nmore\n", 5, "line 5: content after the labels line"),
+            ("2\n0 1\n1 0\nlabels: a b\n# c\nlabels: c d\n", 6,
+             "line 6: content after the labels line"),
+            ("2\r\n0\t1\r\n1 0 0\r\n", 3, "line 3: expected 2 entries, got 3"),
+            ("2\n# c\n\n0 1\n\n# c\n1 2\n", 7, "line 7: entry 2 out of range [0, 2)"),
+            # Tokens int() reads that are not plain decimals: still read as
+            # int() reads them, then range-checked.
+            ("2\n1_0 0\n0 0\n", 2, "line 2: entry 10 out of range [0, 2)"),
+            ("2\n0 \u0663\n0 0\n", 2, "line 2: entry 3 out of range [0, 2)"),
+        ],
+    )
+    def test_malformed_text_names_its_line_and_fault(self, text, lineno, message):
+        with pytest.raises(SgFormatError) as e:
+            parse_sg(text)
+        assert (e.value.lineno, str(e.value)) == (lineno, message)
+
+    @pytest.mark.parametrize(
+        "text,table,labels",
+        [
+            ("2\n01 1\n1 1\n", ((1, 1), (1, 1)), None),
+            ("2\n+0 0\n0 +1\n", ((0, 0), (0, 1)), None),
+            ("2\n -0 00\n0 0\n", ((0, 0), (0, 0)), None),
+            ("2\n0 0\n0 \u0661\n", ((0, 0), (0, 1)), None),
+            ("11\n" + "1_0 " * 11 + "\n" + ("10 " * 11 + "\n") * 10, ((10,) * 11,) * 11, None),
+            ("2\r\n0\t1\r\n\r\n# c\r\n1 0\r\nlabels:\te\tg\r\n", ((0, 1), (1, 0)),
+             ("e", "g")),
+        ],
+    )
+    def test_tokens_int_reads_are_entries(self, text, table, labels):
+        # "01", "+0", "-0", "1_0" and other digits are entries as int()
+        # reads them, and CRLF, tabs, comments and blank lines between
+        # rows are whitespace.
+        S = parse_sg(text)
+        assert (S.table, S.labels) == (table, labels)
+        assert all(type(v) is int for row in S.table for v in row)
 
 
 def test_frozen_value_semantics(z2):

@@ -1,5 +1,6 @@
 import pickle
-from itertools import product
+import tracemalloc
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -28,8 +29,12 @@ from sglab import (
     verify_theorem2_forward,
     WorkBudgetExceeded,
 )
-from sglab import core
+from sglab import core, permutative
 from sglab.permutative import _search_seconds, _theorem2_forward
+
+
+LZ2 = [[0, 0], [1, 1]]
+LZ2MON = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
 
 
 def pi(*images):
@@ -149,6 +154,70 @@ class TestFindPermutationIdentity:
                 assert satisfies_identity(S, found) == (True, None)
 
 
+def first_identity_one_at_a_time(S, n_max):
+    """The first identity by the search's definition, each non-identity
+    permutation compared on its own in lexicographic order."""
+    for n in range(2, n_max + 1):
+        w = S.word_tensor(n)
+        for perm in permutations(range(1, n + 1)):
+            if perm != tuple(range(1, n + 1)) and np.array_equal(
+                w, w.transpose([p - 1 for p in perm])
+            ):
+                return PermutationIdentity(n, perm)
+    return None
+
+
+# The gather's block: its default; 16 cells, one length-2 permutation at
+# order 4, so every longer length is compared one permutation at a time;
+# and no cells, so every length is.
+BLOCKS = pytest.mark.parametrize(
+    "block", [None, 16, 0], ids=["default", "one-permutation", "no-gather"]
+)
+
+
+def with_block(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(permutative, "_GATHER_CELLS", block)
+
+
+class TestIdentitySearchRoutes:
+    @BLOCKS
+    def test_every_class_of_order_at_most_4(self, monkeypatch, block):
+        with_block(monkeypatch, block)
+        for n in range(1, 5):
+            for S in enumerate_semigroups(n, up_to_iso=True):
+                want = first_identity_one_at_a_time(validate(S.table), 4)
+                assert find_permutation_identity(validate(S.table), 4) == want, S.table
+
+    @BLOCKS
+    @pytest.mark.parametrize("table", [LZ2, LZ2MON], ids=["lz2", "lz2mon"])
+    def test_up_to_length_8(self, monkeypatch, block, table):
+        # Lengths 6-8 at order 3 are compared one permutation at a time
+        # under every block, so only the default runs them.
+        with_block(monkeypatch, block)
+        longest = 8 if block is None else 5
+        want = first_identity_one_at_a_time(validate(table), longest)
+        S = validate(table)
+        for n_max in range(2, longest + 1):
+            expected = want if want is not None and want.length <= n_max else None
+            assert find_permutation_identity(S, n_max) == expected
+
+    def test_a_search_allocates_no_more_than_its_block(self, lz2mon):
+        # Word tensors and the gather's cached index built first: what is
+        # left is the gather of one length, or one comparison at a time.
+        for k in range(2, 8):
+            lz2mon.word_tensor(k)
+        find_permutation_identity(validate(lz2mon.table), 7)
+        tracemalloc.start()
+        try:
+            assert find_permutation_identity(lz2mon, 7) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cell = np.dtype(np.intp).itemsize + 1  # a gathered cell and its verdict
+        assert peak <= permutative._GATHER_CELLS * cell + (1 << 14)
+
+
 def _middle_swap_holds_direct(S, k):
     """Pure-loop re-check of the exponent property, independent of the
     tensor implementation."""
@@ -188,6 +257,22 @@ class TestLemma4:
             assert _middle_swap_holds_direct(S, res.k)
             if res.k > 1:
                 assert not _middle_swap_holds_direct(S, res.k - 1)
+
+    def test_first_power_is_compared_without_a_copy(self):
+        # S^1 is S: its middle swaps are compared on the tensor itself,
+        # so the call allocates the verdicts, a byte a cell, and numpy's
+        # buffer for the swapped view, but no gathered copy of the
+        # tensor, eight bytes a cell.
+        n = 16
+        S = validate([[max(a, b) for b in range(n)] for a in range(n)])
+        w4 = S.word_tensor(4)
+        tracemalloc.start()
+        try:
+            assert lemma4_minimal_k(S).k == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w4.size <= peak < 4 * w4.size
 
     def test_null_semigroup(self, n3):
         # Every product of two or more factors is the zero, so already

@@ -8,6 +8,7 @@ audit is their check that does not go through the library.
 """
 
 import hashlib
+import random
 from itertools import permutations, product
 
 import pytest
@@ -424,3 +425,112 @@ def test_theorem1_records_match_the_definitions():
         ("theorem1-converse", "precondition-unmet"): 171,
     }
     assert sum(counts.values()) == len(rep.records) == 1790
+
+
+def theorem2_forward_record(t, family):
+    """(check, status, witness, detail) of theorem 2 forward on a family
+    of subsets of a table with a permutation identity, by definition:
+    mediality is a conclusion here, not a hypothesis."""
+    check = "theorem2-forward"
+    common = common_separator(t, family)
+    if not common:
+        return (check, "precondition-unmet", "-", "intersection of separators is empty")
+    for i, A in enumerate(family):
+        if (w := not_medial(t, A)) is not None:
+            return (check, "fail", witness_field(zip("ixaby", (i, *w))),
+                    f"set {i} has a nonempty separator but is not medial")
+    class_of = induced(t, family)
+    if (w := not_compatible(t, class_of)) is not None:
+        return (check, "fail", witness_field(zip("abc", w)), "induced relation is not a congruence")
+    e, pair = quotient_shape(t, class_of)
+    if e is None:
+        return (check, "fail", "-", "quotient has no identity element")
+    if pair is not None:
+        return (check, "fail", "-",
+                "quotient monoid not commutative; commutativity asserted beyond the monoid claim")
+    ident = classes_of(class_of)[e]
+    if ident != common:
+        return (check, "fail", witness_field([("x", min(ident ^ common))]),
+                f"separator intersection {literal(common)} is not the identity class "
+                f"{literal(ident)}")
+    return (check, "pass", "-", f"identity class {literal(common)}")
+
+
+def theorem2_converse_record(t, class_of):
+    """(check, status, witness, detail) of theorem 2 converse on a
+    partition of a table with a permutation identity, by definition."""
+    check = "theorem2-converse"
+    if (w := not_compatible(t, class_of)) is not None:
+        return (check, "precondition-unmet", witness_field(zip("abc", w)), "not a congruence")
+    e, _ = quotient_shape(t, class_of)
+    if e is None:
+        return (check, "precondition-unmet", "-", "quotient is not a monoid")
+    classes = classes_of(class_of)
+    common, ident = common_separator(t, classes), classes[e]
+    if common != ident:
+        return (check, "fail", "-", f"separator intersection {literal(common)} differs from "
+                f"identity class {literal(ident)}")
+    back = induced(t, classes)
+    if back != class_of:
+        n = len(t)
+        a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                    if (back[a] == back[b]) != (class_of[a] == class_of[b]))
+        return (check, "fail", witness_field(zip("ab", (a, b))),
+                "induced congruence differs from input")
+    return (check, "pass", "-", "")
+
+
+def random_families(seed, order, idx, count):
+    """The sweep's random families of the table at catalog position idx,
+    as its configuration defines them: 2-3 subsets each, every subset a
+    uniform mask."""
+    rng = random.Random(f"{seed}:{order}:{idx}")
+    return [[{e for e in range(order) if bits >> e & 1}
+             for bits in (rng.randrange(1 << order) for _ in range(rng.randint(2, 3)))]
+            for _ in range(count)]
+
+
+def test_theorem2_records_match_the_definitions():
+    # Every labeled table of orders 1-3: the sweep's theorem 2 records
+    # agree with the brute force in order, status, witness and detail.
+    # A table with a permutation identity, found by brute force, gets
+    # the identity and lemma 4 records, then forward over each subset's
+    # one-set family, over each congruence's classes and over each of its
+    # random families, then the converse over each congruence; a table
+    # with none gets its identity record only.
+    cfg = SweepConfig(max_order=3, theorem="2", parallelism=1)
+    rep = run_sweep(cfg)
+    seen = {}
+    for line in rep.records:
+        head, _, detail = line.partition(" detail=")
+        fields = dict(f.split("=", 1) for f in head.split())
+        seen.setdefault(fields["table"], []).append(
+            (fields["case"], fields["check"], fields["status"], fields["witness"], detail))
+    counts = {}
+    for n in range(1, 4):
+        for idx, S in enumerate(enumerate_semigroups(n)):
+            t = S.table
+            key = hashlib.sha256(catalog_line(S).encode()).hexdigest()[:12]
+            head = [("-", check, status, "-", detail)
+                    for check, status, detail in expected_records(t, 4)]
+            cases = []
+            if first_identity(t, 4) is not None:
+                subsets = [{e for e in range(n) if bits >> e & 1} for bits in range(2**n)]
+                congruences = [p for p in partitions(n) if not_compatible(t, p) is None]
+                families = [[A] for A in subsets] + [classes_of(p) for p in congruences]
+                families += random_families(cfg.seed, n, idx, cfg.random_families)
+                cases = [(";".join(map(literal, F)), theorem2_forward_record(t, F))
+                         for F in families]
+                cases += [(";".join(map(literal, classes_of(p))), theorem2_converse_record(t, p))
+                          for p in congruences]
+            assert seen[key] == head + [(case, *record) for case, record in cases], t
+            for _, (check, status, _, _) in cases:
+                counts[check, status] = counts.get((check, status), 0) + 1
+    assert counts == {
+        ("theorem2-forward", "pass"): 1699,
+        ("theorem2-forward", "precondition-unmet"): 1919,
+        ("theorem2-converse", "pass"): 243,
+        ("theorem2-converse", "precondition-unmet"): 165,
+    }
+    # 116 tables have an identity and a lemma 4 record, 6 have none.
+    assert sum(counts.values()) + 2 * 116 + 6 == len(rep.records) == 4264
